@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import PhysicalConfig, config_to_dict
+from .fock import widened_truncation
 from .interferometry import (
     DetectionModel,
     apply_detection,
@@ -109,7 +110,8 @@ def run_setup1(n_values=None, config: PhysicalConfig | None = None,
     For each N the pulse time is solved for the equal-branch condition, the
     visibility is 2|<alpha_e|alpha_g>|, and the which-path weights n_+/- come
     from the gauge-aligned decomposition. The full fringe for the largest N is
-    attached to the meta block.
+    attached to the meta block. One truncation serves every row: the
+    configured one, widened until the largest N's Poisson tail is below tail_tol.
     """
     cfg = config or PhysicalConfig()
     if n_values is None:
@@ -118,21 +120,23 @@ def run_setup1(n_values=None, config: PhysicalConfig | None = None,
     if any(n < 0 for n in n_values):
         raise ValueError("mean photon numbers must be >= 0")
     params = JCParams()
+    trunc = widened_truncation(max(n_values, default=0.0), cfg.trunc)
     det = DetectionModel(eta=cfg.eta)
     rows = []
     for n_mean in n_values:
         alpha = math.sqrt(n_mean)
-        t = solve_pi_half_time(alpha, params, cfg.trunc)
-        a_e, a_g = branch_states(alpha, t, params, cfg.trunc)
+        t = solve_pi_half_time(alpha, params, trunc)
+        a_e, a_g = branch_states(alpha, t, params, trunc)
         v = 2.0 * abs(branch_overlap(a_e, a_g))
         _, _, n_plus, n_minus = plus_minus_decomposition(a_e, a_g)
         rows.append((n_mean, t, v, apply_detection(min(v, 1.0), det),
                      n_plus, n_minus))
     meta = _provenance(cfg, cfg.variant)
+    meta["n_max"] = trunc.n_max
     if n_values:
         show_n = max(n_values)
         pattern = fringe_scan_setup1(
-            math.sqrt(show_n), params, cfg.trunc,
+            math.sqrt(show_n), params, trunc,
             np.linspace(0.0, 2.0 * math.pi, max(8, phi_points)))
         meta["fringe"] = {
             "n_mean": show_n,
@@ -205,14 +209,11 @@ def run_fig4(t_grid, config: PhysicalConfig | None = None) -> ScanReport:
     if any(t < 0 for t in t_grid):
         raise ValueError("t_grid values must be >= 0")
     series = cfg.resolved_series()
-    rows = []
-    for T in t_grid:
-        rows.append((
-            T,
-            zero_temp_visibility_closed_form(T),
-            zero_temp_visibility_derived(T),
-            thermal_visibility(T, cfg.nbar, series, omega_chi=cfg.omega_chi_rad),
-        ))
+    v_thermal = thermal_visibility(np.array(t_grid), cfg.nbar, series,
+                                   omega_chi=cfg.omega_chi_rad).tolist()
+    rows = [(T, zero_temp_visibility_closed_form(T),
+             zero_temp_visibility_derived(T), v)
+            for T, v in zip(t_grid, v_thermal)]
     meta = _provenance(cfg, series.variant)
     meta["eta"] = cfg.eta
     meta["note"] = ("columns are raw model visibilities; multiply by eta "
@@ -243,17 +244,16 @@ def run_velocity_scan(velocities=None, config: PhysicalConfig | None = None
         raise ValueError("velocities must be > 0")
     series = cfg.resolved_series()
     t_ref = cfg.T
-    v_model_ref = thermal_visibility(t_ref, cfg.nbar, series,
-                                     omega_chi=cfg.omega_chi_rad)
+    waits = [t_ref * cfg.v_ref_mps / v for v in velocities]
+    v_model_ref, *v_models = thermal_visibility(
+        np.array([t_ref, *waits]), cfg.nbar, series,
+        omega_chi=cfg.omega_chi_rad).tolist()
     r = OBSERVED_REFERENCE_VISIBILITY / v_model_ref
     rows = []
-    for v in velocities:
-        T = t_ref * cfg.v_ref_mps / v
+    for v, T, v_model in zip(velocities, waits, v_models):
         if v == cfg.v_ref_mps:
             v_model, v_pred = v_model_ref, OBSERVED_REFERENCE_VISIBILITY
         else:
-            v_model = thermal_visibility(T, cfg.nbar, series,
-                                         omega_chi=cfg.omega_chi_rad)
             v_pred = r * v_model
         rows.append((v, T, v_model, v_pred))
     meta = _provenance(cfg, series.variant)

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.special import pdtrc
 
 from .errors import TailTooLarge
 
@@ -25,6 +26,8 @@ G, E = 0, 1
 
 DEFAULT_N_MAX = 60
 DEFAULT_TAIL_TOL = 1e-10
+# widening never goes past this cutoff; a mean that needs more is refused
+MAX_WIDENED_N_MAX = 100_000
 
 
 @dataclass(frozen=True)
@@ -49,19 +52,38 @@ def default_truncation(alpha: complex = 0.0,
                        tail_tol: float = DEFAULT_TAIL_TOL) -> TruncationConfig:
     """Default truncation, widened automatically for large coherent amplitudes.
 
-    For mean photon numbers above 30 the stock n_max=60 would clip the
-    Poissonian tail, so the cutoff is raised (with a warning) to keep the
-    discarded probability below tail_tol.
+    Where the stock n_max=60 would clip the Poissonian tail of |alpha|^2, the
+    cutoff is raised (with a warning) by `widened_truncation`.
     """
     mean = abs(alpha) ** 2
-    n_max = DEFAULT_N_MAX
-    if mean > 30.0:
-        n_max = int(math.ceil(mean + 12.0 * math.sqrt(mean) + 25.0))
+    trunc = widened_truncation(mean, TruncationConfig(tail_tol=tail_tol))
+    if trunc.n_max > DEFAULT_N_MAX:
         warnings.warn(
-            f"mean photon number {mean:.3g} > 30: raising n_max to {n_max}",
+            f"mean photon number {mean:.3g}: raising n_max to {trunc.n_max}",
             stacklevel=2,
         )
-    return TruncationConfig(n_max=n_max, tail_tol=tail_tol)
+    return trunc
+
+
+def widened_truncation(mean: float, trunc: TruncationConfig) -> TruncationConfig:
+    """trunc with the smallest n_max >= trunc.n_max whose Poisson(mean) tail < tail_tol.
+
+    The tail falls with n_max, so the cutoff is found by bisection. Raises
+    TailTooLarge when even MAX_WIDENED_N_MAX levels would discard tail_tol.
+    """
+    lo, hi = trunc.n_max, max(trunc.n_max, MAX_WIDENED_N_MAX)
+    if poisson_tail(mean, hi) >= trunc.tail_tol:
+        raise TailTooLarge(
+            f"|alpha|^2={mean:.4g} needs more than n_max={hi} to discard "
+            f"less than tail_tol={trunc.tail_tol:.3e}"
+        )
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if poisson_tail(mean, mid) < trunc.tail_tol:
+            hi = mid
+        else:
+            lo = mid + 1
+    return replace(trunc, n_max=hi)
 
 
 @dataclass(frozen=True)
@@ -210,13 +232,12 @@ def assert_physical_density(mat: np.ndarray, *, herm_tol: float = 1e-10,
 # --- state constructors -------------------------------------------------------
 
 def poisson_tail(mean: float, n_max: int) -> float:
-    """Probability mass of a Poisson(mean) above n_max, via log-domain terms."""
-    if mean == 0.0:
-        return 0.0
-    # kept mass, summed smallest-first for accuracy
-    logs = [-mean + n * math.log(mean) - math.lgamma(n + 1) for n in range(n_max + 1)]
-    kept = math.fsum(sorted(math.exp(v) for v in logs))
-    return max(0.0, 1.0 - kept)
+    """Probability mass of a Poisson(mean) above n_max.
+
+    This is the regularized incomplete gamma function (`scipy.special.pdtrc`),
+    accurate in relative terms far below the rounding of 1 - kept mass.
+    """
+    return float(pdtrc(n_max, mean))
 
 
 def coherent_state(alpha: complex, trunc: TruncationConfig | None = None) -> FieldVector:

@@ -8,9 +8,10 @@ import math
 class CompensatedSum:
     """Neumaier (improved Kahan) accumulator.
 
-    The thermal series mix binomially large terms of alternating sign; naive
-    accumulation loses the low-order bits exactly where the cancellation
-    happens, so every running sum in this package goes through one of these.
+    The thermal series mix binomially large terms of alternating sign, where
+    naive accumulation loses the low-order bits. The series sum whole vectors
+    with `exact_sum` instead; this accumulator is kept because the
+    benchmark's per-layer counters (`perfbench/tracer.py`) look it up.
     """
 
     __slots__ = ("_sum", "_comp")

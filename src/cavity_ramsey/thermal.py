@@ -5,6 +5,14 @@ ladder: the detection probability splits as P_g(phi) = P_c + P_o * sin(phi),
 where the constant part P_c is a sum of four nested series and the oscillatory
 amplitude P_o is a fifth. Visibility is P_o / P_c.
 
+T enters only through e^{-2jT} on the j-th ladder term (and e^{-T} on P_o),
+so each call builds the ladder coefficients (the terms at T = 0) once for its
+nbar and serves a whole array of waits. The inner m-sums depend only on
+(nbar, l) and are computed once per build, each stopped at the smallest
+support whose negative-binomial tail bound (`scipy.special.nbdtrc`) certifies
+the discarded mass below term_tol. The ladder stops after 3 consecutive
+coefficients below term_tol.
+
 Two transcription ambiguities in the oscillatory series are handled
 explicitly rather than guessed:
 
@@ -30,10 +38,10 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, nbdtrc
 
 from .errors import ConvergenceFailure, DomainError, InconclusiveSelection
-from .summation import CompensatedSum, exact_sum
+from .summation import exact_sum
 
 DEFAULT_OMEGA_CHI = math.pi / 4.0
 
@@ -64,51 +72,67 @@ class SeriesConfig:
             raise ValueError(f"variant must be 'A' or 'B', got {self.variant!r}")
 
 
-def _check_domain(T: float, nbar: float) -> None:
-    if T < 0:
+def _waits(T, nbar: float) -> np.ndarray:
+    """The waits as a flat float array, after checking the domain."""
+    ts = np.asarray(T, dtype=float).reshape(-1)
+    if np.any(ts < 0):
         raise DomainError(f"T must be >= 0, got {T}")
     if not 0.0 < nbar < 1.0:
         raise DomainError(f"nbar must lie in (0, 1) for convergence, got {nbar}")
+    return ts
 
 
-def _log_comb(m, l: int):
-    return gammaln(m + 1.0) - gammaln(l + 1.0) - gammaln(m - l + 1.0)
+def _shaped(values: np.ndarray, T):
+    """values in the shape of T; a float for a scalar T."""
+    return float(values[0]) if np.ndim(T) == 0 else values.reshape(np.shape(T))
 
 
-def _converging_sum(term_fn, start: int, cap: int, tol: float, label: str) -> float:
-    """Sum term_fn over increasing index until 3 consecutive terms fall below tol.
+def _binomial_weights(ms: np.ndarray, l: int, nbar: float) -> np.ndarray:
+    """C(m, l) nbar^{m-l} / (1+nbar)^m = (1+nbar) NegBinom(m-l; l+1, 1/(1+nbar))."""
+    log_comb = gammaln(ms + 1.0) - gammaln(l + 1.0) - gammaln(ms - l + 1.0)
+    return np.exp((ms - l) * math.log(nbar) - ms * math.log(1.0 + nbar) + log_comb)
 
-    term_fn takes an integer index array and returns the corresponding terms.
+
+def _support(successes: int, scale: float, nbar: float, start: int,
+             cfg: SeriesConfig) -> int:
+    """Smallest K >= start with scale * P[NegBinom(successes, 1/(1+nbar)) > K] <= tol.
+
+    tol is cfg.term_tol. An inner sum whose terms at m = l + k are bounded by
+    scale times that mass at k discards at most tol when it stops at m = l + K.
+    The tail grows with the successes, so the support of l is a valid start
+    for l + 1, which is seldom more than a few terms further; the tail is
+    scanned 64 values per `nbdtrc` call.
     """
-    total = CompensatedSum()
-    below = 0
-    idx = start
-    chunk = 64
-    while idx < start + cap:
-        hi = min(idx + chunk, start + cap)
-        for t in term_fn(np.arange(idx, hi)):
-            total.add(float(t))
-            if abs(t) < tol:
-                below += 1
-                if below >= 3:
-                    return total.value
-            else:
-                below = 0
-        idx = hi
-    raise ConvergenceFailure(f"{label} sum hit its cap before reaching {tol:.1e}")
+    p = 1.0 / (1.0 + nbar)
+    for lo in range(start, cfg.m_max, 64):
+        ks = np.arange(lo, min(lo + 64, cfg.m_max))
+        hit = np.flatnonzero(scale * nbdtrc(ks, successes, p) <= cfg.term_tol)
+        if hit.size:
+            return int(ks[hit[0]])
+    raise ConvergenceFailure(f"inner sum needs more than m_max={cfg.m_max} terms "
+                             f"to reach {cfg.term_tol:.1e}")
 
 
-def _trig_tables(omega_chi: float):
-    def cos2(m):
-        return np.cos(omega_chi * np.sqrt(m + 1.0)) ** 2
+def _ladder(coefficient, cfg: SeriesConfig, label: str) -> np.ndarray:
+    """coefficient(0), coefficient(1), ... until 3 in a row fall below term_tol.
 
-    def sin2(m):
-        return np.sin(omega_chi * np.sqrt(m + 1.0)) ** 2
+    The coefficients are the ladder terms at T = 0; e^{-2jT} <= 1 only shrinks
+    them, so this is the longest ladder any wait needs.
+    """
+    out, below = [], 0
+    for j in range(cfg.j_max):
+        out.append(coefficient(j))
+        below = below + 1 if abs(out[-1]) < cfg.term_tol else 0
+        if below == 3:
+            return np.array(out)
+    raise ConvergenceFailure(f"{label} ladder hit its cap before reaching "
+                             f"{cfg.term_tol:.1e}")
 
-    def sin_double(m):
-        return np.sin(2.0 * omega_chi * np.sqrt(m + 1.0))
 
-    return cos2, sin2, sin_double
+def _over_waits(coefficients: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """sum_j e^{-2jT} coefficients[j] for every T, each sum exactly rounded."""
+    decay = np.exp(np.multiply.outer(ts, -2.0 * np.arange(coefficients.size)))
+    return np.array([exact_sum(row) for row in decay * coefficients])
 
 
 def _ladder_weight(j: int, nbar: float) -> float:
@@ -118,113 +142,89 @@ def _ladder_weight(j: int, nbar: float) -> float:
     return (lead - deriv) / (1.0 + nbar) ** (j + 1)
 
 
-def pg_constant(T: float, nbar: float, omega_chi: float = DEFAULT_OMEGA_CHI,
-                cfg: SeriesConfig | None = None) -> float:
+def pg_constant(T, nbar: float, omega_chi: float = DEFAULT_OMEGA_CHI,
+                cfg: SeriesConfig | None = None):
     """Constant (phi-independent) part of the detection probability.
 
-    Sum of four nested series over the doublet ladder; every inner sum is
-    truncated at term_tol (3 consecutive sub-threshold terms) and accumulated
-    with compensated summation.
+    Sum of four nested series over the doublet ladder, built once as
+    coefficients a_j with P_c(T) = sum_j e^{-2jT} a_j. T may be a scalar or
+    an array; the result has T's shape (a float for a scalar).
     """
-    _check_domain(T, nbar)
+    ts = _waits(T, nbar)
     cfg = cfg or SeriesConfig()
-    cos2, sin2, _ = _trig_tables(omega_chi)
-    ln_n, ln_1n = math.log(nbar), math.log(1.0 + nbar)
+    c3, c4, support = [], [], 0
 
-    def inner_c3(l: int) -> float:
-        def terms(ms):
-            logs = (ms - l) * ln_n - ms * ln_1n + _log_comb(ms, l)
-            return np.exp(logs) * sin2(ms)
-        return _converging_sum(terms, l, cfg.m_max, cfg.term_tol, "c3 inner")
+    def coefficient(j: int) -> float:
+        nonlocal support
+        # inner sums for l = j; each term is <= (1+nbar) NegBinom(m-l; l+1)
+        support = _support(j + 1, 1.0 + nbar, nbar, support, cfg)
+        ms = np.arange(j, j + support + 2)
+        w = _binomial_weights(ms, j, nbar)
+        angle = omega_chi * np.sqrt(ms[:-1] + 1.0)
+        c3.append(exact_sum(w[:-1] * np.sin(angle) ** 2))
+        c4.append(exact_sum(w[1:] * np.cos(angle) ** 2))
 
-    def inner_c4(l: int) -> float:
-        def terms(ms):
-            logs = (ms + 1 - l) * ln_n - (ms + 1) * ln_1n + _log_comb(ms + 1, l)
-            return np.exp(logs) * cos2(ms)
-        return _converging_sum(terms, l, cfg.m_max, cfg.term_tol, "c4 inner")
+        g = _ladder_weight(j, nbar)
+        h = nbar ** j / (1.0 + nbar) ** (j + 1)
+        mixers = exact_sum((-(1.0 + nbar)) ** (-i) * math.comb(j, i)
+                           * math.cos(omega_chi * math.sqrt(i)) ** 2
+                           for i in range(1, j + 1))
+        alt3 = exact_sum((-1.0) ** l * math.comb(j, l) * c3[l] for l in range(j + 1))
+        alt4 = exact_sum((-1.0) ** l * math.comb(j, l) * c4[l] for l in range(j + 1))
+        return exact_sum((0.5 * g, 0.5 * g * mixers, 0.5 * h * alt3, 0.5 * g * alt4))
 
-    def j_term(js):
-        out = np.empty(js.size)
-        for i, j in enumerate(js):
-            j = int(j)
-            w = math.exp(-2.0 * j * T)
-            g = _ladder_weight(j, nbar)
-            h = nbar ** j / (1.0 + nbar) ** (j + 1)
-
-            part1 = 0.5 * w * g
-
-            mixers = [(-(1.0 + nbar)) ** (-(m + 1)) * math.comb(j, m + 1)
-                      * float(cos2(np.array([m]))[0]) for m in range(j)]
-            part2 = 0.5 * w * g * exact_sum(mixers)
-
-            alt3 = [(-1.0) ** l * math.comb(j, l) * inner_c3(l) for l in range(j + 1)]
-            part3 = 0.5 * w * h * exact_sum(alt3)
-
-            alt4 = [(-1.0) ** l * math.comb(j, l) * inner_c4(l) for l in range(j + 1)]
-            part4 = 0.5 * w * g * exact_sum(alt4)
-
-            out[i] = exact_sum((part1, part2, part3, part4))
-        return out
-
-    return _converging_sum(j_term, 0, cfg.j_max, cfg.term_tol, "constant ladder")
+    return _shaped(_over_waits(_ladder(coefficient, cfg, "constant"), ts), T)
 
 
-def pg_oscillatory(T: float, nbar: float, omega_chi: float = DEFAULT_OMEGA_CHI,
-                   cfg: SeriesConfig | None = None) -> float:
+def pg_oscillatory(T, nbar: float, omega_chi: float = DEFAULT_OMEGA_CHI,
+                   cfg: SeriesConfig | None = None):
     """Oscillatory amplitude of the detection probability.
 
-    The ambiguous per-term factor follows cfg.variant; the inner sign exponent
-    follows cfg.printed_osc_sign (see the module docstring).
+    Built once as coefficients b_j with P_o(T) = e^{-T} sum_j e^{-2jT} b_j;
+    T may be a scalar or an array, as for `pg_constant`. The ambiguous
+    per-term factor follows cfg.variant; the inner sign exponent follows
+    cfg.printed_osc_sign (see the module docstring).
     """
-    _check_domain(T, nbar)
+    ts = _waits(T, nbar)
     cfg = cfg or SeriesConfig()
-    _, _, sin_double = _trig_tables(omega_chi)
-    ln_n, ln_1n = math.log(nbar), math.log(1.0 + nbar)
+    # the printed reading's inner sum is nbar^l times the folded one, and it
+    # carries (-nbar)^l outside in place of (-1)^l
+    sign = -nbar * nbar if cfg.printed_osc_sign else -1.0
+    inner, support = [], 0
 
-    def factor(j: int, l: int, ms):
-        if cfg.variant == "A":
-            return (j + 1) * np.sqrt(ms + 1.0) / (l + 1)
-        return np.sqrt((j + 1) * (ms + 1.0)) / (l + 1)
+    def coefficient(j: int) -> float:
+        nonlocal support
+        # inner sum for l = j; as sqrt(m+1) <= m+1 and (m+1) C(m,l) = (l+1)
+        # C(m+1,l+1), each term is <= (1+nbar)^2 NegBinom(m-l; l+2)
+        support = _support(j + 2, (1.0 + nbar) ** 2, nbar, support, cfg)
+        ms = np.arange(j, j + support + 1)
+        root = np.sqrt(ms + 1.0)
+        inner.append(exact_sum(_binomial_weights(ms, j, nbar) * root / (j + 1)
+                               * np.sin(2.0 * omega_chi * root)))
 
-    def inner(j: int, l: int) -> float:
-        if cfg.printed_osc_sign:
-            # (-nbar)^{+l} outside, plain (nbar/(1+nbar))^m inside
-            def terms(ms):
-                logs = ms * (ln_n - ln_1n) + _log_comb(ms, l)
-                return np.exp(logs) * factor(j, l, ms) * sin_double(ms)
-        else:
-            # (-nbar)^{-l} folded into the m-sum, matching the constant parts
-            def terms(ms):
-                logs = (ms - l) * ln_n - ms * ln_1n + _log_comb(ms, l)
-                return np.exp(logs) * factor(j, l, ms) * sin_double(ms)
-        return _converging_sum(terms, l, cfg.m_max, cfg.term_tol, "oscillatory inner")
+        h = nbar ** j / (1.0 + nbar) ** (j + 2)
+        factor = j + 1 if cfg.variant == "A" else math.sqrt(j + 1)
+        alt = exact_sum(sign ** l * math.comb(j, l) * inner[l] for l in range(j + 1))
+        return 0.5 * h * factor * alt
 
-    def j_term(js):
-        out = np.empty(js.size)
-        for i, j in enumerate(js):
-            j = int(j)
-            w = math.exp(-2.0 * j * T)
-            h = nbar ** j / (1.0 + nbar) ** (j + 2)
-            sign_scale = (lambda l: (-nbar) ** l) if cfg.printed_osc_sign \
-                else (lambda l: (-1.0) ** l)
-            alt = [sign_scale(l) * math.comb(j, l) * inner(j, l)
-                   for l in range(j + 1)]
-            out[i] = 0.5 * math.exp(-T) * w * h * exact_sum(alt)
-        return out
-
-    return _converging_sum(j_term, 0, cfg.j_max, cfg.term_tol, "oscillatory ladder")
+    coefficients = _ladder(coefficient, cfg, "oscillatory")
+    return _shaped(np.exp(-ts) * _over_waits(coefficients, ts), T)
 
 
-def thermal_visibility(T: float, nbar: float, cfg: SeriesConfig | None = None,
-                       omega_chi: float = DEFAULT_OMEGA_CHI) -> float:
-    """Fringe visibility P_o / P_c at wait T and bath occupation nbar."""
+def thermal_visibility(T, nbar: float, cfg: SeriesConfig | None = None,
+                       omega_chi: float = DEFAULT_OMEGA_CHI):
+    """Fringe visibility P_o / P_c at wait T and bath occupation nbar.
+
+    T may be a scalar or an array of waits, all served by one series build;
+    the result has T's shape (a float for a scalar).
+    """
     cfg = cfg or SeriesConfig()
     pc = pg_constant(T, nbar, omega_chi, cfg)
-    po = pg_oscillatory(T, nbar, omega_chi, cfg)
-    v = po / pc
-    if v < -1e-6 or v > 1.0 + 1e-6:
-        warnings.warn(f"visibility {v:.6g} clipped into [0, 1]", stacklevel=2)
-    return float(min(1.0, max(0.0, v)))
+    v = np.asarray(pg_oscillatory(T, nbar, omega_chi, cfg) / pc)
+    outside = v[(v < -1e-6) | (v > 1.0 + 1e-6)]
+    if outside.size:
+        warnings.warn(f"visibility {outside[0]:.6g} clipped into [0, 1]", stacklevel=2)
+    return _shaped(np.clip(v, 0.0, 1.0).reshape(-1), T)
 
 
 @dataclass(frozen=True)

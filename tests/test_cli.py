@@ -59,6 +59,15 @@ class TestSubcommands:
         assert len(lines) == 4
         assert lines[1].startswith("0,")
 
+    @pytest.mark.parametrize("n", ["24", "200"])
+    def test_setup1_widens_truncation_for_large_n(self, capsys, n):
+        # the configured n_max=60 discards 1.9e-10 of a mean of 24 photons
+        # and nearly all of a mean of 200
+        code, out, _ = run_cli(capsys, "setup1", "--n-values", n,
+                               "--format", "json")
+        assert code == 0
+        assert json.loads(out)["rows"][0][0] == float(n)
+
     def test_selftest_passes(self, capsys):
         code, out, _ = run_cli(capsys, "selftest")
         assert code == 0
@@ -108,10 +117,11 @@ class TestExitCodes:
         assert exc.value.code == 1
 
     def test_truncation_failure_exits_two(self, capsys, tmp_path):
-        # a 10-level space cannot hold a mean of 25 photons
+        # n_max is only a floor for setup1, but no permitted cutoff holds a
+        # mean of 2e5 photons
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"n_max": 10}))
-        code, _, err = run_cli(capsys, "setup1", "--n-values", "25",
+        code, _, err = run_cli(capsys, "setup1", "--n-values", "200000",
                                "--config", str(path))
         assert code == 2
         assert "error" in err

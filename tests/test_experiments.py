@@ -13,6 +13,8 @@ from cavity_ramsey.experiments import (
     run_setup2,
     run_velocity_scan,
 )
+from cavity_ramsey.fock import widened_truncation
+from cavity_ramsey.thermal import thermal_visibility
 
 CFG = PhysicalConfig()
 
@@ -77,6 +79,12 @@ class TestSetup1:
         assert fringe["n_mean"] == 20.0
         assert abs(fringe["visibility"] - report.rows[-1][2]) < 1e-8
 
+    def test_meta_reports_the_cutoff_used(self, setup1_report):
+        assert setup1_report.meta["n_max"] == CFG.trunc.n_max
+        # the configured n_max=60 discards 1.9e-10 of a mean of 24 photons
+        report = run_setup1([24.0], CFG, phi_points=8)
+        assert report.meta["n_max"] == widened_truncation(24.0, CFG.trunc).n_max > 60
+
     def test_rejects_negative_n(self):
         with pytest.raises(ValueError):
             run_setup1([-1.0], CFG)
@@ -115,6 +123,13 @@ class TestFig4:
         assert r1.columns == ("T", "v_zero_temp", "v_zero_temp_oracle", "v_thermal")
         assert r1.to_csv() == r2.to_csv()
         assert r1.to_json() == r2.to_json()
+
+    def test_thermal_column_equals_scalar_calls(self):
+        grid = [0.0, 0.3, 0.9]
+        series = CFG.resolved_series()
+        expected = [thermal_visibility(T, CFG.nbar, series,
+                                       omega_chi=CFG.omega_chi_rad) for T in grid]
+        assert run_fig4(grid, CFG).column("v_thermal") == expected
 
     def test_zero_temp_above_thermal(self):
         report = run_fig4([0.1, 0.5, 1.0], CFG)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from cavity_ramsey.errors import TailTooLarge
 from cavity_ramsey.fock import (
+    MAX_WIDENED_N_MAX,
     AtomDensity,
     FieldVector,
     JointDensity,
@@ -21,6 +22,7 @@ from cavity_ramsey.fock import (
     poisson_tail,
     tensor,
     thermal_density,
+    widened_truncation,
 )
 
 
@@ -42,6 +44,29 @@ class TestTruncationConfig:
         assert trunc.n_max > 60
         # the widened cutoff actually holds the tail
         assert poisson_tail(40.0, trunc.n_max) < trunc.tail_tol
+
+    def test_widened_truncation_is_the_smallest_passing_cutoff(self):
+        assert widened_truncation(20.0, TruncationConfig()).n_max == 60
+        trunc = widened_truncation(24.0, TruncationConfig())
+        assert trunc.n_max > 60
+        assert (poisson_tail(24.0, trunc.n_max) < trunc.tail_tol
+                <= poisson_tail(24.0, trunc.n_max - 1))
+
+    def test_default_truncation_holds_large_means(self):
+        # the stock n_max=60 holds almost none of a mean of 200 photons
+        with pytest.warns(UserWarning):
+            trunc = default_truncation(math.sqrt(200.0))
+        assert coherent_state(math.sqrt(200.0), trunc).norm2() > 1.0 - 1e-10
+
+    def test_widening_refuses_past_its_cap(self):
+        with pytest.raises(TailTooLarge):
+            widened_truncation(2.0 * MAX_WIDENED_N_MAX, TruncationConfig())
+
+    def test_poisson_tail_is_accurate_far_below_rounding(self):
+        # direct sum of the discarded terms, each exp of a log-domain pmf
+        direct = math.fsum(math.exp(-160.0 + k * math.log(160.0) - math.lgamma(k + 1))
+                           for k in range(338, 1000))
+        assert poisson_tail(160.0, 337) == pytest.approx(direct, rel=1e-9, abs=0.0)
 
 
 class TestCoherentState:

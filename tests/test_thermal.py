@@ -1,6 +1,9 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavity_ramsey.errors import (
     ConvergenceFailure,
@@ -10,6 +13,8 @@ from cavity_ramsey.errors import (
 from cavity_ramsey.thermal import (
     SELECTION_GRID,
     SeriesConfig,
+    _binomial_weights,
+    _support,
     pg_constant,
     pg_oscillatory,
     select_variant,
@@ -103,6 +108,41 @@ class TestSeriesValues:
     def test_visibility_decreases_with_wait(self):
         vs = [thermal_visibility(T, 0.7) for T in (0.05, 0.2, 0.6, 1.0)]
         assert vs == sorted(vs, reverse=True)
+
+
+class TestWaitGrids:
+    GRID = (0.0, 0.008, 0.1, 0.25, 0.4, 1.0)
+
+    def test_grid_equals_scalar_calls(self):
+        v = thermal_visibility(np.array(self.GRID), 0.7)
+        assert v.shape == (len(self.GRID),)
+        scalar = [thermal_visibility(T, 0.7) for T in self.GRID]
+        assert all(type(x) is float for x in scalar)
+        assert v.tolist() == scalar
+
+    def test_parts_take_grids(self):
+        for part in (pg_constant, pg_oscillatory):
+            values = part(np.array(self.GRID), 0.3)
+            assert values.tolist() == [part(T, 0.3) for T in self.GRID]
+
+    def test_inner_support_holds_the_negbinom_mass(self):
+        # with unit weights the inner sum is (1+nbar) times a NegBinom(l+1)
+        # total mass; a stop after 3 small terms fired before the peak here
+        # and returned 3.4e-14
+        nbar, l = 0.7, 70
+        k = _support(l + 1, 1.0 + nbar, nbar, 0, SeriesConfig())
+        total = math.fsum(_binomial_weights(np.arange(l, l + k + 1), l, nbar))
+        assert total == pytest.approx(1.0 + nbar, abs=1e-12)
+
+    @given(nbar=st.floats(min_value=0.01, max_value=0.95),
+           waits=st.lists(st.floats(min_value=0.0, max_value=1.0),
+                          min_size=1, max_size=8))
+    @settings(max_examples=40, deadline=None)
+    def test_visibility_bounded_and_decaying(self, nbar, waits):
+        v = thermal_visibility(np.array([0.0, *sorted(waits)]), nbar)
+        assert np.all((v >= 0.0) & (v <= 1.0))
+        assert abs(v[0] - 1.0) < 1e-9
+        assert np.all(np.diff(v) <= 0.0)
 
 
 class TestVariants:
