@@ -15,7 +15,6 @@ from .errors import (
     DomainError,
     InconclusiveSelection,
     NoRootFound,
-    StepUnderflow,
     TailTooLarge,
     TruncationLeak,
 )
@@ -61,7 +60,6 @@ from .jc import (
 )
 from .open_system import (
     ReservoirParams,
-    StepControl,
     dissipator_apply,
     evolve_master,
     master_fringe,

@@ -2,8 +2,8 @@
 
 Subcommands: setup1 | setup2 | fig4 | velocity-scan | selftest.
 Exit codes: 0 success, 1 validation/usage error, 2 convergence or oracle
-failure (series cap hit, no pulse root, integrator underflow, truncation
-leak, inconclusive variant selection, failing selftest).
+failure (series cap hit, no pulse root, truncation leak, inconclusive
+variant selection, failing selftest).
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .errors import (
     DegeneratePattern,
     InconclusiveSelection,
     NoRootFound,
-    StepUnderflow,
     TailTooLarge,
     TruncationLeak,
 )
@@ -31,9 +30,8 @@ from .experiments import (
     run_velocity_scan,
 )
 
-_CONVERGENCE_ERRORS = (ConvergenceFailure, NoRootFound, StepUnderflow,
-                       TruncationLeak, TailTooLarge, InconclusiveSelection,
-                       DegeneratePattern)
+_CONVERGENCE_ERRORS = (ConvergenceFailure, NoRootFound, TruncationLeak,
+                       TailTooLarge, InconclusiveSelection, DegeneratePattern)
 
 
 class _Parser(argparse.ArgumentParser):

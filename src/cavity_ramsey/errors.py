@@ -21,10 +21,6 @@ class DegeneratePattern(CavityRamseyError):
     """A fringe pattern carries no usable signal (max + min ~ 0)."""
 
 
-class StepUnderflow(CavityRamseyError):
-    """The integrator would need steps below the representable floor."""
-
-
 class ConvergenceFailure(CavityRamseyError):
     """A series hit its term caps before reaching the requested tolerance."""
 

@@ -1,26 +1,6 @@
 import numpy as np
 import pytest
 
-from cavity_ramsey.open_system import master_visibility
-
-# (T, nbar) points shared by the thermal validation tests
-ORACLE_GRID = ((0.008, 0.3), (0.008, 0.7), (0.1, 0.3),
-               (0.1, 0.7), (0.4, 0.3), (0.4, 0.7))
-
-
-@pytest.fixture(scope="session")
-def oracle_grid():
-    """Integrator visibilities on the shared grid, computed once per session."""
-    return {(T, nb): master_visibility(T, nb) for (T, nb) in ORACLE_GRID}
-
-
-@pytest.fixture(scope="session")
-def oracle_fn(oracle_grid):
-    """Oracle callable restricted to the cached grid points."""
-    def fn(T, nbar):
-        return oracle_grid[(T, nbar)]
-    return fn
-
 
 @pytest.fixture
 def rng():

@@ -38,7 +38,11 @@ from cavity_ramsey.open_system import (
     zero_temp_visibility_closed_form,
     zero_temp_wait,
 )
-from cavity_ramsey.thermal import select_variant, thermal_visibility
+from cavity_ramsey.thermal import (
+    SELECTION_GRID,
+    select_variant,
+    thermal_visibility,
+)
 
 CFG = PhysicalConfig()
 DET = DetectionModel(eta=0.75)
@@ -79,8 +83,8 @@ def test_criterion_2_oracle_vs_analytic():
            "with each other), which would need nbar ~ 0.07 or T ~ 0.005 to "
            "reach 0.983. The package reports the model-consistent value.",
 )
-def test_criterion_3_thermal_visibility(oracle_fn):
-    winner = select_variant(oracle=oracle_fn).winner
+def test_criterion_3_thermal_visibility():
+    winner = select_variant().winner
     cfg = PhysicalConfig(variant=winner)
     v = thermal_visibility(0.008, 0.7, cfg.resolved_series())
     v_eta = apply_detection(v, DET)
@@ -117,13 +121,13 @@ def test_criterion_4_velocity_scan():
     report(4, monotone and within, detail)
 
 
-def test_criterion_5_series_vs_oracle(oracle_grid, oracle_fn):
-    winner = select_variant(oracle=oracle_fn).winner
+def test_criterion_5_series_vs_oracle():
+    winner = select_variant().winner
     series = PhysicalConfig(variant=winner).resolved_series()
     worst = 0.0
-    for (T, nbar), v_oracle in oracle_grid.items():
+    for (T, nbar) in SELECTION_GRID:
         v_series = thermal_visibility(T, nbar, series)
-        worst = max(worst, abs(v_series - v_oracle))
+        worst = max(worst, abs(v_series - master_visibility(T, nbar)))
     report(5, worst < 0.01,
            f"variant {winner}; worst |series - oracle| = {worst:.2e}")
 

@@ -73,6 +73,14 @@ class TestSubcommands:
         assert code == 0
         assert "all checks passed" in out
 
+    def test_selftest_auto_variant_arbitrates_to_a(self, capsys, tmp_path):
+        path = tmp_path / "selftest.json"
+        code, out, _ = run_cli(capsys, "selftest", "--variant", "auto",
+                               "--format", "json", "--out", str(path))
+        assert code == 0
+        assert "all checks passed" in out
+        assert json.loads(path.read_text())["meta"]["series_variant"] == "A"
+
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "report.csv"
         code, out, _ = run_cli(capsys, "velocity-scan", "--velocities", "500",

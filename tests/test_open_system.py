@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cavity_ramsey.fock import (
+    FieldDensity,
     JointDensity,
     TruncationConfig,
     assert_physical_density,
@@ -26,6 +27,36 @@ from cavity_ramsey.open_system import (
 T_GRID = (0.001, 0.008, 0.1, 0.4, 1.0)
 
 
+def dense_generator(mat, params, atoms):
+    """Reference D(rho) from the truncated ladder matrices, not the stencil."""
+    L = mat.shape[0] // atoms
+    a = np.kron(np.eye(atoms), np.diag(np.sqrt(np.arange(1.0, L)), 1))
+    ad = a.T
+    down = 2.0 * a @ mat @ ad - ad @ a @ mat - mat @ ad @ a
+    up = 2.0 * ad @ mat @ a - a @ ad @ mat - mat @ a @ ad
+    return params.k * (params.nbar + 1.0) * down + params.k * params.nbar * up
+
+
+def dense_rk4(mat, tau, params, steps):
+    """Classical fixed-step RK4 over the dense generator of a joint density."""
+    h = tau / steps
+
+    def f(m):
+        return dense_generator(m, params, 2)
+
+    for _ in range(steps):
+        k1 = f(mat)
+        k2 = f(mat + 0.5 * h * k1)
+        k3 = f(mat + 0.5 * h * k2)
+        k4 = f(mat + h * k3)
+        mat = mat + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return mat
+
+
+def random_matrix(rng, dim):
+    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+
 class TestDissipator:
     def test_thermal_state_is_fixed_point(self):
         nbar = 0.4
@@ -38,6 +69,17 @@ class TestDissipator:
         rho = split_vacuum_state(0.3).to_density()
         out = dissipator_apply(rho, ReservoirParams(k=1.0, nbar=0.7))
         assert abs(np.trace(out.mat)) < 1e-12
+
+    @pytest.mark.parametrize("cls, atoms", [(FieldDensity, 1), (JointDensity, 2)])
+    @pytest.mark.parametrize("nbar", [0.0, 0.3, 0.95])
+    def test_stencil_matches_dense_operator_form(self, rng, cls, atoms, nbar):
+        params = ReservoirParams(k=1.3, nbar=nbar)
+        for L in (2, 5, 17):
+            mat = random_matrix(rng, atoms * L)
+            out = dissipator_apply(cls(mat), params)
+            assert isinstance(out, cls)
+            ref = dense_generator(mat, params, atoms)
+            assert np.max(np.abs(out.mat - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_rejects_wrong_type(self):
         with pytest.raises(TypeError):
@@ -52,6 +94,32 @@ class TestEvolveMaster:
         out = evolve_master(rho0, T, ReservoirParams(k=1.0, nbar=0.0))
         ref = zero_temp_wait(phi, T)
         assert np.max(np.abs(out.mat - ref.mat)) < 1e-8
+
+    @pytest.mark.parametrize("T", T_GRID)
+    def test_zero_temp_matches_closed_form_to_rounding(self, T):
+        phi = 0.7
+        rho0 = split_vacuum_state(phi).to_density()
+        out = evolve_master(rho0, T, ReservoirParams(k=1.0, nbar=0.0))
+        ref = zero_temp_wait(phi, T)
+        assert np.max(np.abs(out.mat - ref.mat)) <= 1e-13
+
+    def test_matches_dense_rk4(self, rng):
+        params = ReservoirParams(k=1.0, nbar=0.7)
+        psi = rng.normal(size=14) + 1j * rng.normal(size=14)
+        psi /= np.linalg.norm(psi)
+        rho0 = JointDensity(np.outer(psi, psi.conj()))  # n_max = 6
+        out = evolve_master(rho0, 0.1, params)
+        ref = dense_rk4(rho0.mat, 0.1, params, steps=400)
+        assert np.max(np.abs(out.mat - ref)) <= 1e-9
+
+    def test_long_wait_reaches_steady_state(self):
+        # the largest loss rate is 20.6 here, so q tau = 824 and e^{-q tau}
+        # would underflow without splitting the wait into chunks
+        params = ReservoirParams(k=1.0, nbar=0.7)
+        rho0 = split_vacuum_state(0.3, TruncationConfig(n_max=5)).to_density()
+        out = evolve_master(rho0, 40.0, params)
+        assert abs(out.trace() - 1.0) < 1e-12
+        assert np.max(np.abs(dissipator_apply(out, params).mat)) < 1e-12
 
     def test_no_excitation_gain_at_zero_temp(self):
         rho0 = split_vacuum_state(1.1).to_density()
