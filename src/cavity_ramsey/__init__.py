@@ -52,14 +52,12 @@ from .interferometry import (
     visibility_from_pattern,
 )
 from .jc import (
-    JCParams,
     branch_states,
     jc_evolve,
     solve_pi_half_time,
     stark_phase,
 )
 from .open_system import (
-    ReservoirParams,
     dissipator_apply,
     evolve_master,
     master_fringe,

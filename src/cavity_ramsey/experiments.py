@@ -22,7 +22,7 @@ from .interferometry import (
     fringe_scan_setup1,
     plus_minus_decomposition,
 )
-from .jc import JCParams, branch_states, solve_pi_half_time
+from .jc import branch_states, excited_branch_norm, solve_pi_half_time
 from .open_system import (
     master_fringe,
     zero_temp_visibility_closed_form,
@@ -107,11 +107,12 @@ def run_setup1(n_values=None, config: PhysicalConfig | None = None,
                phi_points: int = 65) -> ScanReport:
     """Single-quantized-zone scan over mean photon number N = |alpha|^2.
 
-    For each N the pulse time is solved for the equal-branch condition, the
-    visibility is 2|<alpha_e|alpha_g>|, and the which-path weights n_+/- come
-    from the gauge-aligned decomposition. The full fringe for the largest N is
-    attached to the meta block. One truncation serves every row: the
-    configured one, widened until the largest N's Poisson tail is below tail_tol.
+    For each N the pulse area (pulse_time, in units with Omega = 1) is solved
+    for the equal-branch condition, the visibility is 2|<alpha_e|alpha_g>|,
+    and the which-path weights n_+/- come from the gauge-aligned
+    decomposition. The full fringe for the largest N is attached to the meta
+    block. One truncation serves every row: the configured one, widened until
+    the largest N's Poisson tail is below tail_tol.
     """
     cfg = config or PhysicalConfig()
     if n_values is None:
@@ -119,14 +120,13 @@ def run_setup1(n_values=None, config: PhysicalConfig | None = None,
     n_values = [float(n) for n in n_values]
     if any(n < 0 for n in n_values):
         raise ValueError("mean photon numbers must be >= 0")
-    params = JCParams()
     trunc = widened_truncation(max(n_values, default=0.0), cfg.trunc)
     det = DetectionModel(eta=cfg.eta)
     rows = []
     for n_mean in n_values:
         alpha = math.sqrt(n_mean)
-        t = solve_pi_half_time(alpha, params, trunc)
-        a_e, a_g = branch_states(alpha, t, params, trunc)
+        t = solve_pi_half_time(alpha, trunc)
+        a_e, a_g = branch_states(alpha, t, trunc)
         v = 2.0 * abs(branch_overlap(a_e, a_g))
         _, _, n_plus, n_minus = plus_minus_decomposition(a_e, a_g)
         rows.append((n_mean, t, v, apply_detection(min(v, 1.0), det),
@@ -136,7 +136,7 @@ def run_setup1(n_values=None, config: PhysicalConfig | None = None,
     if n_values:
         show_n = max(n_values)
         pattern = fringe_scan_setup1(
-            math.sqrt(show_n), params, trunc,
+            math.sqrt(show_n), trunc,
             np.linspace(0.0, 2.0 * math.pi, max(8, phi_points)))
         meta["fringe"] = {
             "n_mean": show_n,
@@ -277,7 +277,7 @@ def run_selftest(config: PhysicalConfig | None = None) -> ScanReport:
     failing row signals an internal inconsistency, not a user error.
     """
     from .fock import assert_physical_density
-    from .open_system import evolve_master, ReservoirParams, zero_temp_wait
+    from .open_system import evolve_master, zero_temp_wait
     cfg = config or PhysicalConfig()
     series = cfg.resolved_series()
     rows = []
@@ -290,13 +290,13 @@ def run_selftest(config: PhysicalConfig | None = None) -> ScanReport:
     # closed-form wait state vs integrator, entrywise
     T = 0.1
     rho0 = zero_temp_wait(0.7, 0.0)
-    rho_num = evolve_master(rho0, T, ReservoirParams(k=1.0, nbar=0.0))
+    rho_num = evolve_master(rho0, T, 0.0)
     rho_cf = zero_temp_wait(0.7, T)
     check("wait_state_entrywise", float(np.max(np.abs(rho_num.mat - rho_cf.mat))),
           0.0, 1e-8)
 
     # physicality of a thermal evolution
-    rho_th = evolve_master(rho0, 0.3, ReservoirParams(k=1.0, nbar=cfg.nbar))
+    rho_th = evolve_master(rho0, 0.3, cfg.nbar)
     try:
         assert_physical_density(rho_th.mat)
         rows.append(("thermal_evolution_physical", 0.0, 0.0, 0.0, "pass"))
@@ -308,17 +308,16 @@ def run_selftest(config: PhysicalConfig | None = None) -> ScanReport:
           master_fringe(cfg.T, 0.0).visibility,
           zero_temp_visibility_derived(cfg.T), 1e-6)
 
-    # thermal series vs integrator at the configured point
+    # thermal series vs integrator at the configured point and second pulse
     check("thermal_series_vs_oracle",
           thermal_visibility(cfg.T, cfg.nbar, series, omega_chi=cfg.omega_chi_rad),
-          master_fringe(cfg.T, cfg.nbar).visibility, 0.01)
+          master_fringe(cfg.T, cfg.nbar, omega_chi=cfg.omega_chi_rad).visibility,
+          0.01)
 
-    # pulse-time solver residual at N = 10
-    from .jc import excited_branch_norm
-    params = JCParams()
-    t10 = solve_pi_half_time(math.sqrt(10.0), params, cfg.trunc)
+    # pulse-area solver residual at N = 10
+    t10 = solve_pi_half_time(math.sqrt(10.0), cfg.trunc)
     check("pi_half_residual",
-          excited_branch_norm(math.sqrt(10.0), t10, params, cfg.trunc), 0.5, 1e-9)
+          excited_branch_norm(math.sqrt(10.0), t10, cfg.trunc), 0.5, 1e-9)
 
     meta = _provenance(cfg, series.variant)
     meta["all_pass"] = all(r[-1] == "pass" for r in rows)

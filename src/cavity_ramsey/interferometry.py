@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DegeneratePattern
 from .fock import AtomDensity, FieldVector, TruncationConfig
-from .jc import JCParams, branch_states, solve_pi_half_time
+from .jc import branch_states, solve_pi_half_time
 
 # Recombination convention for the classical pi/2 zone: maps the dephased
 # split state onto populations 1/2 +- Re(e^{i phi} <alpha_e|alpha_g>).
@@ -129,10 +129,10 @@ def apply_detection(v: float, model: DetectionModel) -> float:
     return model.eta * v
 
 
-def fringe_scan_setup1(alpha: complex, params: JCParams,
+def fringe_scan_setup1(alpha: complex,
                        trunc: TruncationConfig | None = None,
                        phi_grid=None) -> FringePattern:
-    """Full single-quantized-zone fringe: solve the pulse time, scan phi.
+    """Full single-quantized-zone fringe: solve the pulse area, scan phi.
 
     P_g(phi) = 1/2 + Re(e^{i phi} <alpha_e|alpha_g>), read from the recombined
     atomic state rather than from the overlap directly, so the scan exercises
@@ -143,8 +143,8 @@ def fringe_scan_setup1(alpha: complex, params: JCParams,
     phi_grid = np.asarray(phi_grid, dtype=float)
     if phi_grid.size < 8 or phi_grid.max() - phi_grid.min() < 2.0 * np.pi - 1e-9:
         raise ValueError("phi grid needs >= 8 points spanning a full period")
-    t = solve_pi_half_time(alpha, params, trunc)
-    a_e, a_g = branch_states(alpha, t, params, trunc)
+    area = solve_pi_half_time(alpha, trunc)
+    a_e, a_g = branch_states(alpha, area, trunc)
     p_g = np.array([
         classical_pi_half(atomic_state_after_phase(a_e, a_g, phi)).p_g()
         for phi in phi_grid

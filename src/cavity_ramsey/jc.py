@@ -1,7 +1,9 @@
 """Resonant atom-field dynamics on the doublet ladder.
 
 On resonance the interaction only mixes the doublets {|e, n>, |g, n+1>}, each
-rotating at Omega_n = Omega * sqrt(n+1); |g, 0> is dark. We work in the frame
+rotating at Omega_n = Omega * sqrt(n+1); |g, 0> is dark. Omega is a free
+scale, so every pulse is given by its area theta = Omega * t (units with
+Omega = 1), and doublet n turns through theta * sqrt(n+1). We work in the frame
 rotating at the mode frequency, so the free phases e^{-i nu t} are dropped:
 they only translate fringe patterns along phi, which this package exposes as
 an explicit parameter, and visibilities are unaffected.
@@ -10,7 +12,6 @@ an explicit parameter, and visibilities are unaffected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,20 +27,12 @@ from .fock import (
     default_truncation,
 )
 
-
-@dataclass(frozen=True)
-class JCParams:
-    """Vacuum Rabi frequency Omega (rad/s). The model is resonant only.
-
-    Omega is a free scale: every deliverable quantity depends on the products
-    Omega*t and Omega*chi, so internal units default to Omega = 1.
-    """
-
-    omega: float = 1.0
-
-    def __post_init__(self):
-        if not self.omega > 0:
-            raise ValueError(f"omega must be > 0, got {self.omega}")
+# area of the vacuum pi/2 pulse: cos^2(pi/4) = 1/2 splits |e, 0> evenly
+DEFAULT_OMEGA_CHI = math.pi / 4.0
+# largest |e, n_max> population a pulse may rotate without its partner level
+LEAK_TOL = 1e-10
+# |<alpha_e|alpha_e> - 1/2| at which the pulse-area bisection stops
+PI_HALF_RESIDUAL_TOL = 1e-10
 
 
 def doublet_unitary(n_levels: int, theta: float) -> np.ndarray:
@@ -71,35 +64,34 @@ def _top_level_population(state) -> float:
     return float(b[E, -1, E, -1].real)
 
 
-def jc_evolve(state, duration: float, params: JCParams,
-              leak_tol: float = 1e-10):
-    """Evolve a JointVector or JointDensity resonantly for the given duration.
+def jc_evolve(state, area: float):
+    """Apply a resonant pulse of area Omega*t to a JointVector or JointDensity.
 
-    Raises TruncationLeak when |e, n_max> carries more than leak_tol
+    Raises TruncationLeak when |e, n_max> carries more than LEAK_TOL
     probability: its doublet partner lies outside the truncated space, so the
     rotation could not be represented faithfully.
     """
-    if duration < 0:
-        raise ValueError(f"duration must be >= 0, got {duration}")
+    if area < 0:
+        raise ValueError(f"pulse area must be >= 0, got {area}")
     top = _top_level_population(state)
-    if top > leak_tol:
+    if top > LEAK_TOL:
         raise TruncationLeak(
-            f"|e, n_max> holds probability {top:.3e} > {leak_tol:.3e}; "
+            f"|e, n_max> holds probability {top:.3e} > {LEAK_TOL:.3e}; "
             "raise n_max before evolving"
         )
-    U = doublet_unitary(state.n_levels, params.omega * duration)
+    U = doublet_unitary(state.n_levels, area)
     if isinstance(state, JointVector):
         return JointVector((U @ state.flat()).reshape(2, -1))
     return JointDensity(U @ state.mat @ U.conj().T)
 
 
-def branch_states(alpha: complex, t: float, params: JCParams,
+def branch_states(alpha: complex, area: float,
                   trunc: TruncationConfig | None = None) -> tuple[FieldVector, FieldVector]:
-    """Field states correlated with the atomic levels after a resonant pulse.
+    """Field states correlated with the atomic levels after a pulse of this area.
 
     Starting from |e> (x) |alpha>:
-        alpha_e[n]   = c_n cos(Omega_n t)
-        alpha_g[n+1] = -i c_n sin(Omega_n t)
+        alpha_e[n]   = c_n cos(area sqrt(n+1))
+        alpha_g[n+1] = -i c_n sin(area sqrt(n+1))
     Both are unnormalized (their squared norms sum to one). The amplitude that
     would land on level n_max+1 is dropped; it is bounded by the coherent tail
     already certified by the truncation check.
@@ -108,29 +100,28 @@ def branch_states(alpha: complex, t: float, params: JCParams,
         trunc = default_truncation(alpha)
     c = coherent_state(alpha, trunc).amps
     n = np.arange(trunc.n_levels)
-    ang = params.omega * t * np.sqrt(n + 1.0)
+    ang = area * np.sqrt(n + 1.0)
     a_e = c * np.cos(ang)
     a_g = np.zeros_like(c)
     a_g[1:] = -1j * c[:-1] * np.sin(ang[:-1])
     return FieldVector(a_e), FieldVector(a_g)
 
 
-def excited_branch_norm(alpha: complex, t: float, params: JCParams,
+def excited_branch_norm(alpha: complex, area: float,
                         trunc: TruncationConfig) -> float:
-    """<alpha_e|alpha_e> = sum_n |c_n|^2 cos^2(Omega_n t), without building vectors."""
+    """<alpha_e|alpha_e> = sum_n |c_n|^2 cos^2(area sqrt(n+1)), without vectors."""
     c2 = np.abs(coherent_state(alpha, trunc).amps) ** 2
-    ang = params.omega * t * np.sqrt(np.arange(trunc.n_levels) + 1.0)
+    ang = area * np.sqrt(np.arange(trunc.n_levels) + 1.0)
     return float(np.sum(c2 * np.cos(ang) ** 2))
 
 
-def solve_pi_half_time(alpha: complex, params: JCParams,
-                       trunc: TruncationConfig | None = None,
-                       residual_tol: float = 1e-10) -> float:
-    """Smallest t > 0 with <alpha_e|alpha_e> = 1/2 (equal-branch pulse condition).
+def solve_pi_half_time(alpha: complex,
+                       trunc: TruncationConfig | None = None) -> float:
+    """Smallest area Omega*t > 0 with <alpha_e|alpha_e> = 1/2 (equal branches).
 
     The first sign change of <alpha_e|alpha_e> - 1/2 is bracketed on a grid of
-    step pi / (64 Omega sqrt(N+1)) and then bisected until the residual drops
-    below residual_tol. The first root is the physical (shortest) pulse.
+    step pi / (64 sqrt(N+1)) and then bisected until the residual drops below
+    PI_HALF_RESIDUAL_TOL. The first root is the physical (shortest) pulse.
     """
     if trunc is None:
         trunc = default_truncation(alpha)
@@ -138,11 +129,11 @@ def solve_pi_half_time(alpha: complex, params: JCParams,
     sq = np.sqrt(np.arange(trunc.n_levels) + 1.0)
 
     def f(t: float) -> float:
-        return float(np.sum(c2 * np.cos(params.omega * t * sq) ** 2)) - 0.5
+        return float(np.sum(c2 * np.cos(t * sq) ** 2)) - 0.5
 
     mean = abs(alpha) ** 2
-    step = math.pi / (64.0 * params.omega * math.sqrt(mean + 1.0))
-    t_end = 4.0 * math.pi / params.omega
+    step = math.pi / (64.0 * math.sqrt(mean + 1.0))
+    t_end = 4.0 * math.pi
     lo, f_lo = 0.0, f(0.0)
     t = step
     while t <= t_end:
@@ -158,7 +149,7 @@ def solve_pi_half_time(alpha: complex, params: JCParams,
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         f_mid = f(mid)
-        if abs(f_mid) < residual_tol:
+        if abs(f_mid) < PI_HALF_RESIDUAL_TOL:
             return mid
         if (f_lo > 0) == (f_mid > 0):
             lo, f_lo = mid, f_mid

@@ -4,7 +4,9 @@ The propagator here is the project's ground truth. Everything analytic (the
 zero-temperature wait state, the closed-form visibilities, the thermal series
 in `thermal`) is checked against it rather than trusted.
 
-During the wait the atom is Stark-detuned and idle, so only the field factor
+Waits are dimensionless, T = k*tau with k = 1/(2 T_cav) the field damping
+constant (units with k = 1), and the bath holds nbar thermal photons. During
+the wait the atom is Stark-detuned and idle, so only the field factor
 dissipates. The coherent part -i[H_f, rho] is dropped (rotating frame): it
 commutes with photon loss, and its sole observable effect is a fringe
 translation already parametrized by phi.
@@ -13,7 +15,6 @@ translation already parametrized by phi.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,25 +28,7 @@ from .fock import (
     poisson_tail,
 )
 from .interferometry import FringePattern, visibility_from_pattern
-from .jc import JCParams, jc_evolve, stark_phase
-
-
-@dataclass(frozen=True)
-class ReservoirParams:
-    """Damping constant k = 1/(2 T_cav) and bath occupation nbar.
-
-    Photon loss proceeds at rate k(nbar+1), thermal excitation at k*nbar; the
-    dimensionless wait duration used throughout is T = k*tau.
-    """
-
-    k: float = 1.0
-    nbar: float = 0.0
-
-    def __post_init__(self):
-        if not self.k > 0:
-            raise ValueError(f"k must be > 0, got {self.k}")
-        if self.nbar < 0:
-            raise ValueError(f"nbar must be >= 0, got {self.nbar}")
+from .jc import DEFAULT_OMEGA_CHI, jc_evolve, stark_phase
 
 
 # q*h of one propagation chunk is at most this, so e^{-q h} cannot underflow
@@ -54,24 +37,29 @@ MAX_CHUNK_RATE = 50.0
 SERIES_TAIL_TOL = 1e-16
 
 
-def _stencil(n_levels: int, params: ReservoirParams):
+def _check_nbar(nbar: float) -> None:
+    if nbar < 0:
+        raise ValueError(f"nbar must be >= 0, got {nbar}")
+
+
+def _stencil(n_levels: int, nbar: float):
     """Generator weights on field indices (m, n) of the truncated space.
 
         D(rho)[m,n] = -loss[m,n] rho[m,n] + down[m,n] rho[m+1,n+1]
                       + up[m-1,n-1] rho[m-1,n-1]
 
-    with loss = k(nbar+1)(m + n) + k nbar(aa+[m] + aa+[n]), where the a+a and
+    with loss = (nbar+1)(m + n) + nbar(aa+[m] + aa+[n]), where the a+a and
     aa+ diagonals are those of the truncated operators (aa+ = 0 on the top
-    level), and hop weights 2k(nbar+1) sqrt((m+1)(n+1)) for loss and
-    2k nbar sqrt(mn) for gain. Photon-number offsets m - n never mix.
+    level), and hop weights 2(nbar+1) sqrt((m+1)(n+1)) for loss and
+    2 nbar sqrt(mn) for gain, all per unit of T. Photon-number offsets m - n
+    never mix.
     """
-    k, nbar = params.k, params.nbar
     n = np.arange(n_levels, dtype=float)
     aad = np.append(n[1:], 0.0)
-    loss = (k * (nbar + 1.0) * (n[:, None] + n[None, :])
-            + k * nbar * (aad[:, None] + aad[None, :]))
+    loss = ((nbar + 1.0) * (n[:, None] + n[None, :])
+            + nbar * (aad[:, None] + aad[None, :]))
     hop = np.sqrt(np.outer(n[1:], n[1:]))
-    return loss, 2.0 * k * (nbar + 1.0) * hop, 2.0 * k * nbar * hop
+    return loss, 2.0 * (nbar + 1.0) * hop, 2.0 * nbar * hop
 
 
 def _apply(r: np.ndarray, diag, down, up) -> np.ndarray:
@@ -82,33 +70,33 @@ def _apply(r: np.ndarray, diag, down, up) -> np.ndarray:
     return out
 
 
-def dissipator_apply(rho, params: ReservoirParams):
+def dissipator_apply(rho, nbar: float):
     """Apply the Lindblad generator once; acts on the field factor only."""
     if not isinstance(rho, (FieldDensity, JointDensity)):
         raise TypeError(
             f"expected FieldDensity or JointDensity, got {type(rho)!r}")
+    _check_nbar(nbar)
     L = rho.n_levels
     A = rho.mat.shape[0] // L
-    loss, down, up = _stencil(L, params)
+    loss, down, up = _stencil(L, nbar)
     out = _apply(rho.mat.reshape(A, L, A, L), -loss, down, up)
     return type(rho)(out.reshape(rho.mat.shape))
 
 
-def _evolve_batch(mats: np.ndarray, tau: float,
-                  params: ReservoirParams) -> np.ndarray:
-    """e^{tau D} on a stack of joint densities, by uniformization.
+def _evolve_batch(mats: np.ndarray, T: float, nbar: float) -> np.ndarray:
+    """e^{T D} on a stack of joint densities, by uniformization.
 
     With q = max(loss), P = I + D/q is entrywise non-negative and, since
     2 sqrt(mn) <= m + n, never increases the entrywise l1 norm. Each chunk
-    h = tau/c with q h <= MAX_CHUNK_RATE sums
+    h = T/c with q h <= MAX_CHUNK_RATE sums
         e^{hD} rho = e^{-qh} sum_j (qh)^j / j! P^j rho
     up to the first j whose Poisson(qh) tail mass is below SERIES_TAIL_TOL.
     """
     L = mats.shape[-1] // 2
-    loss, down, up = _stencil(L, params)
+    loss, down, up = _stencil(L, nbar)
     q = float(loss.max())
-    chunks = max(1, math.ceil(q * tau / MAX_CHUNK_RATE))
-    qh = q * tau / chunks
+    chunks = max(1, math.ceil(q * T / MAX_CHUNK_RATE))
+    qh = q * T / chunks
     keep, down, up = 1.0 - loss / q, down / q, up / q
     r = mats.reshape(-1, 2, L, 2, L)
     for _ in range(chunks):
@@ -122,30 +110,30 @@ def _evolve_batch(mats: np.ndarray, tau: float,
     return r.reshape(mats.shape)
 
 
-def evolve_master(rho: JointDensity, tau: float,
-                  params: ReservoirParams) -> JointDensity:
-    """Dissipative wait: rho -> e^{tau D} rho for a physical time tau.
+def evolve_master(rho: JointDensity, T: float, nbar: float) -> JointDensity:
+    """Dissipative wait: rho -> e^{T D} rho for a dimensionless wait T = k*tau.
 
     The atom is untouched (coupling is switched off during the wait). This is
     the ground-truth oracle the closed forms are validated against. It is
-    exact up to a certified truncation: each of the c = ceil(q tau / 50)
+    exact up to a certified truncation: each of the c = ceil(q T / 50)
     chunks of the uniformized series drops at most 1e-16 times the entrywise
     l1 norm of its input, so before rounding the result is within
-    c * 1e-16 * sum|rho_ij| of e^{tau D} rho in the entrywise l1 norm (q is
+    c * 1e-16 * sum|rho_ij| of e^{T D} rho in the entrywise l1 norm (q is
     the largest diagonal loss rate of the truncated generator, at most
-    2k(2 nbar + 1) n_max).
+    2(2 nbar + 1) n_max).
     """
-    if tau < 0:
-        raise ValueError(f"tau must be >= 0, got {tau}")
-    if tau == 0.0:
+    if T < 0:
+        raise ValueError(f"T must be >= 0, got {T}")
+    _check_nbar(nbar)
+    if T == 0.0:
         return rho
-    return JointDensity(_evolve_batch(rho.mat[None, :, :], tau, params)[0])
+    return JointDensity(_evolve_batch(rho.mat[None, :, :], T, nbar)[0])
 
 
 # --- zero-temperature closed forms --------------------------------------------
 
-def split_vacuum_state(phi: float, trunc: TruncationConfig | None = None,
-                       params: JCParams | None = None) -> JointVector:
+def split_vacuum_state(phi: float,
+                       trunc: TruncationConfig | None = None) -> JointVector:
     """(|e,0> + e^{i phi} |g,1>)/sqrt(2): vacuum pulse plus accumulated phase.
 
     Built through the actual pulse + Stark-phase pipeline (the bare pulse
@@ -153,10 +141,9 @@ def split_vacuum_state(phi: float, trunc: TruncationConfig | None = None,
     """
     if trunc is None:
         trunc = TruncationConfig(n_max=8)
-    params = params or JCParams()
     amps = np.zeros((2, trunc.n_levels), dtype=complex)
     amps[E, 0] = 1.0
-    state = jc_evolve(JointVector(amps), math.pi / (4.0 * params.omega), params)
+    state = jc_evolve(JointVector(amps), DEFAULT_OMEGA_CHI)
     return stark_phase(state, phi + math.pi / 2.0)
 
 
@@ -186,7 +173,7 @@ def zero_temp_wait(phi: float, T: float,
     return JointDensity(mat)
 
 
-def setup2_pg(phi: float, T: float, params: JCParams | None = None) -> float:
+def setup2_pg(phi: float, T: float) -> float:
     """Ground-state detection probability for the shared-mode interferometer.
 
     Applies the vacuum pi/2 pulse (area Omega*chi = pi/4) to the decayed wait
@@ -195,20 +182,18 @@ def setup2_pg(phi: float, T: float, params: JCParams | None = None) -> float:
 
         P_g(phi, T) = 3/4 - e^{-2T}/4 + (e^{-T}/2) cos(phi)
     """
-    params = params or JCParams()
     rho = zero_temp_wait(phi - math.pi / 2.0, T)
-    rho = jc_evolve(rho, math.pi / (4.0 * params.omega), params)
+    rho = jc_evolve(rho, DEFAULT_OMEGA_CHI)
     L = rho.n_levels
     return float(np.trace(rho.mat[:L, :L]).real)
 
 
-def setup2_fringe(T: float, phi_grid=None,
-                  params: JCParams | None = None) -> FringePattern:
+def setup2_fringe(T: float, phi_grid=None) -> FringePattern:
     """Zero-temperature fringe from the closed-form chain."""
     if phi_grid is None:
         phi_grid = np.linspace(0.0, 2.0 * np.pi, 65)
     phi_grid = np.asarray(phi_grid, dtype=float)
-    p_g = np.array([setup2_pg(phi, T, params) for phi in phi_grid])
+    p_g = np.array([setup2_pg(phi, T) for phi in phi_grid])
     return FringePattern(phi_grid, np.clip(p_g, 0.0, 1.0),
                          visibility_from_pattern(phi_grid, p_g))
 
@@ -247,15 +232,20 @@ def setup2_pg_printed_form(phi: float, T: float) -> float:
 
 def master_fringe(T: float, nbar: float, phi_grid=None,
                   trunc: TruncationConfig | None = None,
-                  params: JCParams | None = None) -> FringePattern:
+                  omega_chi: float = DEFAULT_OMEGA_CHI) -> FringePattern:
     """Brute-force fringe: split vacuum state, dissipative wait, second pulse.
 
     This is the oracle chain used to vet the thermal series and the closed
-    forms. The whole phi batch is propagated as one stack by the uniformized
-    series of `evolve_master`, with the same certified tail bound. Without an
-    explicit trunc, n_max is chosen from the thermal feeding rate; the second
-    pulse raises TruncationLeak if that choice let the top level fill.
+    forms. The split pulse has area pi/4; omega_chi is the area of the second,
+    recombining pulse, the same parameter as the series' omega_chi. The whole
+    phi batch is propagated as one stack by the uniformized series of
+    `evolve_master`, with the same certified tail bound. Without an explicit
+    trunc, n_max is chosen from the thermal feeding rate; the second pulse
+    raises TruncationLeak if that choice let the top level fill.
     """
+    if T < 0:
+        raise ValueError(f"T must be >= 0, got {T}")
+    _check_nbar(nbar)
     if phi_grid is None:
         phi_grid = np.linspace(0.0, 2.0 * np.pi, 9)
     phi_grid = np.asarray(phi_grid, dtype=float)
@@ -267,20 +257,18 @@ def master_fringe(T: float, nbar: float, phi_grid=None,
             x = nbar / (1.0 + nbar)
             n_max = max(12, int(math.ceil(math.log(1e-12) / math.log(x))))
         trunc = TruncationConfig(n_max=n_max)
-    params = params or JCParams()
-    res = ReservoirParams(k=1.0, nbar=nbar)
 
-    # same phase convention as setup2_pg: the undamped fringe is cos^2(phi/2)
+    # same phase convention as setup2_pg: at the default omega_chi the
+    # undamped fringe is cos^2(phi/2)
     mats = np.stack([
-        split_vacuum_state(phi - math.pi / 2.0, trunc, params).to_density().mat
+        split_vacuum_state(phi - math.pi / 2.0, trunc).to_density().mat
         for phi in phi_grid
     ])
     if T > 0:
-        mats = _evolve_batch(mats, T, res)
+        mats = _evolve_batch(mats, T, nbar)
     L = trunc.n_levels
     p_g = np.array([
-        float(np.trace(jc_evolve(JointDensity(m), math.pi / (4.0 * params.omega),
-                                 params).mat[:L, :L]).real)
+        float(np.trace(jc_evolve(JointDensity(m), omega_chi).mat[:L, :L]).real)
         for m in mats
     ])
     return FringePattern(phi_grid, np.clip(p_g, 0.0, 1.0),

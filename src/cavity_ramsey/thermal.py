@@ -3,7 +3,12 @@
 The dissipative wait over a warm bath admits a series solution in the doublet
 ladder: the detection probability splits as P_g(phi) = P_c + P_o * sin(phi),
 where the constant part P_c is a sum of four nested series and the oscillatory
-amplitude P_o is a fifth. Visibility is P_o / P_c.
+amplitude P_o is a fifth. Visibility is |P_o| / P_c.
+
+omega_chi (config key omega_chi_rad) is the area Omega*chi of setup 2's
+second, recombining pulse; the split pulse stays at pi/4. The oracle
+`open_system.master_fringe` takes the same omega_chi, so the series and the
+oracle are compared at the same pulse.
 
 T enters only through e^{-2jT} on the j-th ladder term (and e^{-T} on P_o),
 so each call builds the ladder coefficients (the terms at T = 0) once for its
@@ -41,9 +46,8 @@ import numpy as np
 from scipy.special import gammaln, nbdtrc
 
 from .errors import ConvergenceFailure, DomainError, InconclusiveSelection
+from .jc import DEFAULT_OMEGA_CHI
 from .summation import exact_sum
-
-DEFAULT_OMEGA_CHI = math.pi / 4.0
 
 # (T, nbar) points used to arbitrate the variant against the oracle
 SELECTION_GRID = (
@@ -213,18 +217,20 @@ def pg_oscillatory(T, nbar: float, omega_chi: float = DEFAULT_OMEGA_CHI,
 
 def thermal_visibility(T, nbar: float, cfg: SeriesConfig | None = None,
                        omega_chi: float = DEFAULT_OMEGA_CHI):
-    """Fringe visibility P_o / P_c at wait T and bath occupation nbar.
+    """Fringe visibility |P_o| / P_c at wait T and bath occupation nbar.
 
-    T may be a scalar or an array of waits, all served by one series build;
-    the result has T's shape (a float for a scalar).
+    A negative P_o is a pi-shifted fringe, whose contrast is still |P_o| / P_c
+    (as `visibility_from_pattern` reads it off a sampled fringe). T may be a
+    scalar or an array of waits, all served by one series build; the result
+    has T's shape (a float for a scalar).
     """
     cfg = cfg or SeriesConfig()
     pc = pg_constant(T, nbar, omega_chi, cfg)
-    v = np.asarray(pg_oscillatory(T, nbar, omega_chi, cfg) / pc)
-    outside = v[(v < -1e-6) | (v > 1.0 + 1e-6)]
-    if outside.size:
-        warnings.warn(f"visibility {outside[0]:.6g} clipped into [0, 1]", stacklevel=2)
-    return _shaped(np.clip(v, 0.0, 1.0).reshape(-1), T)
+    v = np.abs(np.asarray(pg_oscillatory(T, nbar, omega_chi, cfg) / pc))
+    above = v[v > 1.0 + 1e-6]
+    if above.size:
+        warnings.warn(f"visibility {above[0]:.6g} clipped to 1", stacklevel=2)
+    return _shaped(np.minimum(v, 1.0).reshape(-1), T)
 
 
 @dataclass(frozen=True)

@@ -27,10 +27,8 @@ from cavity_ramsey.interferometry import (
     branch_overlap,
     fringe_scan_setup1,
 )
-from cavity_ramsey.jc import JCParams, branch_states, excited_branch_norm, \
-    solve_pi_half_time
+from cavity_ramsey.jc import branch_states, excited_branch_norm, solve_pi_half_time
 from cavity_ramsey.open_system import (
-    ReservoirParams,
     evolve_master,
     master_fringe,
     master_visibility,
@@ -64,8 +62,7 @@ def test_criterion_2_oracle_vs_analytic():
     worst = 0.0
     for T in (0.001, 0.008, 0.1, 0.4, 1.0):
         phi = 0.7
-        rho = evolve_master(split_vacuum_state(phi).to_density(), T,
-                            ReservoirParams(k=1.0, nbar=0.0))
+        rho = evolve_master(split_vacuum_state(phi).to_density(), T, 0.0)
         diff = float(np.max(np.abs(rho.mat - zero_temp_wait(phi, T).mat)))
         worst = max(worst, diff)
     v_fringe = master_fringe(0.008, 0.0).visibility
@@ -134,18 +131,17 @@ def test_criterion_5_series_vs_oracle():
 
 def test_criterion_6_setup1_properties():
     n_grid = (0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0)
-    params = JCParams()
     trunc = TruncationConfig(n_max=80)
     vs, residual_worst, route_worst = [], 0.0, 0.0
     for n_mean in n_grid:
         alpha = math.sqrt(n_mean)
-        t = solve_pi_half_time(alpha, params, trunc)
+        t = solve_pi_half_time(alpha, trunc)
         residual_worst = max(residual_worst,
-                             abs(excited_branch_norm(alpha, t, params, trunc) - 0.5))
-        a_e, a_g = branch_states(alpha, t, params, trunc)
+                             abs(excited_branch_norm(alpha, t, trunc) - 0.5))
+        a_e, a_g = branch_states(alpha, t, trunc)
         v = 2.0 * abs(branch_overlap(a_e, a_g))
         vs.append(v)
-        v_fringe = fringe_scan_setup1(alpha, params, trunc).visibility
+        v_fringe = fringe_scan_setup1(alpha, trunc).visibility
         route_worst = max(route_worst, abs(v - v_fringe))
     ok = (vs[0] == 0.0 and vs == sorted(vs)
           and route_worst < 1e-8 and residual_worst < 1e-9)
@@ -160,8 +156,7 @@ def test_criterion_7_physicality_suite():
         phi = rng.uniform(0.0, 2.0 * math.pi)
         T = rng.uniform(1e-3, 1.0)
         nbar = rng.uniform(0.0, 0.9)
-        rho = evolve_master(split_vacuum_state(phi).to_density(), T,
-                            ReservoirParams(k=1.0, nbar=nbar))
+        rho = evolve_master(split_vacuum_state(phi).to_density(), T, nbar)
         worst_trace = max(worst_trace, abs(rho.trace() - 1.0))
         worst_herm = max(worst_herm,
                          float(np.max(np.abs(rho.mat - rho.mat.conj().T))))
@@ -169,8 +164,7 @@ def test_criterion_7_physicality_suite():
                         float(np.linalg.eigvalsh(rho.mat)[0]))
         assert_physical_density(rho.mat)
     # the split vacuum state cannot gain excitations over a cold bath
-    rho = evolve_master(split_vacuum_state(0.4).to_density(), 0.7,
-                        ReservoirParams(k=1.0, nbar=0.0))
+    rho = evolve_master(split_vacuum_state(0.4).to_density(), 0.7, 0.0)
     L = rho.n_levels
     keep = {0, 1, L}
     leak = sum(rho.mat[i, i].real for i in range(2 * L) if i not in keep)

@@ -81,6 +81,17 @@ class TestSubcommands:
         assert "all checks passed" in out
         assert json.loads(path.read_text())["meta"]["series_variant"] == "A"
 
+    def test_selftest_oracle_follows_configured_second_pulse(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"omega_chi_rad": 0.6}))
+        path = tmp_path / "selftest.json"
+        code, _, _ = run_cli(capsys, "selftest", "--config", str(cfg),
+                             "--format", "json", "--out", str(path))
+        assert code == 0
+        rows = {row[0]: row for row in json.loads(path.read_text())["rows"]}
+        _, series, oracle, _, _ = rows["thermal_series_vs_oracle"]
+        assert abs(series - oracle) <= 1e-9
+
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "report.csv"
         code, out, _ = run_cli(capsys, "velocity-scan", "--velocities", "500",

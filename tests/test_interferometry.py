@@ -19,17 +19,16 @@ from cavity_ramsey.interferometry import (
     plus_minus_decomposition,
     visibility_from_pattern,
 )
-from cavity_ramsey.jc import JCParams, branch_states, solve_pi_half_time
+from cavity_ramsey.jc import branch_states, solve_pi_half_time
 
-PARAMS = JCParams()
 TRUNC = TruncationConfig(n_max=80)
 N_GRID = (0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0)
 
 
 def _branches(n_mean):
     alpha = math.sqrt(n_mean)
-    t = solve_pi_half_time(alpha, PARAMS, TRUNC)
-    return branch_states(alpha, t, PARAMS, TRUNC)
+    t = solve_pi_half_time(alpha, TRUNC)
+    return branch_states(alpha, t, TRUNC)
 
 
 class TestOverlapAndVisibility:
@@ -38,7 +37,7 @@ class TestOverlapAndVisibility:
         # overlap shortcut vs fringe synthesis + sinusoid fit
         a_e, a_g = _branches(n_mean)
         v_direct = 2.0 * abs(branch_overlap(a_e, a_g))
-        pattern = fringe_scan_setup1(math.sqrt(n_mean), PARAMS, TRUNC)
+        pattern = fringe_scan_setup1(math.sqrt(n_mean), TRUNC)
         assert abs(v_direct - pattern.visibility) < 1e-8
 
     @pytest.mark.parametrize("n_mean", N_GRID)

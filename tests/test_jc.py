@@ -15,7 +15,6 @@ from cavity_ramsey.fock import (
     tensor,
 )
 from cavity_ramsey.jc import (
-    JCParams,
     branch_states,
     doublet_unitary,
     excited_branch_norm,
@@ -24,7 +23,6 @@ from cavity_ramsey.jc import (
     stark_phase,
 )
 
-PARAMS = JCParams()
 
 
 class TestDoubletUnitary:
@@ -53,7 +51,7 @@ class TestJCEvolve:
     def test_norm_preserved(self):
         trunc = TruncationConfig(n_max=40)
         state = tensor([0.0, 1.0], coherent_state(1.5, trunc))
-        out = jc_evolve(state, 0.8, PARAMS)
+        out = jc_evolve(state, 0.8)
         assert out.norm2() == pytest.approx(state.norm2(), abs=1e-12)
 
     @given(st.floats(min_value=0.0, max_value=3.0),
@@ -62,14 +60,14 @@ class TestJCEvolve:
     def test_composition(self, t1, t2):
         trunc = TruncationConfig(n_max=30)
         state = tensor([0.6, 0.8], coherent_state(1.0, trunc))
-        two_step = jc_evolve(jc_evolve(state, t1, PARAMS), t2, PARAMS)
-        one_step = jc_evolve(state, t1 + t2, PARAMS)
+        two_step = jc_evolve(jc_evolve(state, t1), t2)
+        one_step = jc_evolve(state, t1 + t2)
         assert np.max(np.abs(two_step.amps - one_step.amps)) < 1e-9
 
     def test_density_trace_hermiticity(self):
         trunc = TruncationConfig(n_max=20)
         rho = tensor([0.0, 1.0], coherent_state(0.8, trunc)).to_density()
-        out = jc_evolve(rho, 1.1, PARAMS)
+        out = jc_evolve(rho, 1.1)
         assert out.trace() == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(out.mat - out.mat.conj().T)) < 1e-12
 
@@ -77,13 +75,13 @@ class TestJCEvolve:
         amps = np.zeros((2, 5), dtype=complex)
         amps[E, -1] = 1.0  # all weight on |e, n_max>
         with pytest.raises(TruncationLeak):
-            jc_evolve(JointVector(amps), 0.5, PARAMS)
+            jc_evolve(JointVector(amps), 0.5)
 
     def test_negative_duration_rejected(self):
         amps = np.zeros((2, 3), dtype=complex)
         amps[G, 0] = 1.0
         with pytest.raises(ValueError):
-            jc_evolve(JointVector(amps), -1.0, PARAMS)
+            jc_evolve(JointVector(amps), -1.0)
 
 
 class TestBranchStates:
@@ -93,38 +91,37 @@ class TestBranchStates:
         # leaves headroom so the top-level edge effects sit below 1e-10
         trunc = TruncationConfig(n_max=60)
         t = 0.6
-        a_e, a_g = branch_states(alpha, t, PARAMS, trunc)
-        evolved = jc_evolve(tensor([0.0, 1.0], coherent_state(alpha, trunc)),
-                            t, PARAMS)
+        a_e, a_g = branch_states(alpha, t, trunc)
+        evolved = jc_evolve(tensor([0.0, 1.0], coherent_state(alpha, trunc)), t)
         assert np.max(np.abs(evolved.amps[E] - a_e.amps)) < 1e-10
         assert np.max(np.abs(evolved.amps[G] - a_g.amps)) < 1e-10
 
     def test_norms_sum_to_one(self):
         trunc = TruncationConfig(n_max=50)
-        a_e, a_g = branch_states(1.8, 0.9, PARAMS, trunc)
+        a_e, a_g = branch_states(1.8, 0.9, trunc)
         total = a_e.norm2() + a_g.norm2()
         assert total == pytest.approx(1.0, abs=1e-10)
 
 
 class TestPiHalfTime:
     def test_vacuum_time_is_quarter_pi(self):
-        t = solve_pi_half_time(0.0, PARAMS, TruncationConfig(n_max=4))
+        t = solve_pi_half_time(0.0, TruncationConfig(n_max=4))
         assert t == pytest.approx(math.pi / 4.0, abs=1e-9)
 
     @pytest.mark.parametrize("n_mean", [0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0])
     def test_residuals_and_both_equalities(self, n_mean):
         trunc = TruncationConfig(n_max=120)
         alpha = math.sqrt(n_mean)
-        t = solve_pi_half_time(alpha, PARAMS, trunc)
-        a_e, a_g = branch_states(alpha, t, PARAMS, trunc)
+        t = solve_pi_half_time(alpha, trunc)
+        a_e, a_g = branch_states(alpha, t, trunc)
         # both defining equalities of the pulse condition
         assert abs(a_e.norm2() - 0.5) < 1e-9
         assert abs(a_g.norm2() - 0.5) < 1e-9
-        assert abs(excited_branch_norm(alpha, t, PARAMS, trunc) - 0.5) < 1e-9
+        assert abs(excited_branch_norm(alpha, t, trunc) - 0.5) < 1e-9
 
     def test_first_root_is_shortest(self):
         # for the vacuum the roots are odd multiples of pi/4
-        t = solve_pi_half_time(0.0, PARAMS, TruncationConfig(n_max=4))
+        t = solve_pi_half_time(0.0, TruncationConfig(n_max=4))
         assert t < math.pi / 2.0
 
 

@@ -11,7 +11,6 @@ from cavity_ramsey.fock import (
     thermal_density,
 )
 from cavity_ramsey.open_system import (
-    ReservoirParams,
     dissipator_apply,
     evolve_master,
     master_fringe,
@@ -27,22 +26,22 @@ from cavity_ramsey.open_system import (
 T_GRID = (0.001, 0.008, 0.1, 0.4, 1.0)
 
 
-def dense_generator(mat, params, atoms):
+def dense_generator(mat, nbar, atoms):
     """Reference D(rho) from the truncated ladder matrices, not the stencil."""
     L = mat.shape[0] // atoms
     a = np.kron(np.eye(atoms), np.diag(np.sqrt(np.arange(1.0, L)), 1))
     ad = a.T
     down = 2.0 * a @ mat @ ad - ad @ a @ mat - mat @ ad @ a
     up = 2.0 * ad @ mat @ a - a @ ad @ mat - mat @ a @ ad
-    return params.k * (params.nbar + 1.0) * down + params.k * params.nbar * up
+    return (nbar + 1.0) * down + nbar * up
 
 
-def dense_rk4(mat, tau, params, steps):
+def dense_rk4(mat, tau, nbar, steps):
     """Classical fixed-step RK4 over the dense generator of a joint density."""
     h = tau / steps
 
     def f(m):
-        return dense_generator(m, params, 2)
+        return dense_generator(m, nbar, 2)
 
     for _ in range(steps):
         k1 = f(mat)
@@ -61,29 +60,28 @@ class TestDissipator:
     def test_thermal_state_is_fixed_point(self):
         nbar = 0.4
         rho = thermal_density(nbar, TruncationConfig(n_max=40))
-        out = dissipator_apply(rho, ReservoirParams(k=1.0, nbar=nbar))
+        out = dissipator_apply(rho, nbar)
         # fixed point away from the truncation edge
         assert np.max(np.abs(out.mat[:30, :30])) < 1e-10
 
     def test_traceless(self):
         rho = split_vacuum_state(0.3).to_density()
-        out = dissipator_apply(rho, ReservoirParams(k=1.0, nbar=0.7))
+        out = dissipator_apply(rho, 0.7)
         assert abs(np.trace(out.mat)) < 1e-12
 
     @pytest.mark.parametrize("cls, atoms", [(FieldDensity, 1), (JointDensity, 2)])
     @pytest.mark.parametrize("nbar", [0.0, 0.3, 0.95])
     def test_stencil_matches_dense_operator_form(self, rng, cls, atoms, nbar):
-        params = ReservoirParams(k=1.3, nbar=nbar)
         for L in (2, 5, 17):
             mat = random_matrix(rng, atoms * L)
-            out = dissipator_apply(cls(mat), params)
+            out = dissipator_apply(cls(mat), nbar)
             assert isinstance(out, cls)
-            ref = dense_generator(mat, params, atoms)
+            ref = dense_generator(mat, nbar, atoms)
             assert np.max(np.abs(out.mat - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_rejects_wrong_type(self):
         with pytest.raises(TypeError):
-            dissipator_apply(np.eye(4), ReservoirParams())
+            dissipator_apply(np.eye(4), 0.0)
 
 
 class TestEvolveMaster:
@@ -91,7 +89,7 @@ class TestEvolveMaster:
     def test_zero_temp_matches_closed_form_entrywise(self, T):
         phi = 0.7
         rho0 = split_vacuum_state(phi).to_density()
-        out = evolve_master(rho0, T, ReservoirParams(k=1.0, nbar=0.0))
+        out = evolve_master(rho0, T, 0.0)
         ref = zero_temp_wait(phi, T)
         assert np.max(np.abs(out.mat - ref.mat)) < 1e-8
 
@@ -99,31 +97,29 @@ class TestEvolveMaster:
     def test_zero_temp_matches_closed_form_to_rounding(self, T):
         phi = 0.7
         rho0 = split_vacuum_state(phi).to_density()
-        out = evolve_master(rho0, T, ReservoirParams(k=1.0, nbar=0.0))
+        out = evolve_master(rho0, T, 0.0)
         ref = zero_temp_wait(phi, T)
         assert np.max(np.abs(out.mat - ref.mat)) <= 1e-13
 
     def test_matches_dense_rk4(self, rng):
-        params = ReservoirParams(k=1.0, nbar=0.7)
         psi = rng.normal(size=14) + 1j * rng.normal(size=14)
         psi /= np.linalg.norm(psi)
         rho0 = JointDensity(np.outer(psi, psi.conj()))  # n_max = 6
-        out = evolve_master(rho0, 0.1, params)
-        ref = dense_rk4(rho0.mat, 0.1, params, steps=400)
+        out = evolve_master(rho0, 0.1, 0.7)
+        ref = dense_rk4(rho0.mat, 0.1, 0.7, steps=400)
         assert np.max(np.abs(out.mat - ref)) <= 1e-9
 
     def test_long_wait_reaches_steady_state(self):
         # the largest loss rate is 20.6 here, so q tau = 824 and e^{-q tau}
         # would underflow without splitting the wait into chunks
-        params = ReservoirParams(k=1.0, nbar=0.7)
         rho0 = split_vacuum_state(0.3, TruncationConfig(n_max=5)).to_density()
-        out = evolve_master(rho0, 40.0, params)
+        out = evolve_master(rho0, 40.0, 0.7)
         assert abs(out.trace() - 1.0) < 1e-12
-        assert np.max(np.abs(dissipator_apply(out, params).mat)) < 1e-12
+        assert np.max(np.abs(dissipator_apply(out, 0.7).mat)) < 1e-12
 
     def test_no_excitation_gain_at_zero_temp(self):
         rho0 = split_vacuum_state(1.1).to_density()
-        out = evolve_master(rho0, 0.5, ReservoirParams(k=1.0, nbar=0.0))
+        out = evolve_master(rho0, 0.5, 0.0)
         L = out.n_levels
         keep = {0, 1, L}  # |g,0>, |g,1>, |e,0>
         outside = sum(out.mat[i, i].real for i in range(2 * L) if i not in keep)
@@ -131,18 +127,29 @@ class TestEvolveMaster:
 
     def test_physicality_long_duration(self):
         rho0 = split_vacuum_state(0.2).to_density()
-        out = evolve_master(rho0, 2.0, ReservoirParams(k=1.0, nbar=0.7))
+        out = evolve_master(rho0, 2.0, 0.7)
         assert_physical_density(out.mat)
 
     def test_zero_duration_identity(self):
         rho0 = split_vacuum_state(0.2).to_density()
-        out = evolve_master(rho0, 0.0, ReservoirParams())
+        out = evolve_master(rho0, 0.0, 0.0)
         assert out is rho0
 
     def test_negative_duration_rejected(self):
         rho0 = split_vacuum_state(0.0).to_density()
         with pytest.raises(ValueError):
-            evolve_master(rho0, -0.1, ReservoirParams())
+            evolve_master(rho0, -0.1, 0.0)
+
+
+@pytest.mark.parametrize("T", [0.0, 0.1])
+def test_negative_nbar_rejected(T):
+    rho0 = split_vacuum_state(0.0).to_density()
+    with pytest.raises(ValueError, match="nbar"):
+        dissipator_apply(rho0, -0.1)
+    with pytest.raises(ValueError, match="nbar"):
+        evolve_master(rho0, T, -0.1)
+    with pytest.raises(ValueError, match="nbar"):
+        master_fringe(T, -0.1)
 
 
 class TestSplitVacuumState:
@@ -219,6 +226,10 @@ class TestMasterFringe:
         assert np.all(pattern.p_g >= 0.0)
         assert np.all(pattern.p_g <= 1.0)
 
+    def test_negative_wait_rejected(self):
+        with pytest.raises(ValueError, match="T must be"):
+            master_fringe(-0.1, 0.0)
+
 
 def test_random_evolutions_stay_physical(rng):
     # broader randomized sweep lives in the acceptance suite
@@ -227,6 +238,6 @@ def test_random_evolutions_stay_physical(rng):
         T = rng.uniform(0.01, 1.0)
         nbar = rng.uniform(0.0, 0.9)
         rho0 = split_vacuum_state(phi).to_density()
-        out = evolve_master(rho0, T, ReservoirParams(k=1.0, nbar=nbar))
+        out = evolve_master(rho0, T, nbar)
         assert_physical_density(out.mat)
         assert isinstance(out, JointDensity)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cavity_ramsey.errors import (
@@ -183,10 +183,14 @@ def test_series_matches_oracle_grid():
         assert abs(thermal_visibility(T, nbar) - master_visibility(T, nbar)) <= 1e-9
 
 
-@given(st.floats(min_value=0.0, max_value=0.5),
-       st.floats(min_value=0.02, max_value=0.95))
+@given(st.floats(min_value=0.0, max_value=1.0),
+       st.floats(min_value=0.02, max_value=0.95),
+       st.floats(min_value=0.1, max_value=1.5))
+@example(0.845, 0.899, 1.365)  # P_o < 0 here: a pi-shifted fringe
 @settings(max_examples=20, deadline=None)
-def test_series_matches_oracle_sweep(T, nbar):
+def test_series_matches_oracle_sweep(T, nbar, omega_chi):
     # master_fringe picks its own n_max; a TruncationLeak here would mean
     # that heuristic cutoff let the top level fill
-    assert abs(thermal_visibility(T, nbar) - master_visibility(T, nbar)) <= 1e-9
+    series = thermal_visibility(T, nbar, omega_chi=omega_chi)
+    oracle = master_visibility(T, nbar, omega_chi=omega_chi)
+    assert abs(series - oracle) <= 1e-9
