@@ -240,31 +240,57 @@ def poisson_tail(mean: float, n_max: int) -> float:
     return float(pdtrc(n_max, mean))
 
 
-def coherent_state(alpha: complex, trunc: TruncationConfig | None = None) -> FieldVector:
-    """Coherent state |alpha>, truncated; amplitudes exp(-|a|^2/2) a^n / sqrt(n!).
+def photon_means(alphas: np.ndarray) -> np.ndarray:
+    """|alpha|^2 for each entry of a 1-d array.
 
-    Factorials are evaluated in the log domain so the construction stays
-    stable well past n ~ 170.
+    Python's abs and ** are used, one entry at a time: numpy's complex
+    absolute value and its x*x square round differently in the last bit for
+    some alpha, and every pulse area and amplitude is pinned to these means.
     """
-    if trunc is None:
-        trunc = default_truncation(alpha)
-    mean = abs(alpha) ** 2
-    tail = poisson_tail(mean, trunc.n_max)
-    if tail >= trunc.tail_tol:
+    return np.array([abs(a) ** 2 for a in alphas.tolist()], dtype=float)
+
+
+def coherent_amplitudes(alphas: np.ndarray, trunc: TruncationConfig) -> np.ndarray:
+    """Truncated coherent amplitudes exp(-|a|^2/2) a^n / sqrt(n!), one row per alpha.
+
+    `alphas` is a 1-d array of K amplitudes; the result has shape
+    (K, n_levels). Factorials are evaluated in the log domain so the
+    construction stays stable well past n ~ 170. Raises TailTooLarge, naming
+    the first offending alpha, when any row would discard tail_tol or more.
+    """
+    alphas = np.asarray(alphas)
+    if alphas.ndim != 1:
+        raise ValueError("coherent_amplitudes takes a 1-d array of alphas")
+    mean = photon_means(alphas)
+    tail = pdtrc(trunc.n_max, mean)
+    bad = np.flatnonzero(tail >= trunc.tail_tol)
+    if bad.size:
+        k = bad[0]
         raise TailTooLarge(
-            f"coherent state |alpha|^2={mean:.4g} discards {tail:.3e} >= "
+            f"coherent state |alpha|^2={mean[k]:.4g} discards {tail[k]:.3e} >= "
             f"tail_tol={trunc.tail_tol:.3e} at n_max={trunc.n_max}"
         )
     n = np.arange(trunc.n_levels)
-    if alpha == 0:
-        amps = np.zeros(trunc.n_levels, dtype=complex)
-        amps[0] = 1.0
-        return FieldVector(amps)
-    log_mag = -0.5 * mean + n * math.log(abs(alpha)) - 0.5 * np.array(
+    mags = [abs(a) for a in alphas.tolist()]
+    # math.log, like photon_means, keeps each row's last bits fixed; the
+    # vacuum rows get a placeholder and are overwritten below
+    log_abs = np.array([math.log(m) if m else 0.0 for m in mags])
+    log_mag = -0.5 * mean[:, None] + n * log_abs[:, None] - 0.5 * np.array(
         [math.lgamma(k + 1) for k in range(trunc.n_levels)]
     )
-    phase = np.exp(1j * n * np.angle(alpha))
-    return FieldVector(np.exp(log_mag) * phase)
+    phase = np.exp(1j * n * np.angle(alphas)[:, None])
+    amps = np.exp(log_mag) * phase
+    vacuum = np.array(mags) == 0
+    amps[vacuum] = 0.0
+    amps[vacuum, 0] = 1.0
+    return amps
+
+
+def coherent_state(alpha: complex, trunc: TruncationConfig | None = None) -> FieldVector:
+    """Coherent state |alpha>, truncated: the one-row case of coherent_amplitudes."""
+    if trunc is None:
+        trunc = default_truncation(alpha)
+    return FieldVector(coherent_amplitudes(np.array([alpha]), trunc)[0])
 
 
 def thermal_density(nbar: float, trunc: TruncationConfig | None = None) -> FieldDensity:

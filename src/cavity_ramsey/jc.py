@@ -23,8 +23,10 @@ from .fock import (
     JointDensity,
     JointVector,
     TruncationConfig,
+    coherent_amplitudes,
     coherent_state,
     default_truncation,
+    photon_means,
 )
 
 # area of the vacuum pi/2 pulse: cos^2(pi/4) = 1/2 splits |e, 0> evenly
@@ -85,25 +87,33 @@ def jc_evolve(state, area: float):
     return JointDensity(U @ state.mat @ U.conj().T)
 
 
+def branch_amplitudes(c: np.ndarray, area: float | np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Branch amplitudes for coherent rows c (..., n_levels) after pulses of these areas.
+
+    `area` has c's leading shape (a scalar for one row):
+        alpha_e[n]   = c_n cos(area sqrt(n+1))
+        alpha_g[n+1] = -i c_n sin(area sqrt(n+1))
+    The amplitude that would land on level n_max+1 is dropped; it is bounded
+    by the coherent tail already certified by the truncation check.
+    """
+    ang = np.asarray(area, dtype=float)[..., None] * np.sqrt(np.arange(c.shape[-1]) + 1.0)
+    a_e = c * np.cos(ang)
+    a_g = np.zeros_like(c)
+    a_g[..., 1:] = -1j * c[..., :-1] * np.sin(ang[..., :-1])
+    return a_e, a_g
+
+
 def branch_states(alpha: complex, area: float,
                   trunc: TruncationConfig | None = None) -> tuple[FieldVector, FieldVector]:
     """Field states correlated with the atomic levels after a pulse of this area.
 
-    Starting from |e> (x) |alpha>:
-        alpha_e[n]   = c_n cos(area sqrt(n+1))
-        alpha_g[n+1] = -i c_n sin(area sqrt(n+1))
-    Both are unnormalized (their squared norms sum to one). The amplitude that
-    would land on level n_max+1 is dropped; it is bounded by the coherent tail
-    already certified by the truncation check.
+    Starting from |e> (x) |alpha>, the branches are `branch_amplitudes` of the
+    coherent state. Both are unnormalized (their squared norms sum to one).
     """
     if trunc is None:
         trunc = default_truncation(alpha)
-    c = coherent_state(alpha, trunc).amps
-    n = np.arange(trunc.n_levels)
-    ang = area * np.sqrt(n + 1.0)
-    a_e = c * np.cos(ang)
-    a_g = np.zeros_like(c)
-    a_g[1:] = -1j * c[:-1] * np.sin(ang[:-1])
+    a_e, a_g = branch_amplitudes(coherent_state(alpha, trunc).amps, area)
     return FieldVector(a_e), FieldVector(a_g)
 
 
@@ -115,47 +125,85 @@ def excited_branch_norm(alpha: complex, area: float,
     return float(np.sum(c2 * np.cos(ang) ** 2))
 
 
-def solve_pi_half_time(alpha: complex,
-                       trunc: TruncationConfig | None = None) -> float:
+def pi_half_areas(alphas: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, int]:
+    """Smallest area Omega*t > 0 with <alpha_e|alpha_e> = 1/2, for each alpha.
+
+    `c` holds the coherent amplitudes of `alphas`, one row each
+    (`coherent_amplitudes`). Returns the areas and the number of evaluations
+    of f(t) = <alpha_e|alpha_e> - 1/2 they took, summed over the rows.
+
+    For each row, the first sign change of f is bracketed on a grid of step
+    pi / (64 sqrt(N+1)) and then bisected until |f| < PI_HALF_RESIDUAL_TOL;
+    the first root is the physical (shortest) pulse. All rows step together,
+    over a shrinking set of unfinished rows, but each keeps its own
+    arithmetic, so a row's area does not depend on the other rows.
+    """
+    c2 = np.abs(c) ** 2
+    sq = np.sqrt(np.arange(c.shape[-1]) + 1.0)
+
+    def f(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
+        return np.sum(c2[rows] * np.cos(t[:, None] * sq) ** 2, axis=1) - 0.5
+
+    K = len(alphas)
+    step = math.pi / (64.0 * np.sqrt(photon_means(alphas) + 1.0))
+    t_end = 4.0 * math.pi
+    rows = np.arange(K)
+    lo, f_lo = np.zeros(K), f(rows, np.zeros(K))
+    hi = np.zeros(K)
+    t = step.copy()
+    evaluations = K
+    while rows.size:
+        late = t[rows] > t_end
+        if late.any():
+            alpha = alphas[rows[late][0]]
+            raise NoRootFound(f"no pi/2 crossing before Omega*t = 4*pi for alpha={alpha}")
+        f_t = f(rows, t[rows])
+        evaluations += rows.size
+        f_prev = f_lo[rows]
+        cross = (f_prev > 0.0) & (0.0 >= f_t) | (f_prev < 0.0) & (0.0 <= f_t)
+        hi[rows[cross]] = t[rows[cross]]
+        rows, f_t = rows[~cross], f_t[~cross]
+        lo[rows], f_lo[rows] = t[rows], f_t
+        t[rows] += step[rows]
+
+    areas = np.empty(K)
+    rows = np.arange(K)
+    for _ in range(200):
+        if not rows.size:
+            break
+        mid = 0.5 * (lo[rows] + hi[rows])
+        f_mid = f(rows, mid)
+        evaluations += rows.size
+        done = np.abs(f_mid) < PI_HALF_RESIDUAL_TOL
+        areas[rows[done]] = mid[done]
+        same = (f_lo[rows] > 0) == (f_mid > 0)
+        up = ~done & same
+        lo[rows[up]], f_lo[rows[up]] = mid[up], f_mid[up]
+        down = ~done & ~same
+        hi[rows[down]] = mid[down]
+        rows = rows[~done]
+    if rows.size:  # pragma: no cover
+        raise NoRootFound(f"bisection stalled for alpha={alphas[rows[0]]}")
+    return areas, evaluations
+
+
+def solve_pi_half_time(alpha: complex | np.ndarray,
+                       trunc: TruncationConfig | None = None) -> float | np.ndarray:
     """Smallest area Omega*t > 0 with <alpha_e|alpha_e> = 1/2 (equal branches).
 
-    The first sign change of <alpha_e|alpha_e> - 1/2 is bracketed on a grid of
-    step pi / (64 sqrt(N+1)) and then bisected until the residual drops below
-    PI_HALF_RESIDUAL_TOL. The first root is the physical (shortest) pulse.
+    `alpha` is a scalar (the result is a float) or a 1-d array (the result is
+    an array of areas, one per entry, each equal to the scalar call's); see
+    `pi_half_areas` for the bracket-and-bisect rule. Without `trunc`, the
+    default truncation for the largest |alpha| serves every entry.
     """
+    alphas = np.asarray(alpha)
+    if alphas.ndim > 1:
+        raise ValueError("solve_pi_half_time takes a scalar or a 1-d array")
     if trunc is None:
-        trunc = default_truncation(alpha)
-    c2 = np.abs(coherent_state(alpha, trunc).amps) ** 2
-    sq = np.sqrt(np.arange(trunc.n_levels) + 1.0)
-
-    def f(t: float) -> float:
-        return float(np.sum(c2 * np.cos(t * sq) ** 2)) - 0.5
-
-    mean = abs(alpha) ** 2
-    step = math.pi / (64.0 * math.sqrt(mean + 1.0))
-    t_end = 4.0 * math.pi
-    lo, f_lo = 0.0, f(0.0)
-    t = step
-    while t <= t_end:
-        f_t = f(t)
-        if f_lo > 0.0 >= f_t or f_lo < 0.0 <= f_t:
-            hi, f_hi = t, f_t
-            break
-        lo, f_lo = t, f_t
-        t += step
-    else:
-        raise NoRootFound(f"no pi/2 crossing before Omega*t = 4*pi for alpha={alpha}")
-
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        if abs(f_mid) < PI_HALF_RESIDUAL_TOL:
-            return mid
-        if (f_lo > 0) == (f_mid > 0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi, f_hi = mid, f_mid
-    raise NoRootFound(f"bisection stalled for alpha={alpha}")  # pragma: no cover
+        trunc = default_truncation(np.abs(alphas).max(initial=0.0))
+    flat = alphas.reshape(-1)
+    areas, _ = pi_half_areas(flat, coherent_amplitudes(flat, trunc))
+    return float(areas[0]) if alphas.ndim == 0 else areas
 
 
 def stark_phase(state, phi: float):

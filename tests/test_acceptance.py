@@ -93,6 +93,18 @@ def test_criterion_3_thermal_visibility():
 
 
 def test_criterion_4_velocity_scan():
+    """Velocity scan against the reference contrasts 0.67, 0.59 and 0.31.
+
+    This passes only through its degraded clause. At the configured
+    nbar = 0.7 the model predicts 0.663 at 200 m/s, 0.550 at 50 m/s and
+    0.266 at 10 m/s: the last two miss the primary 0.59 +- 0.02 and
+    0.31 +- 0.03 by 0.040 and 0.044, inside the degraded clause's 0.05. The
+    integrator gives the same values, so the shortfall is the model's, not
+    the series'. The references decay as this model does at nbar of about
+    0.3 to 0.4 (0.669, 0.579 and 0.321 at nbar = 0.3), so they look computed
+    for a cooler mode than the stated one. No tolerance is widened and no
+    parameter is fitted to them.
+    """
     targets = {200.0: (0.67, 0.02), 50.0: (0.59, 0.02), 10.0: (0.31, 0.03)}
     scan = run_velocity_scan([200.0, 50.0, 10.0], CFG)
     preds = {row[0]: row[3] for row in scan.rows}

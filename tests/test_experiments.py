@@ -1,11 +1,13 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from cavity_ramsey.config import PhysicalConfig
 from cavity_ramsey.experiments import (
     OBSERVED_REFERENCE_VISIBILITY,
+    SETUP1_BLOCK,
     ScanReport,
     run_fig4,
     run_selftest,
@@ -13,10 +15,33 @@ from cavity_ramsey.experiments import (
     run_setup2,
     run_velocity_scan,
 )
-from cavity_ramsey.fock import widened_truncation
+from cavity_ramsey.fock import poisson_tail, widened_truncation
+from cavity_ramsey.interferometry import (
+    DetectionModel,
+    apply_detection,
+    branch_overlap,
+    plus_minus_decomposition,
+)
+from cavity_ramsey.jc import PI_HALF_RESIDUAL_TOL, branch_states, solve_pi_half_time
 from cavity_ramsey.thermal import thermal_visibility
 
 CFG = PhysicalConfig()
+
+
+def setup1_rows_one_n_at_a_time(n_values, cfg):
+    """run_setup1's rows computed one N at a time through the scalar API."""
+    trunc = widened_truncation(max(n_values), cfg.trunc)
+    det = DetectionModel(eta=cfg.eta)
+    rows = []
+    for n_mean in n_values:
+        alpha = math.sqrt(n_mean)
+        t = solve_pi_half_time(alpha, trunc)
+        a_e, a_g = branch_states(alpha, t, trunc)
+        v = 2.0 * abs(branch_overlap(a_e, a_g))
+        _, _, n_plus, n_minus = plus_minus_decomposition(a_e, a_g)
+        rows.append((n_mean, t, v, apply_detection(min(v, 1.0), det),
+                     n_plus, n_minus))
+    return rows
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +113,34 @@ class TestSetup1:
     def test_rejects_negative_n(self):
         with pytest.raises(ValueError):
             run_setup1([-1.0], CFG)
+
+    def test_blocks_match_one_n_at_a_time(self):
+        # two full blocks and a partial one, with a repeat across a block edge
+        n_values = np.linspace(0.0, 20.0, 2 * SETUP1_BLOCK + 3).tolist()
+        n_values[SETUP1_BLOCK] = n_values[SETUP1_BLOCK - 1]
+        report = run_setup1(n_values, CFG, phi_points=8)
+        expected = setup1_rows_one_n_at_a_time(n_values, CFG)
+        assert len(report.rows) == len(expected)
+        for row, ref in zip(report.rows, expected):
+            assert np.max(np.abs(np.subtract(row, ref))) <= 1e-13
+        # each area is its own scalar solve, whatever block it sits in
+        assert report.column("pulse_time") == [ref[1] for ref in expected]
+
+    def test_diagnostics(self, setup1_report):
+        diag = setup1_report.meta["diagnostics"]
+        assert set(diag) == {"pulse_solver_evaluations", "max_pi_half_residual",
+                             "coherent_tail"}
+        # each N costs f(0), a bracket scan and a bisection
+        assert diag["pulse_solver_evaluations"] > 3 * len(setup1_report.rows)
+        assert 0.0 <= diag["max_pi_half_residual"] < PI_HALF_RESIDUAL_TOL
+        assert diag["coherent_tail"] == poisson_tail(20.0, setup1_report.meta["n_max"])
+        assert diag["coherent_tail"] < CFG.trunc.tail_tol
+
+    def test_report_is_byte_identical_across_runs(self):
+        n_values = [0.0, 0.7, 3.0, 12.5, 20.0]
+        first = run_setup1(n_values, CFG).to_json()
+        assert "pulse_solver_evaluations" in first
+        assert run_setup1(n_values, CFG).to_json() == first
 
 
 class TestSetup2:

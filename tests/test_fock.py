@@ -14,6 +14,7 @@ from cavity_ramsey.fock import (
     JointVector,
     TruncationConfig,
     assert_physical_density,
+    coherent_amplitudes,
     coherent_state,
     default_truncation,
     hermiticity_defect,
@@ -93,6 +94,24 @@ class TestCoherentState:
     def test_tail_too_large_raises(self):
         with pytest.raises(TailTooLarge):
             coherent_state(3.0, TruncationConfig(n_max=8))
+
+    def test_rows_equal_single_states(self):
+        trunc = TruncationConfig(n_max=40)
+        alphas = np.array([0.0, 0.3, 1e-200, 2.0 + 1.5j, -3.0j, 0.0, -1.2])
+        rows = coherent_amplitudes(alphas, trunc)
+        assert rows.shape == (7, 41)
+        for alpha, row in zip(alphas, rows):
+            assert np.array_equal(row, coherent_state(alpha, trunc).amps)
+        assert rows[0, 0] == 1.0 and np.all(rows[0, 1:] == 0.0)
+
+    def test_rows_refuse_a_large_tail(self):
+        # only the third row's tail is too large at n_max = 8
+        with pytest.raises(TailTooLarge, match="alpha\\|\\^2=9"):
+            coherent_amplitudes(np.array([0.0, 0.1, 3.0]), TruncationConfig(n_max=8))
+
+    def test_rows_take_a_1d_array(self):
+        with pytest.raises(ValueError):
+            coherent_amplitudes(np.ones((2, 2)), TruncationConfig(n_max=8))
 
     @given(st.floats(min_value=0.0, max_value=20.0),
            st.integers(min_value=1, max_value=80))

@@ -5,23 +5,69 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavity_ramsey.errors import TruncationLeak
+from cavity_ramsey.errors import NoRootFound, TailTooLarge, TruncationLeak
 from cavity_ramsey.fock import (
     E,
     G,
     JointVector,
     TruncationConfig,
+    coherent_amplitudes,
     coherent_state,
     tensor,
 )
 from cavity_ramsey.jc import (
+    PI_HALF_RESIDUAL_TOL,
     branch_states,
     doublet_unitary,
     excited_branch_norm,
     jc_evolve,
+    pi_half_areas,
     solve_pi_half_time,
     stark_phase,
 )
+
+# sorted photon numbers in [0, 20] that always hold the vacuum and a repeat
+PHOTON_NUMBERS = st.lists(
+    st.floats(min_value=0.0, max_value=20.0), min_size=1, max_size=24,
+).map(lambda ns: sorted([0.0, ns[0], *ns]))
+
+
+def pi_half_area_one_alpha(alpha, trunc):
+    """(area, evaluations) from a scalar bracket-and-bisect loop over one alpha.
+
+    The reference for pi_half_areas: the same rule, written one alpha and
+    one float at a time.
+    """
+    c2 = np.abs(coherent_state(alpha, trunc).amps) ** 2
+    sq = np.sqrt(np.arange(trunc.n_levels) + 1.0)
+    evaluations = 0
+
+    def f(t):
+        nonlocal evaluations
+        evaluations += 1
+        return float(np.sum(c2 * np.cos(t * sq) ** 2)) - 0.5
+
+    step = math.pi / (64.0 * math.sqrt(abs(alpha) ** 2 + 1.0))
+    lo, f_lo = 0.0, f(0.0)
+    t = step
+    while True:
+        assert t <= 4.0 * math.pi
+        f_t = f(t)
+        if f_lo > 0.0 >= f_t or f_lo < 0.0 <= f_t:
+            hi = t
+            break
+        lo, f_lo = t, f_t
+        t += step
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        f_mid = f(mid)
+        if abs(f_mid) < PI_HALF_RESIDUAL_TOL:
+            return mid, evaluations
+        if (f_lo > 0) == (f_mid > 0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    raise AssertionError("bisection stalled")
 
 
 
@@ -124,6 +170,46 @@ class TestPiHalfTime:
         t = solve_pi_half_time(0.0, TruncationConfig(n_max=4))
         assert t < math.pi / 2.0
 
+    @given(PHOTON_NUMBERS)
+    @settings(max_examples=40, deadline=None)
+    def test_array_equals_scalar_calls_bit_for_bit(self, n_values):
+        trunc = TruncationConfig()
+        areas = solve_pi_half_time(np.sqrt(n_values), trunc)
+        assert isinstance(areas, np.ndarray) and areas.shape == (len(n_values),)
+        assert areas.tolist() == [solve_pi_half_time(math.sqrt(n), trunc)
+                                  for n in n_values]
+
+    @given(PHOTON_NUMBERS)
+    @settings(max_examples=20, deadline=None)
+    def test_rows_match_the_scalar_loop(self, n_values):
+        # same areas, bit for bit, and the same count of evaluations
+        trunc = TruncationConfig()
+        alphas = np.sqrt(n_values)
+        areas, evaluations = pi_half_areas(alphas, coherent_amplitudes(alphas, trunc))
+        reference = [pi_half_area_one_alpha(math.sqrt(n), trunc) for n in n_values]
+        assert areas.tolist() == [area for area, _ in reference]
+        assert evaluations == sum(e for _, e in reference)
+
+    def test_scalar_returns_float_and_empty_array_empty(self):
+        trunc = TruncationConfig(n_max=20)
+        assert type(solve_pi_half_time(1.0, trunc)) is float
+        assert solve_pi_half_time(np.array([]), trunc).shape == (0,)
+
+    def test_array_refuses_a_row_with_too_large_a_tail(self):
+        # a mean of 9 discards far more than tail_tol at n_max = 8, as the
+        # scalar call reports
+        trunc = TruncationConfig(n_max=8)
+        with pytest.raises(TailTooLarge):
+            solve_pi_half_time(3.0, trunc)
+        with pytest.raises(TailTooLarge, match="alpha\\|\\^2=9"):
+            solve_pi_half_time(np.array([0.0, 0.5, 3.0, 0.1]), trunc)
+
+    def test_no_crossing_names_the_alpha(self):
+        # an empty row keeps <alpha_e|alpha_e> - 1/2 at -1/2 for every area
+        c = np.zeros((2, 5), dtype=complex)
+        c[0, 0] = 1.0
+        with pytest.raises(NoRootFound, match="alpha=0.25"):
+            pi_half_areas(np.array([0.0, 0.25]), c)
 
 class TestStarkPhase:
     def test_vector_density_consistency(self):

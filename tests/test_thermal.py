@@ -10,7 +10,7 @@ from cavity_ramsey.errors import (
     DomainError,
     InconclusiveSelection,
 )
-from cavity_ramsey.open_system import master_visibility
+from cavity_ramsey.open_system import master_visibility, zero_temp_visibility_derived
 from cavity_ramsey.thermal import (
     SELECTION_GRID,
     SeriesConfig,
@@ -194,3 +194,13 @@ def test_series_matches_oracle_sweep(T, nbar, omega_chi):
     series = thermal_visibility(T, nbar, omega_chi=omega_chi)
     oracle = master_visibility(T, nbar, omega_chi=omega_chi)
     assert abs(series - oracle) <= 1e-9
+
+
+@given(st.floats(min_value=0.0, max_value=1.0),
+       st.floats(min_value=1e-6, max_value=1e-2))
+@settings(max_examples=40, deadline=None)
+def test_vanishing_nbar_reaches_zero_temperature(T, nbar):
+    # the gap is linear in nbar: at most 0.249 nbar over this box, at T near
+    # 0.39 (2.5e-7 at nbar = 1e-6, 2.5e-3 at 1e-2); nbar itself is the bound
+    gap = abs(thermal_visibility(T, nbar) - zero_temp_visibility_derived(T))
+    assert gap <= nbar
