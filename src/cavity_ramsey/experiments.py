@@ -28,12 +28,7 @@ from .interferometry import (
     fringe_scan_setup1,
     plus_minus_decomposition,
 )
-from .jc import (
-    branch_amplitudes,
-    excited_branch_norm,
-    pi_half_areas,
-    solve_pi_half_time,
-)
+from .jc import branch_amplitudes, excited_branch_norm, solve_pi_half_time
 from .open_system import (
     master_fringe,
     zero_temp_visibility_closed_form,
@@ -120,26 +115,25 @@ def _provenance(cfg: PhysicalConfig, series_variant: str) -> dict:
 
 
 def _setup1_block(n_values: list, trunc: TruncationConfig,
-                  det: DetectionModel) -> tuple[list, int, float]:
-    """run_setup1's rows for one block of N, the pulse solver's evaluations
-    for them and their largest |<alpha_e|alpha_e> - 1/2|.
+                  det: DetectionModel, diagnostics: dict) -> list:
+    """run_setup1's rows for one block of N; the pulse solver adds its work
+    to `diagnostics`.
 
     A block's matrices are freed when this returns, before the next block's
     are built, so only one block is ever held.
     """
     alphas = np.sqrt(n_values)
-    c = coherent_amplitudes(alphas, trunc)
-    areas, evaluations = pi_half_areas(alphas, c)
-    rows, max_residual = [], 0.0
-    for n_mean, t, row_e, row_g in zip(n_values, areas.tolist(),
-                                       *branch_amplitudes(c, areas)):
+    areas = solve_pi_half_time(alphas, trunc, diagnostics)
+    rows = []
+    for n_mean, t, row_e, row_g in zip(
+            n_values, areas.tolist(),
+            *branch_amplitudes(coherent_amplitudes(alphas, trunc), areas)):
         a_e, a_g = FieldVector(row_e), FieldVector(row_g)
         v = 2.0 * abs(branch_overlap(a_e, a_g))
         _, _, n_plus, n_minus = plus_minus_decomposition(a_e, a_g)
         rows.append((n_mean, t, v, apply_detection(min(v, 1.0), det),
                      n_plus, n_minus))
-        max_residual = max(max_residual, abs(a_e.norm2() - 0.5))
-    return rows, evaluations, max_residual
+    return rows
 
 
 def run_setup1(n_values=None, config: PhysicalConfig | None = None,
@@ -153,37 +147,32 @@ def run_setup1(n_values=None, config: PhysicalConfig | None = None,
     block. One truncation serves every row: the configured one, widened until
     the largest N's Poisson tail is below tail_tol.
 
-    N is taken SETUP1_BLOCK values at a time: one coherent amplitude matrix,
-    one pulse-area solve and one branch-amplitude matrix per block. Each row
-    is then checked and decomposed as a pair of FieldVectors.
-    meta["diagnostics"] records the pulse solver's evaluations of
-    <alpha_e|alpha_e> - 1/2, the largest |<alpha_e|alpha_e> - 1/2| over the
-    rows, and the Poisson tail the cutoff discards at the largest N.
+    N is taken SETUP1_BLOCK values at a time: one array solve_pi_half_time
+    call and one branch-amplitude matrix per block. Each row is then checked
+    and decomposed as a pair of FieldVectors. meta["diagnostics"] records the
+    pulse solver's evaluations of <alpha_e|alpha_e> - 1/2, the largest
+    |<alpha_e|alpha_e> - 1/2| at a solved area, and the Poisson tail the
+    cutoff discards at the largest N. N must be >= 0; NaN is refused with
+    the negative values.
     """
     cfg = config or PhysicalConfig()
     if n_values is None:
         n_values = DEFAULT_N_VALUES
     n_values = [float(n) for n in n_values]
-    if any(n < 0 for n in n_values):
+    if not all(n >= 0 for n in n_values):  # also refuses NaN
         raise ValueError("mean photon numbers must be >= 0")
     max_n = max(n_values, default=0.0)
     trunc = widened_truncation(max_n, cfg.trunc)
     det = DetectionModel(eta=cfg.eta)
+    diagnostics = {"pulse_solver_evaluations": 0, "max_pi_half_residual": 0.0}
     rows = []
-    evaluations, max_residual = 0, 0.0
     for start in range(0, len(n_values), SETUP1_BLOCK):
-        block_rows, block_evaluations, block_residual = _setup1_block(
-            n_values[start:start + SETUP1_BLOCK], trunc, det)
-        rows += block_rows
-        evaluations += block_evaluations
-        max_residual = max(max_residual, block_residual)
+        rows += _setup1_block(n_values[start:start + SETUP1_BLOCK], trunc, det,
+                              diagnostics)
+    diagnostics["coherent_tail"] = poisson_tail(max_n, trunc.n_max)
     meta = _provenance(cfg, cfg.variant)
     meta["n_max"] = trunc.n_max
-    meta["diagnostics"] = {
-        "pulse_solver_evaluations": evaluations,
-        "max_pi_half_residual": max_residual,
-        "coherent_tail": poisson_tail(max_n, trunc.n_max),
-    }
+    meta["diagnostics"] = diagnostics
     if n_values:
         pattern = fringe_scan_setup1(
             math.sqrt(max_n), trunc,

@@ -261,7 +261,8 @@ def coherent_amplitudes(alphas: np.ndarray, trunc: TruncationConfig) -> np.ndarr
     alphas = np.asarray(alphas)
     if alphas.ndim != 1:
         raise ValueError("coherent_amplitudes takes a 1-d array of alphas")
-    mean = photon_means(alphas)
+    mags = [abs(a) for a in alphas.tolist()]
+    mean = np.array([m ** 2 for m in mags], dtype=float)  # photon_means' bits
     tail = pdtrc(trunc.n_max, mean)
     bad = np.flatnonzero(tail >= trunc.tail_tol)
     if bad.size:
@@ -271,7 +272,6 @@ def coherent_amplitudes(alphas: np.ndarray, trunc: TruncationConfig) -> np.ndarr
             f"tail_tol={trunc.tail_tol:.3e} at n_max={trunc.n_max}"
         )
     n = np.arange(trunc.n_levels)
-    mags = [abs(a) for a in alphas.tolist()]
     # math.log, like photon_means, keeps each row's last bits fixed; the
     # vacuum rows get a placeholder and are overwritten below
     log_abs = np.array([math.log(m) if m else 0.0 for m in mags])

@@ -125,12 +125,12 @@ def excited_branch_norm(alpha: complex, area: float,
     return float(np.sum(c2 * np.cos(ang) ** 2))
 
 
-def pi_half_areas(alphas: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, int]:
-    """Smallest area Omega*t > 0 with <alpha_e|alpha_e> = 1/2, for each alpha.
+def _pi_half_areas(alphas: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, int, float]:
+    """The pi/2 areas of solve_pi_half_time for the rows c of a 1-d alphas.
 
-    `c` holds the coherent amplitudes of `alphas`, one row each
-    (`coherent_amplitudes`). Returns the areas and the number of evaluations
-    of f(t) = <alpha_e|alpha_e> - 1/2 they took, summed over the rows.
+    Returns the areas, the number of evaluations of
+    f(t) = <alpha_e|alpha_e> - 1/2 they took (summed over the rows) and the
+    largest |f| at an accepted area.
 
     For each row, the first sign change of f is bracketed on a grid of step
     pi / (64 sqrt(N+1)) and then bisected until |f| < PI_HALF_RESIDUAL_TOL;
@@ -153,7 +153,8 @@ def pi_half_areas(alphas: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, int]:
     t = step.copy()
     evaluations = K
     while rows.size:
-        late = t[rows] > t_end
+        # written so that a NaN area (from a NaN alpha) also stops the scan
+        late = ~(t[rows] <= t_end)
         if late.any():
             alpha = alphas[rows[late][0]]
             raise NoRootFound(f"no pi/2 crossing before Omega*t = 4*pi for alpha={alpha}")
@@ -167,6 +168,7 @@ def pi_half_areas(alphas: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, int]:
         t[rows] += step[rows]
 
     areas = np.empty(K)
+    residual = 0.0
     rows = np.arange(K)
     for _ in range(200):
         if not rows.size:
@@ -176,6 +178,7 @@ def pi_half_areas(alphas: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, int]:
         evaluations += rows.size
         done = np.abs(f_mid) < PI_HALF_RESIDUAL_TOL
         areas[rows[done]] = mid[done]
+        residual = max(residual, float(np.abs(f_mid[done]).max(initial=0.0)))
         same = (f_lo[rows] > 0) == (f_mid > 0)
         up = ~done & same
         lo[rows[up]], f_lo[rows[up]] = mid[up], f_mid[up]
@@ -184,17 +187,25 @@ def pi_half_areas(alphas: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, int]:
         rows = rows[~done]
     if rows.size:  # pragma: no cover
         raise NoRootFound(f"bisection stalled for alpha={alphas[rows[0]]}")
-    return areas, evaluations
+    return areas, evaluations, residual
 
 
 def solve_pi_half_time(alpha: complex | np.ndarray,
-                       trunc: TruncationConfig | None = None) -> float | np.ndarray:
+                       trunc: TruncationConfig | None = None,
+                       diagnostics: dict | None = None) -> float | np.ndarray:
     """Smallest area Omega*t > 0 with <alpha_e|alpha_e> = 1/2 (equal branches).
 
     `alpha` is a scalar (the result is a float) or a 1-d array (the result is
-    an array of areas, one per entry, each equal to the scalar call's); see
-    `pi_half_areas` for the bracket-and-bisect rule. Without `trunc`, the
-    default truncation for the largest |alpha| serves every entry.
+    an array of areas, one per entry, each equal to the scalar call's with
+    the same `trunc`). Without `trunc`, the default truncation for the
+    largest |alpha| serves every entry. The entries are bracketed and
+    bisected together; see `_pi_half_areas`. Raises NoRootFound naming the
+    alpha that has no crossing.
+
+    A `diagnostics` dict, if given, accumulates the solver's work across
+    calls: "pulse_solver_evaluations" (evaluations of
+    <alpha_e|alpha_e> - 1/2) and "max_pi_half_residual" (the largest
+    |<alpha_e|alpha_e> - 1/2| at a returned area).
     """
     alphas = np.asarray(alpha)
     if alphas.ndim > 1:
@@ -202,7 +213,12 @@ def solve_pi_half_time(alpha: complex | np.ndarray,
     if trunc is None:
         trunc = default_truncation(np.abs(alphas).max(initial=0.0))
     flat = alphas.reshape(-1)
-    areas, _ = pi_half_areas(flat, coherent_amplitudes(flat, trunc))
+    areas, evaluations, residual = _pi_half_areas(flat, coherent_amplitudes(flat, trunc))
+    if diagnostics is not None:
+        diagnostics["pulse_solver_evaluations"] = (
+            diagnostics.get("pulse_solver_evaluations", 0) + evaluations)
+        diagnostics["max_pi_half_residual"] = max(
+            diagnostics.get("max_pi_half_residual", 0.0), residual)
     return float(areas[0]) if alphas.ndim == 0 else areas
 
 

@@ -68,6 +68,12 @@ class TestSubcommands:
         assert code == 0
         assert json.loads(out)["rows"][0][0] == float(n)
 
+    @pytest.mark.parametrize("n_values", ["nan", "1,nan"])
+    def test_setup1_nan_is_a_usage_error(self, capsys, n_values):
+        code, _, err = run_cli(capsys, "setup1", "--n-values", n_values)
+        assert code == 1
+        assert ">= 0" in err
+
     def test_selftest_passes(self, capsys):
         code, out, _ = run_cli(capsys, "selftest")
         assert code == 0

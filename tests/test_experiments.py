@@ -114,6 +114,10 @@ class TestSetup1:
         with pytest.raises(ValueError):
             run_setup1([-1.0], CFG)
 
+    def test_rejects_nan_n(self):
+        with pytest.raises(ValueError):
+            run_setup1([1.0, math.nan], CFG)
+
     def test_blocks_match_one_n_at_a_time(self):
         # two full blocks and a partial one, with a repeat across a block edge
         n_values = np.linspace(0.0, 20.0, 2 * SETUP1_BLOCK + 3).tolist()

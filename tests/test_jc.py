@@ -11,7 +11,6 @@ from cavity_ramsey.fock import (
     G,
     JointVector,
     TruncationConfig,
-    coherent_amplitudes,
     coherent_state,
     tensor,
 )
@@ -21,7 +20,6 @@ from cavity_ramsey.jc import (
     doublet_unitary,
     excited_branch_norm,
     jc_evolve,
-    pi_half_areas,
     solve_pi_half_time,
     stark_phase,
 )
@@ -33,10 +31,11 @@ PHOTON_NUMBERS = st.lists(
 
 
 def pi_half_area_one_alpha(alpha, trunc):
-    """(area, evaluations) from a scalar bracket-and-bisect loop over one alpha.
+    """(area, evaluations, |f| at the area) from a scalar bracket-and-bisect
+    loop over one alpha.
 
-    The reference for pi_half_areas: the same rule, written one alpha and
-    one float at a time.
+    The reference for the array solve_pi_half_time: the same rule, written
+    one alpha and one float at a time.
     """
     c2 = np.abs(coherent_state(alpha, trunc).amps) ** 2
     sq = np.sqrt(np.arange(trunc.n_levels) + 1.0)
@@ -62,7 +61,7 @@ def pi_half_area_one_alpha(alpha, trunc):
         mid = 0.5 * (lo + hi)
         f_mid = f(mid)
         if abs(f_mid) < PI_HALF_RESIDUAL_TOL:
-            return mid, evaluations
+            return mid, evaluations, abs(f_mid)
         if (f_lo > 0) == (f_mid > 0):
             lo, f_lo = mid, f_mid
         else:
@@ -182,13 +181,28 @@ class TestPiHalfTime:
     @given(PHOTON_NUMBERS)
     @settings(max_examples=20, deadline=None)
     def test_rows_match_the_scalar_loop(self, n_values):
-        # same areas, bit for bit, and the same count of evaluations
+        # same areas, bit for bit, the same count of evaluations and the
+        # same largest residual
         trunc = TruncationConfig()
-        alphas = np.sqrt(n_values)
-        areas, evaluations = pi_half_areas(alphas, coherent_amplitudes(alphas, trunc))
+        diagnostics = {}
+        areas = solve_pi_half_time(np.sqrt(n_values), trunc, diagnostics)
         reference = [pi_half_area_one_alpha(math.sqrt(n), trunc) for n in n_values]
-        assert areas.tolist() == [area for area, _ in reference]
-        assert evaluations == sum(e for _, e in reference)
+        assert areas.tolist() == [area for area, _, _ in reference]
+        assert diagnostics["pulse_solver_evaluations"] == sum(e for _, e, _ in reference)
+        assert diagnostics["max_pi_half_residual"] == pytest.approx(
+            max(r for _, _, r in reference), abs=1e-15)
+
+    def test_diagnostics_accumulate_across_calls(self):
+        trunc = TruncationConfig()
+        both, first, second = {}, {}, {}
+        solve_pi_half_time(np.array([0.5, 1.0]), trunc, both)
+        solve_pi_half_time(np.array([2.0]), trunc, both)
+        solve_pi_half_time(np.array([0.5, 1.0]), trunc, first)
+        solve_pi_half_time(2.0, trunc, second)
+        assert both["pulse_solver_evaluations"] == (
+            first["pulse_solver_evaluations"] + second["pulse_solver_evaluations"])
+        assert both["max_pi_half_residual"] == max(
+            first["max_pi_half_residual"], second["max_pi_half_residual"])
 
     def test_scalar_returns_float_and_empty_array_empty(self):
         trunc = TruncationConfig(n_max=20)
@@ -204,12 +218,14 @@ class TestPiHalfTime:
         with pytest.raises(TailTooLarge, match="alpha\\|\\^2=9"):
             solve_pi_half_time(np.array([0.0, 0.5, 3.0, 0.1]), trunc)
 
+    def test_nan_has_no_crossing(self):
+        # a NaN alpha makes every area NaN; the scan must stop, not run on
+        with pytest.raises(NoRootFound):
+            solve_pi_half_time(float("nan"), TruncationConfig())
+
     def test_no_crossing_names_the_alpha(self):
-        # an empty row keeps <alpha_e|alpha_e> - 1/2 at -1/2 for every area
-        c = np.zeros((2, 5), dtype=complex)
-        c[0, 0] = 1.0
-        with pytest.raises(NoRootFound, match="alpha=0.25"):
-            pi_half_areas(np.array([0.0, 0.25]), c)
+        with pytest.raises(NoRootFound, match="alpha=nan"):
+            solve_pi_half_time(np.array([0.0, 1.0, math.nan]), TruncationConfig())
 
 class TestStarkPhase:
     def test_vector_density_consistency(self):
