@@ -120,9 +120,13 @@ def _emit(report, args) -> None:
         sys.stdout.write(text)
 
 
+# built once per process: main() may be called many times, and each call
+# only parses
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         cfg = _load(args)
         if args.command == "setup1":

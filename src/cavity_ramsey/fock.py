@@ -14,11 +14,11 @@ module holds shared mutable state.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import pdtrc
 
 from .errors import TailTooLarge
 
@@ -28,6 +28,9 @@ DEFAULT_N_MAX = 60
 DEFAULT_TAIL_TOL = 1e-10
 # widening never goes past this cutoff; a mean that needs more is refused
 MAX_WIDENED_N_MAX = 100_000
+# a tail's direct sum stops once its geometric remainder is this share of it
+TAIL_SUM_TOL = 1e-17
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -68,22 +71,31 @@ def default_truncation(alpha: complex = 0.0,
 def widened_truncation(mean: float, trunc: TruncationConfig) -> TruncationConfig:
     """trunc with the smallest n_max >= trunc.n_max whose Poisson(mean) tail < tail_tol.
 
-    The tail falls with n_max, so the cutoff is found by bisection. Raises
-    TailTooLarge when even MAX_WIDENED_N_MAX levels would discard tail_tol.
+    Raises TailTooLarge when even MAX_WIDENED_N_MAX levels would discard
+    tail_tol (see `poisson_cutoff`).
     """
-    lo, hi = trunc.n_max, max(trunc.n_max, MAX_WIDENED_N_MAX)
-    if poisson_tail(mean, hi) >= trunc.tail_tol:
+    return replace(trunc, n_max=poisson_cutoff(mean, trunc.tail_tol, trunc.n_max))
+
+
+def poisson_cutoff(mean: float, tol: float, lo: int = 0) -> int:
+    """Smallest n >= lo whose Poisson(mean) tail above n is below tol.
+
+    The tail falls with n, so the cutoff is found by bisection. Raises
+    TailTooLarge when even MAX_WIDENED_N_MAX would discard tol or more.
+    """
+    hi = max(lo, MAX_WIDENED_N_MAX)
+    if poisson_tail(mean, hi) >= tol:
         raise TailTooLarge(
-            f"|alpha|^2={mean:.4g} needs more than n_max={hi} to discard "
-            f"less than tail_tol={trunc.tail_tol:.3e}"
+            f"Poisson mean {mean:.4g} needs a cutoff above {hi} to discard "
+            f"less than {tol:.3e}"
         )
     while lo < hi:
         mid = (lo + hi) // 2
-        if poisson_tail(mean, mid) < trunc.tail_tol:
+        if poisson_tail(mean, mid) < tol:
             hi = mid
         else:
             lo = mid + 1
-    return replace(trunc, n_max=hi)
+    return hi
 
 
 @dataclass(frozen=True)
@@ -229,16 +241,119 @@ def assert_physical_density(mat: np.ndarray, *, herm_tol: float = 1e-10,
     assert min_eigenvalue(mat) > eig_floor, "density not positive semidefinite"
 
 
-# --- state constructors -------------------------------------------------------
+# --- Poisson tails ------------------------------------------------------------
+
+def stirlerr(n: int) -> float:
+    """ln n! - ln(sqrt(2 pi n) (n/e)^n), the error of Stirling's formula, n >= 1.
+
+    From the asymptotic series past n = 15, where five terms reach rounding;
+    below, from math.lgamma, where the values are small enough that the
+    cancellation costs under 1e-14 in absolute terms.
+    """
+    if n <= 15:
+        return math.lgamma(n + 1.0) - (n + 0.5) * math.log(n) + n - _HALF_LOG_2PI
+    nn = float(n) * n
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * nn)) / nn)
+                      / nn) / nn) / n
+
+
+def bd0(x: float, m: float) -> float:
+    """x ln(x/m) + m - x (>= 0), by a series near x = m where it would cancel.
+
+    Together with `stirlerr`, this is the saddle-point form of the Poisson
+    and binomial probabilities (Loader 2000): ln P[Poisson(m) = k] =
+    -stirlerr(k) - bd0(k, m) - ln(2 pi k)/2, with no large terms cancelling.
+    """
+    if abs(x - m) < 0.1 * (x + m):
+        v = (x - m) / (x + m)
+        s, term, v2, j = (x - m) * v, 2.0 * x * v, v * v, 1
+        while True:
+            term *= v2
+            j += 2
+            nxt = s + term / j
+            if nxt == s:
+                return s
+            s = nxt
+    return x * math.log(x / m) + m - x
+
+
+def _poisson_log_pmf(k: int, mean: float) -> tuple[float, float]:
+    """ln P[Poisson(mean) = k], and the size of its inputs for `rounding_bound`."""
+    if k == 0:
+        return -mean, mean
+    y = -stirlerr(k) - bd0(k, mean) - 0.5 * math.log(2.0 * math.pi * k)
+    return y, k + mean + abs(y) + 16.0
+
+
+def rounding_bound(size: float, steps: int) -> float:
+    """Bound on the relative rounding error of a tail summed from one log-pmf.
+
+    The log-pmf is off by a few units in the last place of `size`, the sum of
+    the magnitudes that enter it, and each of the `steps` recurrence steps
+    and additions after it adds at most two more; eight units per unit of
+    size and step leave a factor of two or more to spare.
+    """
+    return 8.0 * sys.float_info.epsilon * (size + steps)
+
+
+def upper_tail_sum(first: float, x: int, a: float, b: float) -> tuple[float, int]:
+    """sum_{i >= x} t_i for t_x = first and t_{i+1} = t_i (a i + b) / (i + 1).
+
+    The ratio (a i + b) / (i + 1) must be below 1 at i = x and fall from
+    there, as it does past the mode of a Poisson (a = 0, b = mean) or a
+    negative binomial (a = q, b = q * successes). The terms are added until
+    the geometric bound on the rest, which every later ratio keeps, is at
+    most TAIL_SUM_TOL of the sum; the bound is added too, so up to rounding
+    the result is never below the exact tail. Returns it and the number of
+    terms added.
+    """
+    term, total, i = first, 0.0, x
+    while True:
+        total += term
+        ratio = (a * i + b) / (i + 1)  # above every later ratio
+        i += 1
+        term *= ratio
+        rest = term / (1.0 - ratio)
+        if not rest > TAIL_SUM_TOL * total:  # NaN stops too
+            return total + rest, i - x
+
 
 def poisson_tail(mean: float, n_max: int) -> float:
-    """Probability mass of a Poisson(mean) above n_max.
+    """Probability mass of a Poisson(mean) above n_max, as a certified upper bound.
 
-    This is the regularized incomplete gamma function (`scipy.special.pdtrc`),
-    accurate in relative terms far below the rounding of 1 - kept mass.
+    Past the mode (n_max + 1 > mean) the discarded terms are summed directly
+    by `upper_tail_sum`, from a first term in the saddle-point form of
+    `bd0`, and the sum is raised by its `rounding_bound`, so it never falls
+    below the exact tail. Below the mode the tail is at least about 1/2 and
+    is 1 - head, the head summed downward from n_max and lowered by its
+    rounding bound. A tail whose first term underflows comes back as 0.
+    Raises ValueError for a NaN, infinite or negative mean.
     """
-    return float(pdtrc(n_max, mean))
+    if not 0.0 <= mean < math.inf:
+        raise ValueError(f"Poisson mean must be finite and >= 0, got {mean}")
+    if n_max < 0:
+        return 1.0
+    if mean == 0.0:
+        return 0.0
+    if n_max + 1 <= mean:
+        y, size = _poisson_log_pmf(n_max, mean)
+        term, head, k = math.exp(y), 0.0, n_max
+        if term == 0.0:  # the head underflows
+            return 1.0
+        while k >= 0 and term > TAIL_SUM_TOL * head:
+            head += term
+            term *= k / mean
+            k -= 1
+        return 1.0 - head * (1.0 - rounding_bound(size, n_max - k))
+    y, size = _poisson_log_pmf(n_max + 1, mean)
+    first = math.exp(y)
+    if first == 0.0:  # the tail underflows
+        return 0.0
+    tail, steps = upper_tail_sum(first, n_max + 1, 0.0, mean)
+    return tail * (1.0 + rounding_bound(size, steps))
 
+
+# --- state constructors -------------------------------------------------------
 
 def photon_means(alphas: np.ndarray) -> np.ndarray:
     """|alpha|^2 for each entry of a 1-d array.
@@ -256,21 +371,28 @@ def coherent_amplitudes(alphas: np.ndarray, trunc: TruncationConfig) -> np.ndarr
     `alphas` is a 1-d array of K amplitudes; the result has shape
     (K, n_levels). Factorials are evaluated in the log domain so the
     construction stays stable well past n ~ 170. Raises TailTooLarge, naming
-    the first offending alpha, when any row would discard tail_tol or more.
+    the first offending alpha, when any row would discard tail_tol or more,
+    and ValueError, naming it, for a non-finite alpha.
     """
     alphas = np.asarray(alphas)
     if alphas.ndim != 1:
         raise ValueError("coherent_amplitudes takes a 1-d array of alphas")
     mags = [abs(a) for a in alphas.tolist()]
     mean = np.array([m ** 2 for m in mags], dtype=float)  # photon_means' bits
-    tail = pdtrc(trunc.n_max, mean)
-    bad = np.flatnonzero(tail >= trunc.tail_tol)
-    if bad.size:
-        k = bad[0]
-        raise TailTooLarge(
-            f"coherent state |alpha|^2={mean[k]:.4g} discards {tail[k]:.3e} >= "
-            f"tail_tol={trunc.tail_tol:.3e} at n_max={trunc.n_max}"
-        )
+    top = float(mean.max(initial=0.0))
+    if not math.isfinite(top):
+        k = np.flatnonzero(~np.isfinite(mean))[0]
+        raise ValueError(f"coherent amplitudes need a finite alpha, got alpha={alphas[k]}")
+    # the tail rises with the mean, so the largest mean clears every row;
+    # the rows are checked one by one only to name the first that fails
+    if poisson_tail(top, trunc.n_max) >= trunc.tail_tol:
+        for m in mean.tolist():
+            tail = poisson_tail(m, trunc.n_max)
+            if tail >= trunc.tail_tol:
+                raise TailTooLarge(
+                    f"coherent state |alpha|^2={m:.4g} discards {tail:.3e} >= "
+                    f"tail_tol={trunc.tail_tol:.3e} at n_max={trunc.n_max}"
+                )
     n = np.arange(trunc.n_levels)
     # math.log, like photon_means, keeps each row's last bits fixed; the
     # vacuum rows get a placeholder and are overwritten below

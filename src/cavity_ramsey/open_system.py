@@ -25,7 +25,7 @@ from .fock import (
     JointDensity,
     JointVector,
     TruncationConfig,
-    poisson_tail,
+    poisson_cutoff,
 )
 from .interferometry import FringePattern, visibility_from_pattern
 from .jc import DEFAULT_OMEGA_CHI, jc_evolve, stark_phase
@@ -90,21 +90,24 @@ def _evolve_batch(mats: np.ndarray, T: float, nbar: float) -> np.ndarray:
     2 sqrt(mn) <= m + n, never increases the entrywise l1 norm. Each chunk
     h = T/c with q h <= MAX_CHUNK_RATE sums
         e^{hD} rho = e^{-qh} sum_j (qh)^j / j! P^j rho
-    up to the first j whose Poisson(qh) tail mass is below SERIES_TAIL_TOL.
+    over j = 0 .. J, where J is the smallest j whose Poisson(qh) tail above j
+    is below SERIES_TAIL_TOL (`fock.poisson_cutoff`). Every chunk shares qh,
+    so J is found once per call. That tail is a direct sum plus a geometric
+    bound on the rest, never below the exact mass the chunk drops.
     """
     L = mats.shape[-1] // 2
     loss, down, up = _stencil(L, nbar)
     q = float(loss.max())
     chunks = max(1, math.ceil(q * T / MAX_CHUNK_RATE))
     qh = q * T / chunks
+    terms = poisson_cutoff(qh, SERIES_TAIL_TOL)
     keep, down, up = 1.0 - loss / q, down / q, up / q
     r = mats.reshape(-1, 2, L, 2, L)
     for _ in range(chunks):
-        term, weight, j = r, math.exp(-qh), 0
+        term, weight = r, math.exp(-qh)
         r = weight * term
-        while poisson_tail(qh, j) >= SERIES_TAIL_TOL:
+        for j in range(1, terms + 1):
             term = _apply(term, keep, down, up)
-            j += 1
             weight *= qh / j
             r += weight * term
     return r.reshape(mats.shape)

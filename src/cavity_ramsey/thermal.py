@@ -14,9 +14,11 @@ T enters only through e^{-2jT} on the j-th ladder term (and e^{-T} on P_o),
 so each call builds the ladder coefficients (the terms at T = 0) once for its
 nbar and serves a whole array of waits. The inner m-sums depend only on
 (nbar, l) and are computed once per build, each stopped at the smallest
-support whose negative-binomial tail bound (`scipy.special.nbdtrc`) certifies
-the discarded mass below term_tol. The ladder stops after 3 consecutive
-coefficients below term_tol.
+support whose negative-binomial tail certifies the discarded mass below
+term_tol. That tail is a direct sum of the discarded probabilities plus a
+geometric bound on the rest, raised by a bound on its own rounding, so it is
+never below the exact tail (see `_support`). The ladder stops after 3
+consecutive coefficients below term_tol.
 
 Two transcription ambiguities in the oscillatory series are handled
 explicitly rather than guessed:
@@ -43,9 +45,9 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import gammaln, nbdtrc
 
 from .errors import ConvergenceFailure, DomainError, InconclusiveSelection
+from .fock import bd0, rounding_bound, stirlerr, upper_tail_sum
 from .jc import DEFAULT_OMEGA_CHI
 from .summation import exact_sum
 
@@ -91,10 +93,74 @@ def _shaped(values: np.ndarray, T):
     return float(values[0]) if np.ndim(T) == 0 else values.reshape(np.shape(T))
 
 
-def _binomial_weights(ms: np.ndarray, l: int, nbar: float) -> np.ndarray:
-    """C(m, l) nbar^{m-l} / (1+nbar)^m = (1+nbar) NegBinom(m-l; l+1, 1/(1+nbar))."""
-    log_comb = gammaln(ms + 1.0) - gammaln(l + 1.0) - gammaln(ms - l + 1.0)
+def gammaln(x: np.ndarray, log_fact: np.ndarray) -> np.ndarray:
+    """ln Gamma(x) = ln (x-1)! at integers x >= 1, read from log_fact[k] = ln k!."""
+    return log_fact[x - 1]
+
+
+def _log_factorials(log_fact: np.ndarray, size: int) -> np.ndarray:
+    """log_fact (ln k! from math.lgamma) extended, if need be, to hold k < size.
+
+    Each series call starts from an empty table and doubles it as its
+    ladder climbs, so every ln k! is computed about once per call.
+    """
+    if size <= log_fact.size:
+        return log_fact
+    more = [math.lgamma(k + 1.0) for k in range(log_fact.size, 2 * size)]
+    return np.append(log_fact, more)
+
+
+def _binomial_weights(ms: np.ndarray, l: int, nbar: float,
+                      log_fact: np.ndarray) -> np.ndarray:
+    """C(m, l) nbar^{m-l} / (1+nbar)^m = (1+nbar) NegBinom(m-l; l+1, 1/(1+nbar)).
+
+    `ms` are integers; log_fact holds ln k! for every k <= ms.max().
+    """
+    log_comb = (gammaln(ms + 1, log_fact) - gammaln(l + 1, log_fact)
+                - gammaln(ms - l + 1, log_fact))
     return np.exp((ms - l) * math.log(nbar) - ms * math.log(1.0 + nbar) + log_comb)
+
+
+def _check_tail_nbar(nbar: float) -> None:
+    if not 0.0 < nbar < math.inf:
+        raise ValueError(f"negative-binomial nbar must be finite and > 0, got {nbar}")
+
+
+def _negbin_log_pmf(x: int, successes: int, nbar: float) -> tuple[float, float]:
+    """ln P[NegBinom(successes, 1/(1+nbar)) = x], and the size of its inputs.
+
+    Written as successes/(x+successes) times a binomial probability in the
+    saddle-point form of `fock.bd0`, so no large terms cancel; the size is
+    what `fock.rounding_bound` needs.
+    """
+    if x == 0:
+        y = -successes * math.log1p(nbar)
+        return y, abs(y) + successes
+    n = x + successes
+    y = (stirlerr(n) - stirlerr(successes) - stirlerr(x)
+         - bd0(successes, n / (1.0 + nbar)) - bd0(x, n * nbar / (1.0 + nbar))
+         - 0.5 * math.log(2.0 * math.pi * successes * x / n) + math.log(successes / n))
+    return y, 2.0 * n + abs(y) + 16.0
+
+
+def _negbin_tail(successes: int, nbar: float, k: int) -> tuple[float, float]:
+    """Upper bounds on P[NegBinom(successes, 1/(1+nbar)) > k] and on its first term.
+
+    k + 1 must lie past the mode, k > (successes - 1) nbar - 2, so that the
+    term ratio q (x + successes) / (x + 1), q = nbar/(1+nbar), is below 1
+    and falls from x = k + 1 on. The terms are summed by `fock.upper_tail_sum`
+    and both results are raised by their `fock.rounding_bound`. Raises
+    ValueError unless nbar is finite and > 0.
+    """
+    _check_tail_nbar(nbar)
+    q = nbar / (1.0 + nbar)
+    y, size = _negbin_log_pmf(k + 1, successes, nbar)
+    first = math.exp(y)
+    if first == 0.0:  # the tail underflows
+        return 0.0, 0.0
+    tail, steps = upper_tail_sum(first, k + 1, q, q * successes)
+    up = 1.0 + rounding_bound(size, steps)
+    return tail * up, first * up
 
 
 def _support(successes: int, scale: float, nbar: float, start: int,
@@ -104,17 +170,41 @@ def _support(successes: int, scale: float, nbar: float, start: int,
     tol is cfg.term_tol. An inner sum whose terms at m = l + k are bounded by
     scale times that mass at k discards at most tol when it stops at m = l + K.
     The tail grows with the successes, so the support of l is a valid start
-    for l + 1, which is seldom more than a few terms further; the tail is
-    scanned 64 values per `nbdtrc` call.
+    for l + 1, which is seldom more than a few terms further.
+
+    The search walks up from past the mode, term by term, to the first point
+    whose one-term geometric bound already holds the tail below tol / 2; there
+    `_negbin_tail` gives the tail itself, which then grows by one term per
+    step back down, tail(K - 1) = tail(K) + P[= K], to the smallest K that
+    still holds it. Every tail compared is an upper bound, so the support is
+    certified; it is K < cfg.m_max or ConvergenceFailure. Raises ValueError
+    unless nbar is finite and > 0.
     """
-    p = 1.0 / (1.0 + nbar)
-    for lo in range(start, cfg.m_max, 64):
-        ks = np.arange(lo, min(lo + 64, cfg.m_max))
-        hit = np.flatnonzero(scale * nbdtrc(ks, successes, p) <= cfg.term_tol)
-        if hit.size:
-            return int(ks[hit[0]])
-    raise ConvergenceFailure(f"inner sum needs more than m_max={cfg.m_max} terms "
-                             f"to reach {cfg.term_tol:.1e}")
+    _check_tail_nbar(nbar)
+    q = nbar / (1.0 + nbar)
+    limit = cfg.term_tol / scale
+    # past the mode: the term ratio q (x + successes) / (x + 1) is below 1
+    x = max(start, math.floor((successes - 1) * nbar)) + 1
+    term = math.exp(_negbin_log_pmf(x, successes, nbar)[0])
+    while x <= cfg.m_max:
+        ratio = q * (x + successes) / (x + 1)
+        if term / (1.0 - ratio) <= 0.5 * limit:  # bounds P[> x - 1]
+            break
+        term *= ratio
+        x += 1
+    K = x - 1
+    tail, term = _negbin_tail(successes, nbar, K)
+    slack = 1.0 + rounding_bound(0.0, K - start)
+    while K > start:
+        term *= (K + 1) / (q * (K + successes))  # P[= K] from P[= K + 1]
+        if (tail + term) * slack > limit:
+            break
+        tail += term
+        K -= 1
+    if K >= cfg.m_max or tail > limit:
+        raise ConvergenceFailure(f"inner sum needs more than m_max={cfg.m_max} terms "
+                                 f"to reach {cfg.term_tol:.1e}")
+    return K
 
 
 def _ladder(coefficient, cfg: SeriesConfig, label: str) -> np.ndarray:
@@ -156,14 +246,15 @@ def pg_constant(T, nbar: float, omega_chi: float = DEFAULT_OMEGA_CHI,
     """
     ts = _waits(T, nbar)
     cfg = cfg or SeriesConfig()
-    c3, c4, support = [], [], 0
+    c3, c4, support, log_fact = [], [], 0, np.empty(0)
 
     def coefficient(j: int) -> float:
-        nonlocal support
+        nonlocal support, log_fact
         # inner sums for l = j; each term is <= (1+nbar) NegBinom(m-l; l+1)
         support = _support(j + 1, 1.0 + nbar, nbar, support, cfg)
         ms = np.arange(j, j + support + 2)
-        w = _binomial_weights(ms, j, nbar)
+        log_fact = _log_factorials(log_fact, ms[-1] + 1)
+        w = _binomial_weights(ms, j, nbar, log_fact)
         angle = omega_chi * np.sqrt(ms[:-1] + 1.0)
         c3.append(exact_sum(w[:-1] * np.sin(angle) ** 2))
         c4.append(exact_sum(w[1:] * np.cos(angle) ** 2))
@@ -194,16 +285,17 @@ def pg_oscillatory(T, nbar: float, omega_chi: float = DEFAULT_OMEGA_CHI,
     # the printed reading's inner sum is nbar^l times the folded one, and it
     # carries (-nbar)^l outside in place of (-1)^l
     sign = -nbar * nbar if cfg.printed_osc_sign else -1.0
-    inner, support = [], 0
+    inner, support, log_fact = [], 0, np.empty(0)
 
     def coefficient(j: int) -> float:
-        nonlocal support
+        nonlocal support, log_fact
         # inner sum for l = j; as sqrt(m+1) <= m+1 and (m+1) C(m,l) = (l+1)
         # C(m+1,l+1), each term is <= (1+nbar)^2 NegBinom(m-l; l+2)
         support = _support(j + 2, (1.0 + nbar) ** 2, nbar, support, cfg)
         ms = np.arange(j, j + support + 1)
         root = np.sqrt(ms + 1.0)
-        inner.append(exact_sum(_binomial_weights(ms, j, nbar) * root / (j + 1)
+        log_fact = _log_factorials(log_fact, ms[-1] + 1)
+        inner.append(exact_sum(_binomial_weights(ms, j, nbar, log_fact) * root / (j + 1)
                                * np.sin(2.0 * omega_chi * root)))
 
         h = nbar ** j / (1.0 + nbar) ** (j + 2)

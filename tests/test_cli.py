@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -119,6 +123,20 @@ class TestSubcommands:
         _, out2, _ = run_cli(capsys, "fig4", "--t-grid", "0:0.2:0.1")
         assert out1 == out2
 
+    def test_successive_calls_are_independent(self, capsys, tmp_path):
+        # the parser is built once per process; a flag given to one call
+        # must not leak into the next
+        code, _, _ = run_cli(capsys, "selftest", "--variant", "B")
+        assert code == 2  # variant B misses the oracle
+        path = tmp_path / "selftest.json"
+        code, out, _ = run_cli(capsys, "selftest", "--format", "json", "--out", str(path))
+        assert code == 0
+        assert "all checks passed" in out
+        assert json.loads(path.read_text())["meta"]["series_variant"] == "A"
+        with pytest.raises(SystemExit) as exc:
+            main(["selftest", "--variant", "C"])
+        assert exc.value.code == 1
+
 
 class TestExitCodes:
     def test_bad_config_key_is_validation_error(self, capsys, tmp_path):
@@ -150,3 +168,15 @@ class TestExitCodes:
                                "--config", str(path))
         assert code == 2
         assert "error" in err
+
+
+def test_import_leaves_scipy_out():
+    # the package needs numpy only; scipy must not creep back into start-up
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    code = ("import sys, cavity_ramsey.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

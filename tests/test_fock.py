@@ -109,6 +109,14 @@ class TestCoherentState:
         with pytest.raises(TailTooLarge, match="alpha\\|\\^2=9"):
             coherent_amplitudes(np.array([0.0, 0.1, 3.0]), TruncationConfig(n_max=8))
 
+    @pytest.mark.parametrize("alpha", [math.nan, complex(1.0, math.nan), math.inf])
+    def test_refuses_a_non_finite_alpha(self, alpha):
+        # NaN used to slip past both the tail and the norm check
+        with pytest.raises(ValueError, match="alpha="):
+            coherent_state(alpha, TruncationConfig())
+        with pytest.raises(ValueError):
+            widened_truncation(abs(alpha) ** 2, TruncationConfig())
+
     def test_rows_take_a_1d_array(self):
         with pytest.raises(ValueError):
             coherent_amplitudes(np.ones((2, 2)), TruncationConfig(n_max=8))

@@ -11,11 +11,13 @@ from cavity_ramsey.fock import (
     G,
     JointVector,
     TruncationConfig,
+    coherent_amplitudes,
     coherent_state,
     tensor,
 )
 from cavity_ramsey.jc import (
     PI_HALF_RESIDUAL_TOL,
+    _pi_half_areas,
     branch_states,
     doublet_unitary,
     excited_branch_norm,
@@ -219,13 +221,21 @@ class TestPiHalfTime:
             solve_pi_half_time(np.array([0.0, 0.5, 3.0, 0.1]), trunc)
 
     def test_nan_has_no_crossing(self):
-        # a NaN alpha makes every area NaN; the scan must stop, not run on
-        with pytest.raises(NoRootFound):
+        # a NaN alpha is refused with its coherent amplitudes, before the scan
+        with pytest.raises(ValueError, match="alpha=nan"):
             solve_pi_half_time(float("nan"), TruncationConfig())
 
     def test_no_crossing_names_the_alpha(self):
-        with pytest.raises(NoRootFound, match="alpha=nan"):
+        with pytest.raises(ValueError, match="alpha=nan"):
             solve_pi_half_time(np.array([0.0, 1.0, math.nan]), TruncationConfig())
+
+    def test_scan_stops_on_a_nan_row(self):
+        # the bracket scan's own guard: a NaN alpha makes its step, and so
+        # every trial area, NaN; the scan must stop, not run on
+        c = coherent_amplitudes(np.array([0.0, 1.0]), TruncationConfig(n_max=20))
+        c[1] = math.nan
+        with pytest.raises(NoRootFound, match="alpha=nan"):
+            _pi_half_areas(np.array([0.0, math.nan]), c)
 
 class TestStarkPhase:
     def test_vector_density_consistency(self):

@@ -15,6 +15,7 @@ from cavity_ramsey.thermal import (
     SELECTION_GRID,
     SeriesConfig,
     _binomial_weights,
+    _log_factorials,
     _support,
     pg_constant,
     pg_oscillatory,
@@ -132,7 +133,8 @@ class TestWaitGrids:
         # and returned 3.4e-14
         nbar, l = 0.7, 70
         k = _support(l + 1, 1.0 + nbar, nbar, 0, SeriesConfig())
-        total = math.fsum(_binomial_weights(np.arange(l, l + k + 1), l, nbar))
+        log_fact = _log_factorials(np.empty(0), l + k + 1)
+        total = math.fsum(_binomial_weights(np.arange(l, l + k + 1), l, nbar, log_fact))
         assert total == pytest.approx(1.0 + nbar, abs=1e-12)
 
     @given(nbar=st.floats(min_value=0.01, max_value=0.95),
