@@ -30,7 +30,6 @@ from .experiments import (
 from .fock import (
     AtomDensity,
     FieldDensity,
-    FieldVector,
     JointDensity,
     JointVector,
     TruncationConfig,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 
@@ -56,6 +57,8 @@ def _parse_grid(text: str) -> list[float]:
     if len(parts) != 3:
         raise ValueError(f"--t-grid expects start:stop:step, got {text!r}")
     start, stop, step = (float(p) for p in parts)
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ValueError(f"--t-grid needs finite start, stop and step, got {text!r}")
     if step <= 0 or stop < start:
         raise ValueError("--t-grid needs step > 0 and stop >= start")
     count = int((stop - start) / step + 1e-9) + 1

@@ -15,7 +15,6 @@ import numpy as np
 
 from .config import PhysicalConfig, config_to_dict
 from .fock import (
-    FieldVector,
     TruncationConfig,
     coherent_amplitudes,
     poisson_tail,
@@ -124,16 +123,13 @@ def _setup1_block(n_values: list, trunc: TruncationConfig,
     """
     alphas = np.sqrt(n_values)
     areas = solve_pi_half_time(alphas, trunc, diagnostics)
-    rows = []
-    for n_mean, t, row_e, row_g in zip(
-            n_values, areas.tolist(),
-            *branch_amplitudes(coherent_amplitudes(alphas, trunc), areas)):
-        a_e, a_g = FieldVector(row_e), FieldVector(row_g)
-        v = 2.0 * abs(branch_overlap(a_e, a_g))
-        _, _, n_plus, n_minus = plus_minus_decomposition(a_e, a_g)
-        rows.append((n_mean, t, v, apply_detection(min(v, 1.0), det),
-                     n_plus, n_minus))
-    return rows
+    a_e, a_g = branch_amplitudes(coherent_amplitudes(alphas, trunc), areas)
+    vs = 2.0 * np.abs(branch_overlap(a_e, a_g))
+    n_plus, n_minus = plus_minus_decomposition(a_e, a_g)
+    return [(n_mean, t, v, apply_detection(min(v, 1.0), det), n_p, n_m)
+            for n_mean, t, v, n_p, n_m in zip(
+                n_values, areas.tolist(), vs.tolist(), n_plus.tolist(),
+                n_minus.tolist())]
 
 
 def run_setup1(n_values=None, config: PhysicalConfig | None = None,
@@ -148,8 +144,9 @@ def run_setup1(n_values=None, config: PhysicalConfig | None = None,
     the largest N's Poisson tail is below tail_tol.
 
     N is taken SETUP1_BLOCK values at a time: one array solve_pi_half_time
-    call and one branch-amplitude matrix per block. Each row is then checked
-    and decomposed as a pair of FieldVectors. meta["diagnostics"] records the
+    call and one branch-amplitude matrix per block, whose squared norms
+    `branch_amplitudes` checks once. The overlaps and n_+/- are then taken
+    row by row over the block's matrices. meta["diagnostics"] records the
     pulse solver's evaluations of <alpha_e|alpha_e> - 1/2, the largest
     |<alpha_e|alpha_e> - 1/2| at a solved area, and the Poisson tail the
     cutoff discards at the largest N. N must be >= 0; NaN is refused with
@@ -279,8 +276,8 @@ def run_velocity_scan(velocities=None, config: PhysicalConfig | None = None
     if velocities is None:
         velocities = DEFAULT_VELOCITIES
     velocities = [float(v) for v in velocities]
-    if any(v <= 0 for v in velocities):
-        raise ValueError("velocities must be > 0")
+    if not all(0 < v < math.inf for v in velocities):  # also refuses NaN
+        raise ValueError("velocities must be finite and > 0")
     series = cfg.resolved_series()
     t_ref = cfg.T
     waits = [t_ref * cfg.v_ref_mps / v for v in velocities]

@@ -5,10 +5,11 @@ Conventions used everywhere in this package:
 * atomic basis order is (g, e), i.e. index 0 = ground, 1 = excited, so a 2x2
   atomic density matrix has the ground-state population in the top-left entry;
 * joint amplitudes are atom-major: the flat index of |a, n> is a*(n_max+1) + n,
-  which keeps each doublet {|g, n+1>, |e, n>} at a fixed stride.
+  which keeps each doublet {|g, n+1>, |e, n>} at a fixed stride;
+* a pure field state is an amplitude array, photon number on the last axis.
 
-All operations are pure functions on immutable value objects; nothing in this
-module holds shared mutable state.
+All operations are pure functions on arrays and immutable value objects;
+nothing in this module holds shared mutable state.
 """
 
 from __future__ import annotations
@@ -96,37 +97,6 @@ def poisson_cutoff(mean: float, tol: float, lo: int = 0) -> int:
         else:
             lo = mid + 1
     return hi
-
-
-@dataclass(frozen=True)
-class FieldVector:
-    """Pure state of the cavity mode; amplitudes c_0 .. c_{n_max}.
-
-    Branch states deliberately carry squared norm <= 1, so only an upper
-    bound is enforced here.
-    """
-
-    amps: np.ndarray
-
-    def __post_init__(self):
-        amps = np.asarray(self.amps, dtype=complex)
-        object.__setattr__(self, "amps", amps)
-        if amps.ndim != 1 or amps.size < 2:
-            raise ValueError("FieldVector needs a 1-d amplitude array, n_max >= 1")
-        n2 = float(np.vdot(amps, amps).real)
-        if n2 > 1.0 + 1e-12:
-            raise ValueError(f"squared norm {n2} exceeds 1")
-
-    @property
-    def n_levels(self) -> int:
-        return self.amps.size
-
-    def norm2(self) -> float:
-        return float(np.vdot(self.amps, self.amps).real)
-
-    def overlap(self, other: "FieldVector") -> complex:
-        """<self|other> with the physics (conjugate-first) convention."""
-        return complex(np.vdot(self.amps, other.amps))
 
 
 @dataclass(frozen=True)
@@ -408,11 +378,17 @@ def coherent_amplitudes(alphas: np.ndarray, trunc: TruncationConfig) -> np.ndarr
     return amps
 
 
-def coherent_state(alpha: complex, trunc: TruncationConfig | None = None) -> FieldVector:
+def coherent_state(alpha: complex, trunc: TruncationConfig | None = None) -> np.ndarray:
     """Coherent state |alpha>, truncated: the one-row case of coherent_amplitudes."""
     if trunc is None:
         trunc = default_truncation(alpha)
-    return FieldVector(coherent_amplitudes(np.array([alpha]), trunc)[0])
+    return coherent_amplitudes(np.array([alpha]), trunc)[0]
+
+
+def squared_norms(amps: np.ndarray) -> np.ndarray:
+    """<c|c> of each row of amps, from views of its real and imaginary parts."""
+    return (np.einsum("...n,...n->...", amps.real, amps.real)
+            + np.einsum("...n,...n->...", amps.imag, amps.imag))
 
 
 def thermal_density(nbar: float, trunc: TruncationConfig | None = None) -> FieldDensity:
@@ -441,12 +417,12 @@ def thermal_density(nbar: float, trunc: TruncationConfig | None = None) -> Field
     return FieldDensity(np.diag(p).astype(complex))
 
 
-def tensor(atom: np.ndarray, fld: FieldVector) -> JointVector:
-    """Product state (atom 2-vector, basis order (g, e)) (x) field vector."""
+def tensor(atom: np.ndarray, fld: np.ndarray) -> JointVector:
+    """Product state (atom 2-vector, basis order (g, e)) (x) field amplitudes."""
     atom = np.asarray(atom, dtype=complex).reshape(2)
-    if not np.all(np.isfinite(atom)) or not np.all(np.isfinite(fld.amps)):
+    if not np.all(np.isfinite(atom)) or not np.all(np.isfinite(fld)):
         raise ValueError("tensor inputs must be finite")
-    return JointVector(np.outer(atom, fld.amps))
+    return JointVector(np.outer(atom, fld))
 
 
 def partial_trace_field(rho: JointDensity) -> AtomDensity:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneratePattern
-from .fock import AtomDensity, FieldVector, TruncationConfig
+from .fock import AtomDensity, TruncationConfig, squared_norms
 from .jc import branch_states, solve_pi_half_time
 
 # Recombination convention for the classical pi/2 zone: maps the dephased
@@ -56,29 +56,33 @@ class FringePattern:
         return list(zip(self.phis.tolist(), self.p_g.tolist()))
 
 
-def branch_overlap(alpha_e: FieldVector, alpha_g: FieldVector) -> complex:
-    """<alpha_e|alpha_g>; its magnitude is half the ideal fringe visibility."""
-    return alpha_e.overlap(alpha_g)
+def branch_overlap(alpha_e: np.ndarray, alpha_g: np.ndarray) -> complex | np.ndarray:
+    """<alpha_e|alpha_g> of each row; its magnitude is half the ideal visibility."""
+    return np.einsum("...n,...n->...", alpha_e.conj(), alpha_g)
 
 
-def plus_minus_decomposition(alpha_e: FieldVector, alpha_g: FieldVector
-                             ) -> tuple[FieldVector, FieldVector, float, float]:
-    """Split the branches into alpha_+/- = (alpha_e +- alpha_g) / 2.
+def plus_minus_decomposition(alpha_e: np.ndarray, alpha_g: np.ndarray
+                             ) -> tuple[np.ndarray, np.ndarray]:
+    """Squared norms n_+/- of alpha_+/- = (alpha_e +- alpha_g) / 2.
 
-    The branch phases are gauge: any fixed phase on alpha_g is a frame choice.
-    We align alpha_g so the overlap is real and nonnegative before combining,
-    which makes n_minus a faithful distinguishability measure (n_minus -> 0
-    exactly when the branches coincide and the joint state factorizes).
+    Row by row, like `branch_overlap`. The branch phases are gauge: any
+    fixed phase on alpha_g is a frame choice. We align alpha_g so the
+    overlap is real and nonnegative before combining, which makes n_minus a
+    faithful distinguishability measure (n_minus -> 0 exactly when the
+    branches coincide and the joint state factorizes). alpha_+/- are formed,
+    not inferred from the overlap, so a small n_minus keeps its accuracy.
     """
     ov = branch_overlap(alpha_e, alpha_g)
-    phase = ov / abs(ov) if abs(ov) > 0 else 1.0
-    g = alpha_g.amps * np.conj(phase)
-    plus = FieldVector((alpha_e.amps + g) / 2.0)
-    minus = FieldVector((alpha_e.amps - g) / 2.0)
-    return plus, minus, plus.norm2(), minus.norm2()
+    mag = np.abs(ov)
+    phase = np.where(mag > 0, ov, 1.0) / np.where(mag > 0, mag, 1.0)
+    g = alpha_g * np.conj(phase)[..., None]
+    combined = alpha_e + g
+    n_plus = squared_norms(combined) / 4.0
+    np.subtract(alpha_e, g, out=combined)
+    return n_plus, squared_norms(combined) / 4.0
 
 
-def atomic_state_after_phase(alpha_e: FieldVector, alpha_g: FieldVector,
+def atomic_state_after_phase(alpha_e: np.ndarray, alpha_g: np.ndarray,
                              phi: float) -> AtomDensity:
     """Reduced atomic state after the split and the accumulated phase phi.
 

@@ -81,7 +81,7 @@ class SeriesConfig:
 def _waits(T, nbar: float) -> np.ndarray:
     """The waits as a flat float array, after checking the domain."""
     ts = np.asarray(T, dtype=float).reshape(-1)
-    if np.any(ts < 0):
+    if not np.all(ts >= 0):  # also refuses NaN
         raise DomainError(f"T must be >= 0, got {T}")
     if not 0.0 < nbar < 1.0:
         raise DomainError(f"nbar must lie in (0, 1) for convergence, got {nbar}")

@@ -78,6 +78,28 @@ class TestSubcommands:
         assert code == 1
         assert ">= 0" in err
 
+    def test_setup1_large_n_at_its_tightest_cutoff(self, capsys, tmp_path):
+        # the log-domain amplitudes of 2e4 photons have squared norm
+        # 1 + 2.0e-11, which a fixed 1 + 1e-12 bound refused
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n_max": 21036}))
+        code, _, err = run_cli(capsys, "setup1", "--n-values", "20000",
+                               "--config", str(path))
+        assert code == 0, err
+
+    @pytest.mark.parametrize("argv", [
+        ("velocity-scan", "--velocities", "50,nan"),
+        ("velocity-scan", "--velocities", "inf"),
+        ("fig4", "--t-grid", "0:1:inf"),
+        ("fig4", "--t-grid", "0:inf:0.1"),
+    ])
+    def test_non_finite_input_is_a_usage_error(self, capsys, argv):
+        # these exited 0 with NaN in the report, or died on an OverflowError
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+
     def test_selftest_passes(self, capsys):
         code, out, _ = run_cli(capsys, "selftest")
         assert code == 0

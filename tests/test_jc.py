@@ -18,6 +18,7 @@ from cavity_ramsey.fock import (
 from cavity_ramsey.jc import (
     PI_HALF_RESIDUAL_TOL,
     _pi_half_areas,
+    branch_amplitudes,
     branch_states,
     doublet_unitary,
     excited_branch_norm,
@@ -39,7 +40,7 @@ def pi_half_area_one_alpha(alpha, trunc):
     The reference for the array solve_pi_half_time: the same rule, written
     one alpha and one float at a time.
     """
-    c2 = np.abs(coherent_state(alpha, trunc).amps) ** 2
+    c2 = np.abs(coherent_state(alpha, trunc)) ** 2
     sq = np.sqrt(np.arange(trunc.n_levels) + 1.0)
     evaluations = 0
 
@@ -140,14 +141,21 @@ class TestBranchStates:
         t = 0.6
         a_e, a_g = branch_states(alpha, t, trunc)
         evolved = jc_evolve(tensor([0.0, 1.0], coherent_state(alpha, trunc)), t)
-        assert np.max(np.abs(evolved.amps[E] - a_e.amps)) < 1e-10
-        assert np.max(np.abs(evolved.amps[G] - a_g.amps)) < 1e-10
+        assert np.max(np.abs(evolved.amps[E] - a_e)) < 1e-10
+        assert np.max(np.abs(evolved.amps[G] - a_g)) < 1e-10
 
     def test_norms_sum_to_one(self):
         trunc = TruncationConfig(n_max=50)
         a_e, a_g = branch_states(1.8, 0.9, trunc)
-        total = a_e.norm2() + a_g.norm2()
+        total = np.vdot(a_e, a_e).real + np.vdot(a_g, a_g).real
         assert total == pytest.approx(1.0, abs=1e-10)
+
+    def test_refuses_an_overnormalized_row(self):
+        with pytest.raises(ValueError, match="squared norm 1.25 exceeds 1"):
+            branch_amplitudes(np.array([1.0, 0.5]), 0.3)
+        # one check per block: a single bad row refuses the block
+        with pytest.raises(ValueError, match="squared norm 1.25 exceeds 1"):
+            branch_amplitudes(np.array([[1.0, 0.0], [1.0, 0.5]]), np.array([0.3, 0.3]))
 
 
 class TestPiHalfTime:
@@ -162,8 +170,8 @@ class TestPiHalfTime:
         t = solve_pi_half_time(alpha, trunc)
         a_e, a_g = branch_states(alpha, t, trunc)
         # both defining equalities of the pulse condition
-        assert abs(a_e.norm2() - 0.5) < 1e-9
-        assert abs(a_g.norm2() - 0.5) < 1e-9
+        assert abs(np.vdot(a_e, a_e).real - 0.5) < 1e-9
+        assert abs(np.vdot(a_g, a_g).real - 0.5) < 1e-9
         assert abs(excited_branch_norm(alpha, t, trunc) - 0.5) < 1e-9
 
     def test_first_root_is_shortest(self):

@@ -68,6 +68,11 @@ class TestDomain:
         with pytest.raises(DomainError):
             pg_constant(-0.1, 0.5)
 
+    def test_nan_wait(self):
+        # NaN used to pass the T >= 0 check and give a NaN visibility
+        with pytest.raises(DomainError):
+            thermal_visibility(np.array([0.1, math.nan]), 0.5)
+
     def test_small_nbar_is_accepted(self):
         # folded evaluation keeps tiny occupations well-conditioned
         v = thermal_visibility(0.1, 1e-3)

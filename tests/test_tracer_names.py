@@ -1,0 +1,35 @@
+"""Every name the benchmark's tracer patches must exist in the package.
+
+perfbench/tracer.py looks each (module, attribute) up with a bare getattr when
+it installs, so a renamed or deleted function breaks every traced benchmark
+run. The tracer is loaded from its path, as a file, and left unchanged.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tracer = _load_tracer()
+NAMES = ([(m, None, attr) for m, attr, *_ in tracer.SPANS]
+         + [(m, cls, attr) for m, cls, attr, _ in tracer.METHOD_SPANS]
+         + [(m, cls, attr) for m, cls, attr, _ in tracer.COUNTERS])
+
+
+@pytest.mark.parametrize("module, cls, attr", NAMES)
+def test_traced_name_resolves(module, cls, attr):
+    owner = importlib.import_module(f"{tracer.PACKAGE}.{module}")
+    if cls is not None:
+        owner = getattr(owner, cls)
+    assert callable(getattr(owner, attr))
