@@ -28,14 +28,12 @@ from .experiments import (
     run_velocity_scan,
 )
 from .fock import (
-    AtomDensity,
-    FieldDensity,
     JointDensity,
-    JointVector,
     TruncationConfig,
     coherent_state,
     default_truncation,
     partial_trace_field,
+    pure_density,
     tensor,
     thermal_density,
 )

@@ -43,6 +43,9 @@ class PhysicalConfig:
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be a positive finite number, got {v!r}")
+        if not math.isfinite(self.T):
+            raise ValueError(f"T = tau_s / (2 t_cav_s) must be finite, got {self.T} "
+                             f"(tau_s={self.tau_s!r}, t_cav_s={self.t_cav_s!r})")
         if not self.eta <= 1.0:
             raise ValueError(f"eta must be <= 1, got {self.eta}")
         if self.variant not in ("A", "B", "auto"):

@@ -3,10 +3,12 @@
 Conventions used everywhere in this package:
 
 * atomic basis order is (g, e), i.e. index 0 = ground, 1 = excited, so a 2x2
-  atomic density matrix has the ground-state population in the top-left entry;
-* joint amplitudes are atom-major: the flat index of |a, n> is a*(n_max+1) + n,
-  which keeps each doublet {|g, n+1>, |e, n>} at a fixed stride;
-* a pure field state is an amplitude array, photon number on the last axis.
+  atomic density array has the ground-state population in the top-left entry;
+* a pure joint state is a (2, n_levels) amplitude array, atom on axis 0; its
+  atom-major flattening puts |a, n> at a*(n_max+1) + n, which keeps each
+  doublet {|g, n+1>, |e, n>} at a fixed stride;
+* a pure field state is an amplitude array, photon number on the last axis,
+  and a field density an (n_levels, n_levels) array.
 
 All operations are pure functions on arrays and immutable value objects;
 nothing in this module holds shared mutable state.
@@ -17,7 +19,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -100,54 +102,6 @@ def poisson_cutoff(mean: float, tol: float, lo: int = 0) -> int:
 
 
 @dataclass(frozen=True)
-class FieldDensity:
-    """Density operator of the cavity mode on the kept levels."""
-
-    mat: np.ndarray
-
-    def __post_init__(self):
-        mat = np.asarray(self.mat, dtype=complex)
-        object.__setattr__(self, "mat", mat)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError("FieldDensity must be a square matrix")
-
-    @property
-    def n_levels(self) -> int:
-        return self.mat.shape[0]
-
-    def trace(self) -> float:
-        return float(np.trace(self.mat).real)
-
-
-@dataclass(frozen=True)
-class JointVector:
-    """Pure state of atom (x) field; amps has shape (2, n_levels), axis 0 = (g, e)."""
-
-    amps: np.ndarray
-
-    def __post_init__(self):
-        amps = np.asarray(self.amps, dtype=complex)
-        object.__setattr__(self, "amps", amps)
-        if amps.ndim != 2 or amps.shape[0] != 2:
-            raise ValueError("JointVector amps must have shape (2, n_levels)")
-
-    @property
-    def n_levels(self) -> int:
-        return self.amps.shape[1]
-
-    def norm2(self) -> float:
-        return float(np.vdot(self.amps, self.amps).real)
-
-    def flat(self) -> np.ndarray:
-        """Atom-major flattening: index of |a, n> is a*n_levels + n."""
-        return self.amps.reshape(-1)
-
-    def to_density(self) -> "JointDensity":
-        v = self.flat()
-        return JointDensity(np.outer(v, v.conj()))
-
-
-@dataclass(frozen=True)
 class JointDensity:
     """Density operator of atom (x) field, atom-major index order."""
 
@@ -171,25 +125,6 @@ class JointDensity:
         """View as (2, n_levels, 2, n_levels) for (atom, photon) indexing."""
         L = self.n_levels
         return self.mat.reshape(2, L, 2, L)
-
-
-@dataclass(frozen=True)
-class AtomDensity:
-    """2x2 reduced atomic density operator, basis order (g, e)."""
-
-    mat: np.ndarray
-
-    def __post_init__(self):
-        mat = np.asarray(self.mat, dtype=complex)
-        object.__setattr__(self, "mat", mat)
-        if mat.shape != (2, 2):
-            raise ValueError("AtomDensity must be 2x2")
-
-    def trace(self) -> float:
-        return float(np.trace(self.mat).real)
-
-    def p_g(self) -> float:
-        return float(self.mat[G, G].real)
 
 
 # --- diagnostics used by tests and by the self-check CLI ---------------------
@@ -391,8 +326,8 @@ def squared_norms(amps: np.ndarray) -> np.ndarray:
             + np.einsum("...n,...n->...", amps.imag, amps.imag))
 
 
-def thermal_density(nbar: float, trunc: TruncationConfig | None = None) -> FieldDensity:
-    """Thermal (geometric) field state p_n = nbar^n / (1+nbar)^(n+1), renormalized.
+def thermal_density(nbar: float, trunc: TruncationConfig | None = None) -> np.ndarray:
+    """Thermal (geometric) field density p_n = nbar^n / (1+nbar)^(n+1), renormalized.
 
     The geometric tail beyond n_max must stay below tail_tol; the kept weights
     are rescaled to unit trace.
@@ -405,7 +340,7 @@ def thermal_density(nbar: float, trunc: TruncationConfig | None = None) -> Field
     if nbar == 0.0:
         mat = np.zeros((L, L), dtype=complex)
         mat[0, 0] = 1.0
-        return FieldDensity(mat)
+        return mat
     x = nbar / (1.0 + nbar)
     tail = x ** L  # exact geometric remainder
     if tail >= trunc.tail_tol:
@@ -414,23 +349,33 @@ def thermal_density(nbar: float, trunc: TruncationConfig | None = None) -> Field
         )
     p = x ** np.arange(L) / (1.0 + nbar)
     p = p / p.sum()
-    return FieldDensity(np.diag(p).astype(complex))
+    return np.diag(p).astype(complex)
 
 
-def tensor(atom: np.ndarray, fld: np.ndarray) -> JointVector:
-    """Product state (atom 2-vector, basis order (g, e)) (x) field amplitudes."""
+def tensor(atom: np.ndarray, fld: np.ndarray) -> np.ndarray:
+    """Product state (atom 2-vector, basis order (g, e)) (x) field amplitudes.
+
+    Returns the (2, n_levels) joint amplitude array.
+    """
     atom = np.asarray(atom, dtype=complex).reshape(2)
     if not np.all(np.isfinite(atom)) or not np.all(np.isfinite(fld)):
         raise ValueError("tensor inputs must be finite")
-    return JointVector(np.outer(atom, fld))
+    return np.outer(atom, fld)
 
 
-def partial_trace_field(rho: JointDensity) -> AtomDensity:
-    """Trace out the field: entries sum_n <a, n| rho |a', n>.
+def pure_density(amps: np.ndarray) -> JointDensity:
+    """|psi><psi| of a (2, n_levels) joint amplitude array, atom-major."""
+    amps = np.asarray(amps, dtype=complex)
+    if amps.ndim != 2 or amps.shape[0] != 2:
+        raise ValueError("joint amplitudes must have shape (2, n_levels)")
+    v = amps.reshape(-1)
+    return JointDensity(np.outer(v, v.conj()))
+
+
+def partial_trace_field(rho: JointDensity) -> np.ndarray:
+    """Trace out the field: the 2x2 atomic density sum_n <a, n| rho |a', n>.
 
     The atomic trace equals the joint trace exactly (it is the same sum of
     diagonal entries, just regrouped).
     """
-    b = rho.blocks()
-    out = np.einsum("anbn->ab", b)
-    return AtomDensity(out)
+    return np.einsum("anbn->ab", rho.blocks())

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneratePattern
-from .fock import AtomDensity, TruncationConfig, squared_norms
+from .fock import G, TruncationConfig, squared_norms
 from .jc import branch_states, solve_pi_half_time
 
 # Recombination convention for the classical pi/2 zone: maps the dephased
@@ -83,8 +83,8 @@ def plus_minus_decomposition(alpha_e: np.ndarray, alpha_g: np.ndarray
 
 
 def atomic_state_after_phase(alpha_e: np.ndarray, alpha_g: np.ndarray,
-                             phi: float) -> AtomDensity:
-    """Reduced atomic state after the split and the accumulated phase phi.
+                             phi: float) -> np.ndarray:
+    """Reduced 2x2 atomic density after the split and the accumulated phase phi.
 
     With equal branch norms the populations are 1/2 and the only memory of the
     field is the off-diagonal overlap:
@@ -92,17 +92,17 @@ def atomic_state_after_phase(alpha_e: np.ndarray, alpha_g: np.ndarray,
          [e^{-i phi} <alpha_g|alpha_e>, 1/2             ]]
     """
     c = branch_overlap(alpha_e, alpha_g) * np.exp(1j * phi)
-    return AtomDensity(np.array([[0.5, c], [np.conj(c), 0.5]]))
+    return np.array([[0.5, c], [np.conj(c), 0.5]], dtype=complex)
 
 
-def classical_pi_half(rho: AtomDensity) -> AtomDensity:
-    """Recombine the levels with the fixed classical pi/2 rotation.
+def classical_pi_half(rho: np.ndarray) -> np.ndarray:
+    """Recombine the levels of a 2x2 atomic density by the classical pi/2 rotation.
 
     Maps coherence into populations: for input off-diagonal c the output
     populations are 1/2 + Re(c) (ground) and 1/2 - Re(c) (excited).
     """
     U = RECOMBINATION_UNITARY
-    return AtomDensity(U @ rho.mat @ U.conj().T)
+    return U @ rho @ U.conj().T
 
 
 def visibility_from_pattern(phis, p_g) -> float:
@@ -150,7 +150,7 @@ def fringe_scan_setup1(alpha: complex,
     area = solve_pi_half_time(alpha, trunc)
     a_e, a_g = branch_states(alpha, area, trunc)
     p_g = np.array([
-        classical_pi_half(atomic_state_after_phase(a_e, a_g, phi)).p_g()
+        classical_pi_half(atomic_state_after_phase(a_e, a_g, phi))[G, G].real
         for phi in phi_grid
     ])
     p_g = np.clip(p_g, 0.0, 1.0)

@@ -20,7 +20,6 @@ from .fock import (
     E,
     G,
     JointDensity,
-    JointVector,
     TruncationConfig,
     coherent_amplitudes,
     coherent_state,
@@ -60,32 +59,26 @@ def doublet_unitary(n_levels: int, theta: float) -> np.ndarray:
     return U
 
 
-def _top_level_population(state) -> float:
-    if isinstance(state, JointVector):
-        return float(abs(state.amps[E, -1]) ** 2)
-    b = state.blocks()
-    return float(b[E, -1, E, -1].real)
+def jc_evolve(rho: JointDensity, area: float) -> JointDensity:
+    """Apply a resonant pulse of area Omega*t to a joint density.
 
-
-def jc_evolve(state, area: float):
-    """Apply a resonant pulse of area Omega*t to a JointVector or JointDensity.
-
-    Raises TruncationLeak when |e, n_max> carries more than LEAK_TOL
-    probability: its doublet partner lies outside the truncated space, so the
-    rotation could not be represented faithfully.
+    Raises TypeError for anything but a JointDensity, and TruncationLeak
+    when |e, n_max> carries more than LEAK_TOL probability: its doublet
+    partner lies outside the truncated space, so the rotation could not be
+    represented faithfully.
     """
+    if not isinstance(rho, JointDensity):
+        raise TypeError(f"expected a JointDensity, got {type(rho)!r}")
     if area < 0:
         raise ValueError(f"pulse area must be >= 0, got {area}")
-    top = _top_level_population(state)
+    top = float(rho.blocks()[E, -1, E, -1].real)
     if top > LEAK_TOL:
         raise TruncationLeak(
             f"|e, n_max> holds probability {top:.3e} > {LEAK_TOL:.3e}; "
             "raise n_max before evolving"
         )
-    U = doublet_unitary(state.n_levels, area)
-    if isinstance(state, JointVector):
-        return JointVector((U @ state.flat()).reshape(2, -1))
-    return JointDensity(U @ state.mat @ U.conj().T)
+    U = doublet_unitary(rho.n_levels, area)
+    return JointDensity(U @ rho.mat @ U.conj().T)
 
 
 def branch_amplitudes(c: np.ndarray, area: float | np.ndarray
@@ -238,18 +231,13 @@ def solve_pi_half_time(alpha: complex | np.ndarray,
     return float(areas[0]) if alphas.ndim == 0 else areas
 
 
-def stark_phase(state, phi: float):
-    """Multiply every |g, n> amplitude by e^{i phi} (relative atomic phase).
+def stark_phase(amps: np.ndarray, phi: float) -> np.ndarray:
+    """Multiply every |g, n> amplitude of a (2, n_levels) joint state by e^{i phi}.
 
     Models the phase accumulated while the transition is Stark-shifted out of
     resonance; the global phase is irrelevant, only the g/e relative phase
-    matters.
+    matters. Returns a new array.
     """
-    if isinstance(state, JointVector):
-        amps = state.amps.copy()
-        amps[G, :] *= np.exp(1j * phi)
-        return JointVector(amps)
-    L = state.n_levels
-    ph = np.ones(2 * L, dtype=complex)
-    ph[:L] = np.exp(1j * phi)
-    return JointDensity(ph[:, None] * state.mat * ph.conj()[None, :])
+    amps = np.array(amps, dtype=complex)
+    amps[G] *= np.exp(1j * phi)
+    return amps

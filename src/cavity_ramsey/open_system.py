@@ -19,16 +19,13 @@ import math
 import numpy as np
 
 from .fock import (
-    E,
-    G,
-    FieldDensity,
     JointDensity,
-    JointVector,
     TruncationConfig,
     poisson_cutoff,
+    pure_density,
 )
 from .interferometry import FringePattern, visibility_from_pattern
-from .jc import DEFAULT_OMEGA_CHI, jc_evolve, stark_phase
+from .jc import DEFAULT_OMEGA_CHI, branch_amplitudes, jc_evolve, stark_phase
 
 
 # q*h of one propagation chunk is at most this, so e^{-q h} cannot underflow
@@ -40,6 +37,16 @@ SERIES_TAIL_TOL = 1e-16
 def _check_nbar(nbar: float) -> None:
     if nbar < 0:
         raise ValueError(f"nbar must be >= 0, got {nbar}")
+
+
+def _check_wait(T: float) -> None:
+    if not 0.0 <= T < math.inf:  # also refuses NaN
+        raise ValueError(f"T must be finite and >= 0, got {T}")
+
+
+def _check_density(rho) -> None:
+    if not isinstance(rho, JointDensity):
+        raise TypeError(f"expected a JointDensity, got {type(rho)!r}")
 
 
 def _stencil(n_levels: int, nbar: float):
@@ -70,17 +77,14 @@ def _apply(r: np.ndarray, diag, down, up) -> np.ndarray:
     return out
 
 
-def dissipator_apply(rho, nbar: float):
+def dissipator_apply(rho: JointDensity, nbar: float) -> JointDensity:
     """Apply the Lindblad generator once; acts on the field factor only."""
-    if not isinstance(rho, (FieldDensity, JointDensity)):
-        raise TypeError(
-            f"expected FieldDensity or JointDensity, got {type(rho)!r}")
+    _check_density(rho)
     _check_nbar(nbar)
     L = rho.n_levels
-    A = rho.mat.shape[0] // L
     loss, down, up = _stencil(L, nbar)
-    out = _apply(rho.mat.reshape(A, L, A, L), -loss, down, up)
-    return type(rho)(out.reshape(rho.mat.shape))
+    out = _apply(rho.blocks(), -loss, down, up)
+    return JointDensity(out.reshape(rho.mat.shape))
 
 
 def _evolve_batch(mats: np.ndarray, T: float, nbar: float) -> np.ndarray:
@@ -123,10 +127,11 @@ def evolve_master(rho: JointDensity, T: float, nbar: float) -> JointDensity:
     l1 norm of its input, so before rounding the result is within
     c * 1e-16 * sum|rho_ij| of e^{T D} rho in the entrywise l1 norm (q is
     the largest diagonal loss rate of the truncated generator, at most
-    2(2 nbar + 1) n_max).
+    2(2 nbar + 1) n_max). Raises TypeError for anything but a JointDensity
+    and ValueError for a negative, NaN or infinite T.
     """
-    if T < 0:
-        raise ValueError(f"T must be >= 0, got {T}")
+    _check_density(rho)
+    _check_wait(T)
     _check_nbar(nbar)
     if T == 0.0:
         return rho
@@ -136,18 +141,19 @@ def evolve_master(rho: JointDensity, T: float, nbar: float) -> JointDensity:
 # --- zero-temperature closed forms --------------------------------------------
 
 def split_vacuum_state(phi: float,
-                       trunc: TruncationConfig | None = None) -> JointVector:
-    """(|e,0> + e^{i phi} |g,1>)/sqrt(2): vacuum pulse plus accumulated phase.
+                       trunc: TruncationConfig | None = None) -> np.ndarray:
+    """(|e,0> + e^{i phi} |g,1>)/sqrt(2) as (2, n_levels) joint amplitudes.
 
-    Built through the actual pulse + Stark-phase pipeline (the bare pulse
+    Built through the actual pulse + Stark-phase pipeline: the pulse is
+    `branch_amplitudes` on the vacuum row, as in setup 1 (the bare pulse
     leaves a factor -i on |g,1>, absorbed here into the phase argument).
     """
     if trunc is None:
         trunc = TruncationConfig(n_max=8)
-    amps = np.zeros((2, trunc.n_levels), dtype=complex)
-    amps[E, 0] = 1.0
-    state = jc_evolve(JointVector(amps), DEFAULT_OMEGA_CHI)
-    return stark_phase(state, phi + math.pi / 2.0)
+    vacuum = np.zeros(trunc.n_levels, dtype=complex)
+    vacuum[0] = 1.0
+    a_e, a_g = branch_amplitudes(vacuum, DEFAULT_OMEGA_CHI)
+    return stark_phase(np.stack([a_g, a_e]), phi + math.pi / 2.0)
 
 
 def zero_temp_wait(phi: float, T: float,
@@ -244,10 +250,10 @@ def master_fringe(T: float, nbar: float, phi_grid=None,
     phi batch is propagated as one stack by the uniformized series of
     `evolve_master`, with the same certified tail bound. Without an explicit
     trunc, n_max is chosen from the thermal feeding rate; the second pulse
-    raises TruncationLeak if that choice let the top level fill.
+    raises TruncationLeak if that choice let the top level fill. A negative,
+    NaN or infinite T raises ValueError.
     """
-    if T < 0:
-        raise ValueError(f"T must be >= 0, got {T}")
+    _check_wait(T)
     _check_nbar(nbar)
     if phi_grid is None:
         phi_grid = np.linspace(0.0, 2.0 * np.pi, 9)
@@ -264,7 +270,7 @@ def master_fringe(T: float, nbar: float, phi_grid=None,
     # same phase convention as setup2_pg: at the default omega_chi the
     # undamped fringe is cos^2(phi/2)
     mats = np.stack([
-        split_vacuum_state(phi - math.pi / 2.0, trunc).to_density().mat
+        pure_density(split_vacuum_state(phi - math.pi / 2.0, trunc)).mat
         for phi in phi_grid
     ])
     if T > 0:

@@ -20,7 +20,7 @@ from cavity_ramsey.experiments import (
     run_setup1,
     run_velocity_scan,
 )
-from cavity_ramsey.fock import TruncationConfig, assert_physical_density
+from cavity_ramsey.fock import TruncationConfig, assert_physical_density, pure_density
 from cavity_ramsey.interferometry import (
     DetectionModel,
     apply_detection,
@@ -62,7 +62,7 @@ def test_criterion_2_oracle_vs_analytic():
     worst = 0.0
     for T in (0.001, 0.008, 0.1, 0.4, 1.0):
         phi = 0.7
-        rho = evolve_master(split_vacuum_state(phi).to_density(), T, 0.0)
+        rho = evolve_master(pure_density(split_vacuum_state(phi)), T, 0.0)
         diff = float(np.max(np.abs(rho.mat - zero_temp_wait(phi, T).mat)))
         worst = max(worst, diff)
     v_fringe = master_fringe(0.008, 0.0).visibility
@@ -168,7 +168,7 @@ def test_criterion_7_physicality_suite():
         phi = rng.uniform(0.0, 2.0 * math.pi)
         T = rng.uniform(1e-3, 1.0)
         nbar = rng.uniform(0.0, 0.9)
-        rho = evolve_master(split_vacuum_state(phi).to_density(), T, nbar)
+        rho = evolve_master(pure_density(split_vacuum_state(phi)), T, nbar)
         worst_trace = max(worst_trace, abs(rho.trace() - 1.0))
         worst_herm = max(worst_herm,
                          float(np.max(np.abs(rho.mat - rho.mat.conj().T))))
@@ -176,7 +176,7 @@ def test_criterion_7_physicality_suite():
                         float(np.linalg.eigvalsh(rho.mat)[0]))
         assert_physical_density(rho.mat)
     # the split vacuum state cannot gain excitations over a cold bath
-    rho = evolve_master(split_vacuum_state(0.4).to_density(), 0.7, 0.0)
+    rho = evolve_master(pure_density(split_vacuum_state(0.4)), 0.7, 0.0)
     L = rho.n_levels
     keep = {0, 1, L}
     leak = sum(rho.mat[i, i].real for i in range(2 * L) if i not in keep)

@@ -100,6 +100,16 @@ class TestSubcommands:
         assert out == ""
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("command", ["setup2", "selftest", "velocity-scan"])
+    def test_non_finite_wait_is_a_usage_error(self, capsys, tmp_path, command):
+        # both inputs are finite, but T = tau / (2 t_cav) overflows to inf
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"tau_s": 1e300, "t_cav_s": 1e-300}))
+        code, out, err = run_cli(capsys, command, "--config", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "T = tau_s" in err
+
     def test_selftest_passes(self, capsys):
         code, out, _ = run_cli(capsys, "selftest")
         assert code == 0

@@ -33,6 +33,7 @@ class TestPhysicalConfig:
         {"eta": 1.5},
         {"nbar": -0.1},
         {"variant": "Z"},
+        {"tau_s": 1e300, "t_cav_s": 1e-300},  # T = tau / (2 t_cav) overflows
     ])
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):

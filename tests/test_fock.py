@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from cavity_ramsey.errors import TailTooLarge
 from cavity_ramsey.fock import (
     MAX_WIDENED_N_MAX,
-    AtomDensity,
+    E,
+    G,
     JointDensity,
-    JointVector,
     TruncationConfig,
     assert_physical_density,
     coherent_amplitudes,
@@ -20,6 +20,7 @@ from cavity_ramsey.fock import (
     min_eigenvalue,
     partial_trace_field,
     poisson_tail,
+    pure_density,
     tensor,
     thermal_density,
     widened_truncation,
@@ -133,14 +134,14 @@ class TestCoherentState:
 class TestThermalDensity:
     def test_zero_nbar_is_vacuum(self):
         rho = thermal_density(0.0, TruncationConfig(n_max=4))
-        assert rho.mat[0, 0] == 1.0
-        assert rho.trace() == pytest.approx(1.0)
+        assert rho[0, 0] == 1.0
+        assert np.trace(rho).real == pytest.approx(1.0)
 
     def test_geometric_ratio_and_trace(self):
         nbar = 0.7
         rho = thermal_density(nbar, TruncationConfig(n_max=60))
-        p = np.diag(rho.mat).real
-        assert rho.trace() == pytest.approx(1.0, abs=1e-14)
+        p = np.diag(rho).real
+        assert np.trace(rho).real == pytest.approx(1.0, abs=1e-14)
         ratios = p[1:6] / p[0:5]
         assert np.allclose(ratios, nbar / (1.0 + nbar), atol=1e-12)
 
@@ -157,29 +158,34 @@ class TestJointStructure:
     def test_flat_is_atom_major(self):
         amps = np.zeros((2, 3), dtype=complex)
         amps[1, 2] = 1.0  # |e, 2>
-        assert JointVector(amps).flat()[5] == 1.0
+        assert pure_density(amps).mat[5, 5] == 1.0
 
     def test_tensor_then_partial_trace_recovers_projector(self):
         atom = np.array([0.6, 0.8j])
         fld = coherent_state(0.9, TruncationConfig(n_max=30))
-        rho = tensor(atom, fld).to_density()
+        rho = pure_density(tensor(atom, fld))
         reduced = partial_trace_field(rho)
         proj = np.outer(atom, atom.conj()) * np.vdot(fld, fld).real
-        assert np.max(np.abs(reduced.mat - proj)) < 1e-12
+        assert np.max(np.abs(reduced - proj)) < 1e-12
 
     def test_partial_trace_preserves_trace_exactly(self):
         amps = np.array([[0.5, 0.1j, 0.2], [0.3, 0.4, -0.1j]])
-        rho = JointVector(amps).to_density()
-        assert partial_trace_field(rho).trace() == rho.trace()
+        rho = pure_density(amps)
+        assert float(np.trace(partial_trace_field(rho)).real) == rho.trace()
 
     def test_joint_density_rejects_odd_dimension(self):
         with pytest.raises(ValueError):
             JointDensity(np.eye(5))
 
+    @pytest.mark.parametrize("shape", [(3, 2), (2,), (2, 2, 2)])
+    def test_pure_density_rejects_non_joint_shape(self, shape):
+        with pytest.raises(ValueError, match="shape"):
+            pure_density(np.ones(shape))
+
 
 class TestDiagnostics:
     def test_accepts_valid_density(self):
-        rho = thermal_density(0.5, TruncationConfig(n_max=20)).mat
+        rho = thermal_density(0.5, TruncationConfig(n_max=20))
         assert_physical_density(rho)
 
     def test_rejects_non_hermitian(self):
@@ -200,5 +206,10 @@ class TestDiagnostics:
 
 
 def test_atom_density_pg_reads_ground_entry():
-    rho = AtomDensity(np.array([[0.7, 0.0], [0.0, 0.3]]))
-    assert rho.p_g() == pytest.approx(0.7)
+    # the reduced atomic density keeps the ground population at [G, G]
+    amps = np.zeros((2, 4), dtype=complex)
+    amps[G, 1] = math.sqrt(0.7)
+    amps[E, 2] = 1j * math.sqrt(0.3)
+    rho = partial_trace_field(pure_density(amps))
+    assert rho[G, G].real == pytest.approx(0.7)
+    assert rho[E, E].real == pytest.approx(0.3)

@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavity_ramsey.fock import (
-    FieldDensity,
     JointDensity,
     TruncationConfig,
     assert_physical_density,
+    pure_density,
     thermal_density,
 )
+from cavity_ramsey.jc import DEFAULT_OMEGA_CHI, doublet_unitary, jc_evolve, stark_phase
 from cavity_ramsey.open_system import (
     dissipator_apply,
     evolve_master,
@@ -59,24 +62,32 @@ def random_matrix(rng, dim):
 class TestDissipator:
     def test_thermal_state_is_fixed_point(self):
         nbar = 0.4
-        rho = thermal_density(nbar, TruncationConfig(n_max=40))
+        field = thermal_density(nbar, TruncationConfig(n_max=40))
+        rho = JointDensity(np.kron(np.diag([0.5, 0.5]), field))
         out = dissipator_apply(rho, nbar)
-        # fixed point away from the truncation edge
-        assert np.max(np.abs(out.mat[:30, :30])) < 1e-10
+        # fixed point away from the truncation edge, in both atomic blocks
+        assert np.max(np.abs(out.blocks()[:, :30, :, :30])) < 1e-10
 
     def test_traceless(self):
-        rho = split_vacuum_state(0.3).to_density()
+        rho = pure_density(split_vacuum_state(0.3))
         out = dissipator_apply(rho, 0.7)
         assert abs(np.trace(out.mat)) < 1e-12
 
-    @pytest.mark.parametrize("cls, atoms", [(FieldDensity, 1), (JointDensity, 2)])
+    @pytest.mark.parametrize("block", ["field", "joint"])
     @pytest.mark.parametrize("nbar", [0.0, 0.3, 0.95])
-    def test_stencil_matches_dense_operator_form(self, rng, cls, atoms, nbar):
+    def test_stencil_matches_dense_operator_form(self, rng, block, nbar):
+        # "field": a field matrix alone in the |g><g| block, against the
+        # field-only generator; "joint": a full joint matrix
         for L in (2, 5, 17):
-            mat = random_matrix(rng, atoms * L)
-            out = dissipator_apply(cls(mat), nbar)
-            assert isinstance(out, cls)
-            ref = dense_generator(mat, nbar, atoms)
+            if block == "field":
+                field = random_matrix(rng, L)
+                mat = np.kron(np.diag([1.0, 0.0]), field)
+                ref = np.kron(np.diag([1.0, 0.0]), dense_generator(field, nbar, 1))
+            else:
+                mat = random_matrix(rng, 2 * L)
+                ref = dense_generator(mat, nbar, 2)
+            out = dissipator_apply(JointDensity(mat), nbar)
+            assert isinstance(out, JointDensity)
             assert np.max(np.abs(out.mat - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_rejects_wrong_type(self):
@@ -88,7 +99,7 @@ class TestEvolveMaster:
     @pytest.mark.parametrize("T", T_GRID)
     def test_zero_temp_matches_closed_form_entrywise(self, T):
         phi = 0.7
-        rho0 = split_vacuum_state(phi).to_density()
+        rho0 = pure_density(split_vacuum_state(phi))
         out = evolve_master(rho0, T, 0.0)
         ref = zero_temp_wait(phi, T)
         assert np.max(np.abs(out.mat - ref.mat)) < 1e-8
@@ -96,7 +107,7 @@ class TestEvolveMaster:
     @pytest.mark.parametrize("T", T_GRID)
     def test_zero_temp_matches_closed_form_to_rounding(self, T):
         phi = 0.7
-        rho0 = split_vacuum_state(phi).to_density()
+        rho0 = pure_density(split_vacuum_state(phi))
         out = evolve_master(rho0, T, 0.0)
         ref = zero_temp_wait(phi, T)
         assert np.max(np.abs(out.mat - ref.mat)) <= 1e-13
@@ -112,13 +123,13 @@ class TestEvolveMaster:
     def test_long_wait_reaches_steady_state(self):
         # the largest loss rate is 20.6 here, so q tau = 824 and e^{-q tau}
         # would underflow without splitting the wait into chunks
-        rho0 = split_vacuum_state(0.3, TruncationConfig(n_max=5)).to_density()
+        rho0 = pure_density(split_vacuum_state(0.3, TruncationConfig(n_max=5)))
         out = evolve_master(rho0, 40.0, 0.7)
         assert abs(out.trace() - 1.0) < 1e-12
         assert np.max(np.abs(dissipator_apply(out, 0.7).mat)) < 1e-12
 
     def test_no_excitation_gain_at_zero_temp(self):
-        rho0 = split_vacuum_state(1.1).to_density()
+        rho0 = pure_density(split_vacuum_state(1.1))
         out = evolve_master(rho0, 0.5, 0.0)
         L = out.n_levels
         keep = {0, 1, L}  # |g,0>, |g,1>, |e,0>
@@ -126,24 +137,24 @@ class TestEvolveMaster:
         assert outside < 1e-10
 
     def test_physicality_long_duration(self):
-        rho0 = split_vacuum_state(0.2).to_density()
+        rho0 = pure_density(split_vacuum_state(0.2))
         out = evolve_master(rho0, 2.0, 0.7)
         assert_physical_density(out.mat)
 
     def test_zero_duration_identity(self):
-        rho0 = split_vacuum_state(0.2).to_density()
+        rho0 = pure_density(split_vacuum_state(0.2))
         out = evolve_master(rho0, 0.0, 0.0)
         assert out is rho0
 
     def test_negative_duration_rejected(self):
-        rho0 = split_vacuum_state(0.0).to_density()
+        rho0 = pure_density(split_vacuum_state(0.0))
         with pytest.raises(ValueError):
             evolve_master(rho0, -0.1, 0.0)
 
 
 @pytest.mark.parametrize("T", [0.0, 0.1])
 def test_negative_nbar_rejected(T):
-    rho0 = split_vacuum_state(0.0).to_density()
+    rho0 = pure_density(split_vacuum_state(0.0))
     with pytest.raises(ValueError, match="nbar"):
         dissipator_apply(rho0, -0.1)
     with pytest.raises(ValueError, match="nbar"):
@@ -152,15 +163,51 @@ def test_negative_nbar_rejected(T):
         master_fringe(T, -0.1)
 
 
+@pytest.mark.parametrize("T", [math.nan, math.inf])
+def test_non_finite_wait_rejected(T):
+    # NaN fails every comparison, so a bare `T < 0` check lets it through
+    rho0 = pure_density(split_vacuum_state(0.0))
+    with pytest.raises(ValueError, match="T must be finite"):
+        evolve_master(rho0, T, 0.0)
+    with pytest.raises(ValueError, match="T must be finite"):
+        master_fringe(T, 0.7)
+
+
+@pytest.mark.parametrize("call", [
+    lambda x: jc_evolve(x, 0.5),
+    lambda x: evolve_master(x, 0.0, 0.0),
+    lambda x: evolve_master(x, 0.1, 0.0),
+    lambda x: dissipator_apply(x, 0.0),
+], ids=["jc_evolve", "evolve_master_T0", "evolve_master_T", "dissipator_apply"])
+@pytest.mark.parametrize("state", [np.eye(4), split_vacuum_state(0.3)],
+                         ids=["matrix", "amplitudes"])
+def test_wrong_state_kind_is_type_error(call, state):
+    # refused before any work, so T = 0 cannot hand the input back unchecked
+    with pytest.raises(TypeError, match="JointDensity, got <class 'numpy.ndarray'>"):
+        call(state)
+
+
 class TestSplitVacuumState:
     def test_structure(self):
         phi = 0.9
         s = split_vacuum_state(phi)
-        L = s.n_levels
-        flat = s.flat()
+        L = s.shape[1]
+        flat = s.reshape(-1)
         assert abs(flat[L] - 1.0 / math.sqrt(2.0)) < 1e-12        # |e, 0>
         assert abs(flat[1] - np.exp(1j * phi) / math.sqrt(2.0)) < 1e-12  # |g, 1>
-        assert abs(s.norm2() - 1.0) < 1e-12
+        assert abs(np.vdot(s, s).real - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("n_max", [1, 8, 30])
+    @pytest.mark.parametrize("phi", [0.0, 0.9, -2.3, 7.0])
+    def test_matches_dense_pulse(self, phi, n_max):
+        # the branch formula on the vacuum row gives the dense doublet
+        # rotation of |e, 0> bit for bit
+        L = n_max + 1
+        e0 = np.zeros(2 * L, dtype=complex)
+        e0[L] = 1.0
+        dense = (doublet_unitary(L, DEFAULT_OMEGA_CHI) @ e0).reshape(2, L)
+        s = split_vacuum_state(phi, TruncationConfig(n_max=n_max))
+        assert np.array_equal(s, stark_phase(dense, phi + math.pi / 2.0))
 
 
 class TestSetup2:
@@ -231,13 +278,37 @@ class TestMasterFringe:
             master_fringe(-0.1, 0.0)
 
 
+class TestOracleProperties:
+    """Properties of the brute-force fringe over the box the series covers."""
+
+    @given(st.floats(min_value=0.0, max_value=1.0),
+           st.floats(min_value=0.0, max_value=0.95),
+           st.floats(min_value=0.1, max_value=1.5))
+    @settings(max_examples=20, deadline=None)
+    def test_fringe_is_affine_in_phase(self, T, nbar, omega_chi):
+        # only the ge coherence carries phi, so P_g = c0 + Re(c1 e^{i phi})
+        pattern = master_fringe(T, nbar, omega_chi=omega_chi)
+        phis = pattern.phis
+        design = np.column_stack([np.ones_like(phis), np.cos(phis), np.sin(phis)])
+        coef, *_ = np.linalg.lstsq(design, pattern.p_g, rcond=None)
+        assert np.max(np.abs(design @ coef - pattern.p_g)) <= 1e-13
+
+    @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=2, max_size=4),
+           st.floats(min_value=0.0, max_value=0.95))
+    @settings(max_examples=15, deadline=None)
+    def test_visibility_non_increasing_in_wait(self, waits, nbar):
+        v = [master_fringe(T, nbar).visibility for T in sorted(waits)]
+        # equal or nearly equal waits may differ by rounding only
+        assert np.all(np.diff(v) <= 1e-13)
+
+
 def test_random_evolutions_stay_physical(rng):
     # broader randomized sweep lives in the acceptance suite
     for _ in range(10):
         phi = rng.uniform(0.0, 2.0 * math.pi)
         T = rng.uniform(0.01, 1.0)
         nbar = rng.uniform(0.0, 0.9)
-        rho0 = split_vacuum_state(phi).to_density()
+        rho0 = pure_density(split_vacuum_state(phi))
         out = evolve_master(rho0, T, nbar)
         assert_physical_density(out.mat)
         assert isinstance(out, JointDensity)

@@ -2,7 +2,9 @@
 
 perfbench/tracer.py looks each (module, attribute) up with a bare getattr when
 it installs, so a renamed or deleted function breaks every traced benchmark
-run. The tracer is loaded from its path, as a file, and left unchanged.
+run. It also reads the oracle's density batch from the argument that
+`master_fringe` passes to `jc_evolve`. The tracer is loaded from its path, as
+a file, and left unchanged.
 """
 
 import importlib
@@ -33,3 +35,21 @@ def test_traced_name_resolves(module, cls, attr):
     if cls is not None:
         owner = getattr(owner, cls)
     assert callable(getattr(owner, attr))
+
+
+def test_tracer_sees_the_oracle_density_batch():
+    # the batch and level count give open_system.state_bytes, which the
+    # benchmark's self-check pins for the selftest workload's T = 0.04 point
+    open_system = importlib.import_module(f"{tracer.PACKAGE}.open_system")
+    t = tracer.Tracer()
+    t.install()
+    try:
+        open_system.master_fringe(0.04, 0.7)
+    finally:
+        t.uninstall()
+    assert tracer.leftover_wrappers() == []
+    trace = t.dump()
+    [fringe] = trace["fringe"]
+    assert fringe["point"] == "T0.04_nbar0.7"
+    assert (fringe["batch"], fringe["levels"]) == (9, 33)
+    assert tracer.layer_metrics(trace, 1.0)["open_system.state_bytes"] == 627_264
