@@ -236,6 +236,7 @@ def poisson_tail(mean: float, n_max: int) -> float:
     """
     if not 0.0 <= mean < math.inf:
         raise ValueError(f"Poisson mean must be finite and >= 0, got {mean}")
+    mean = float(mean)  # Python floats overflow to inf without a warning
     if n_max < 0:
         return 1.0
     if mean == 0.0:

@@ -70,10 +70,10 @@ def _stencil(n_levels: int, nbar: float):
 
 
 def _apply(r: np.ndarray, diag, down, up) -> np.ndarray:
-    """diag*r plus both hops, on a stack r of shape (..., A, L, A, L)."""
+    """diag*r plus both hops, on r of shape (2, L, 2, L): every atom block alike."""
     out = diag[:, None, :] * r
-    out[..., :-1, :, :-1] += down[:, None, :] * r[..., 1:, :, 1:]
-    out[..., 1:, :, 1:] += up[:, None, :] * r[..., :-1, :, :-1]
+    out[:, :-1, :, :-1] += down[:, None, :] * r[:, 1:, :, 1:]
+    out[:, 1:, :, 1:] += up[:, None, :] * r[:, :-1, :, :-1]
     return out
 
 
@@ -87,8 +87,8 @@ def dissipator_apply(rho: JointDensity, nbar: float) -> JointDensity:
     return JointDensity(out.reshape(rho.mat.shape))
 
 
-def _evolve_batch(mats: np.ndarray, T: float, nbar: float) -> np.ndarray:
-    """e^{T D} on a stack of joint densities, by uniformization.
+def _evolve(mat: np.ndarray, T: float, nbar: float) -> np.ndarray:
+    """e^{T D} on one (2L, 2L) joint density matrix, by uniformization.
 
     With q = max(loss), P = I + D/q is entrywise non-negative and, since
     2 sqrt(mn) <= m + n, never increases the entrywise l1 norm. Each chunk
@@ -99,14 +99,14 @@ def _evolve_batch(mats: np.ndarray, T: float, nbar: float) -> np.ndarray:
     so J is found once per call. That tail is a direct sum plus a geometric
     bound on the rest, never below the exact mass the chunk drops.
     """
-    L = mats.shape[-1] // 2
+    L = mat.shape[-1] // 2
     loss, down, up = _stencil(L, nbar)
     q = float(loss.max())
     chunks = max(1, math.ceil(q * T / MAX_CHUNK_RATE))
     qh = q * T / chunks
     terms = poisson_cutoff(qh, SERIES_TAIL_TOL)
     keep, down, up = 1.0 - loss / q, down / q, up / q
-    r = mats.reshape(-1, 2, L, 2, L)
+    r = mat.reshape(2, L, 2, L)
     for _ in range(chunks):
         term, weight = r, math.exp(-qh)
         r = weight * term
@@ -114,7 +114,7 @@ def _evolve_batch(mats: np.ndarray, T: float, nbar: float) -> np.ndarray:
             term = _apply(term, keep, down, up)
             weight *= qh / j
             r += weight * term
-    return r.reshape(mats.shape)
+    return r.reshape(mat.shape)
 
 
 def evolve_master(rho: JointDensity, T: float, nbar: float) -> JointDensity:
@@ -135,7 +135,7 @@ def evolve_master(rho: JointDensity, T: float, nbar: float) -> JointDensity:
     _check_nbar(nbar)
     if T == 0.0:
         return rho
-    return JointDensity(_evolve_batch(rho.mat[None, :, :], T, nbar)[0])
+    return JointDensity(_evolve(rho.mat, T, nbar))
 
 
 # --- zero-temperature closed forms --------------------------------------------
@@ -165,8 +165,7 @@ def zero_temp_wait(phi: float, T: float,
     populations (1 - e^{-2T})/2, e^{-2T}/2, 1/2, with a |g,1><e,0| coherence of
     magnitude e^{-T}/2 and phase phi.
     """
-    if T < 0:
-        raise ValueError(f"T must be >= 0, got {T}")
+    _check_wait(T)
     if trunc is None:
         trunc = TruncationConfig(n_max=8)
     L = trunc.n_levels
@@ -215,15 +214,13 @@ def zero_temp_visibility_closed_form(T: float) -> float:
     first order in T, about 0.4 percentage points at T = 0.008; both are
     exposed so the discrepancy stays visible in reports.
     """
-    if T < 0:
-        raise ValueError(f"T must be >= 0, got {T}")
+    _check_wait(T)
     return 2.0 * math.exp(-T) / (3.0 - math.exp(-T))
 
 
 def zero_temp_visibility_derived(T: float) -> float:
     """Visibility of the setup2_pg fringe, derived: 2 e^{-T} / (3 - e^{-2T})."""
-    if T < 0:
-        raise ValueError(f"T must be >= 0, got {T}")
+    _check_wait(T)
     return 2.0 * math.exp(-T) / (3.0 - math.exp(-2.0 * T))
 
 
@@ -246,12 +243,14 @@ def master_fringe(T: float, nbar: float, phi_grid=None,
 
     This is the oracle chain used to vet the thermal series and the closed
     forms. The split pulse has area pi/4; omega_chi is the area of the second,
-    recombining pulse, the same parameter as the series' omega_chi. The whole
-    phi batch is propagated as one stack by the uniformized series of
-    `evolve_master`, with the same certified tail bound. Without an explicit
-    trunc, n_max is chosen from the thermal feeding rate; the second pulse
-    raises TruncationLeak if that choice let the top level fill. A negative,
-    NaN or infinite T raises ValueError.
+    recombining pulse, the same parameter as the series' omega_chi. The wait
+    acts alike on the field indices of every atom block, so it commutes with
+    the Stark phase phi, which only scales the |g><e| block by e^{i phi} and
+    |e><g| by e^{-i phi}: the phi = 0 state is propagated once, as in
+    `evolve_master`, and each phi is applied after the wait. Without an
+    explicit trunc, n_max is chosen from the thermal feeding rate; the second
+    pulse raises TruncationLeak if that choice let the top level fill. A
+    negative, NaN or infinite T raises ValueError.
     """
     _check_wait(T)
     _check_nbar(nbar)
@@ -269,17 +268,16 @@ def master_fringe(T: float, nbar: float, phi_grid=None,
 
     # same phase convention as setup2_pg: at the default omega_chi the
     # undamped fringe is cos^2(phi/2)
-    mats = np.stack([
-        pure_density(split_vacuum_state(phi - math.pi / 2.0, trunc)).mat
-        for phi in phi_grid
-    ])
+    waited = pure_density(split_vacuum_state(-math.pi / 2.0, trunc)).mat
     if T > 0:
-        mats = _evolve_batch(mats, T, nbar)
+        waited = _evolve(waited, T, nbar)
     L = trunc.n_levels
-    p_g = np.array([
-        float(np.trace(jc_evolve(JointDensity(m), omega_chi).mat[:L, :L]).real)
-        for m in mats
-    ])
+    p_g = np.empty(len(phi_grid))
+    for i, phase in enumerate(np.exp(1j * phi_grid)):
+        m = waited.copy()
+        m[:L, L:] *= phase
+        m[L:, :L] *= phase.conjugate()
+        p_g[i] = np.trace(jc_evolve(JointDensity(m), omega_chi).mat[:L, :L]).real
     return FringePattern(phi_grid, np.clip(p_g, 0.0, 1.0),
                          visibility_from_pattern(phi_grid, p_g))
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -187,6 +188,19 @@ def test_wrong_state_kind_is_type_error(call, state):
         call(state)
 
 
+@pytest.mark.parametrize("T", [math.nan, math.inf, -0.1])
+@pytest.mark.parametrize("closed_form", [
+    lambda T: zero_temp_wait(0.3, T),
+    lambda T: setup2_pg(0.3, T),
+    zero_temp_visibility_closed_form,
+    zero_temp_visibility_derived,
+], ids=["zero_temp_wait", "setup2_pg", "visibility_closed_form",
+        "visibility_derived"])
+def test_closed_forms_refuse_bad_wait(closed_form, T):
+    with pytest.raises(ValueError, match="T must be finite"):
+        closed_form(T)
+
+
 class TestSplitVacuumState:
     def test_structure(self):
         phi = 0.9
@@ -251,12 +265,6 @@ class TestVisibilityFormulas:
         derived = zero_temp_visibility_derived(0.008)
         assert 0.0 < compact - derived < 0.005
 
-    def test_rejects_negative_wait(self):
-        with pytest.raises(ValueError):
-            zero_temp_visibility_closed_form(-0.1)
-        with pytest.raises(ValueError):
-            zero_temp_visibility_derived(-0.1)
-
 
 class TestMasterFringe:
     def test_matches_zero_temp_derived(self):
@@ -276,6 +284,53 @@ class TestMasterFringe:
     def test_negative_wait_rejected(self):
         with pytest.raises(ValueError, match="T must be"):
             master_fringe(-0.1, 0.0)
+
+    def test_subnormal_wait_is_the_undamped_fringe(self):
+        # a subnormal numpy wait gives a subnormal Poisson mean, where numpy
+        # scalar division overflows with a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = master_fringe(np.float64(5e-324), 0.7).visibility
+        assert abs(v - master_fringe(0.0, 0.7).visibility) <= 1e-15
+
+
+def per_phi_fringe(T, nbar, phi_grid, omega_chi=DEFAULT_OMEGA_CHI):
+    """The oracle as one chain per phi: split state, wait, second pulse, trace.
+
+    The reference for `master_fringe`: every phi is propagated separately, so
+    it does not rely on the wait commuting with the phase. n_max is
+    master_fringe's choice from the thermal feeding rate.
+    """
+    n_max = 12
+    if nbar > 0:
+        n_max = max(12, math.ceil(math.log(1e-12) / math.log(nbar / (1 + nbar))))
+    trunc = TruncationConfig(n_max=n_max)
+    p_g = []
+    for phi in phi_grid:
+        rho = pure_density(split_vacuum_state(phi - math.pi / 2.0, trunc))
+        rho = jc_evolve(evolve_master(rho, T, nbar), omega_chi)
+        p_g.append(np.trace(rho.mat[:trunc.n_levels, :trunc.n_levels]).real)
+    return np.clip(p_g, 0.0, 1.0)
+
+
+class TestPerPhiCrossCheck:
+    """master_fringe's one propagation against a propagation per phi."""
+
+    @given(st.floats(min_value=0.0, max_value=1.0),
+           st.floats(min_value=0.0, max_value=0.95),
+           st.floats(min_value=0.1, max_value=1.5))
+    @settings(max_examples=20, deadline=None)
+    def test_matches_per_phi_chain(self, T, nbar, omega_chi):
+        pattern = master_fringe(T, nbar, omega_chi=omega_chi)
+        ref = per_phi_fringe(T, nbar, pattern.phis, omega_chi)
+        assert np.max(np.abs(pattern.p_g - ref)) <= 1e-14
+
+    @pytest.mark.parametrize("T", (0.0,) + T_GRID)
+    def test_matches_per_phi_chain_on_setup2_grid(self, T):
+        # run_setup2's 65-point fringe at nbar = 0
+        grid = np.linspace(0.0, 2.0 * math.pi, 65)
+        pattern = master_fringe(T, 0.0, phi_grid=grid)
+        assert np.max(np.abs(pattern.p_g - per_phi_fringe(T, 0.0, grid))) <= 1e-14
 
 
 class TestOracleProperties:
