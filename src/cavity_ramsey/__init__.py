@@ -12,7 +12,6 @@ from .errors import (
     CavityRamseyError,
     ConvergenceFailure,
     DegeneratePattern,
-    DomainError,
     InconclusiveSelection,
     NoRootFound,
     TailTooLarge,
@@ -41,11 +40,10 @@ from .interferometry import (
     DetectionModel,
     FringePattern,
     apply_detection,
-    atomic_state_after_phase,
     branch_overlap,
-    classical_pi_half,
     fringe_scan_setup1,
     plus_minus_decomposition,
+    sinusoid_fringe,
     visibility_from_pattern,
 )
 from .jc import (

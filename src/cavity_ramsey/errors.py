@@ -25,9 +25,5 @@ class ConvergenceFailure(CavityRamseyError):
     """A series hit its term caps before reaching the requested tolerance."""
 
 
-class DomainError(CavityRamseyError, ValueError):
-    """An input lies outside the validated domain of an operation."""
-
-
 class InconclusiveSelection(CavityRamseyError):
     """Neither candidate series form is compatible with the integrator oracle."""

@@ -18,6 +18,7 @@ from .fock import (
     TruncationConfig,
     coherent_amplitudes,
     poisson_tail,
+    squared_norms,
     widened_truncation,
 )
 from .interferometry import (
@@ -27,7 +28,7 @@ from .interferometry import (
     fringe_scan_setup1,
     plus_minus_decomposition,
 )
-from .jc import branch_amplitudes, excited_branch_norm, solve_pi_half_time
+from .jc import branch_amplitudes, branch_states, solve_pi_half_time
 from .open_system import (
     master_fringe,
     zero_temp_visibility_closed_form,
@@ -353,7 +354,7 @@ def run_selftest(config: PhysicalConfig | None = None) -> ScanReport:
     # pulse-area solver residual at N = 10
     t10 = solve_pi_half_time(math.sqrt(10.0), cfg.trunc)
     check("pi_half_residual",
-          excited_branch_norm(math.sqrt(10.0), t10, cfg.trunc), 0.5, 1e-9)
+          squared_norms(branch_states(math.sqrt(10.0), t10, cfg.trunc)[0]), 0.5, 1e-9)
 
     meta = _provenance(cfg, series.variant)
     meta["all_pass"] = all(r[-1] == "pass" for r in rows)

@@ -14,13 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneratePattern
-from .fock import G, TruncationConfig, squared_norms
+from .fock import TruncationConfig, squared_norms
 from .jc import branch_states, solve_pi_half_time
-
-# Recombination convention for the classical pi/2 zone: maps the dephased
-# split state onto populations 1/2 +- Re(e^{i phi} <alpha_e|alpha_g>).
-# Pinned by a unit test; visibilities do not depend on this choice.
-RECOMBINATION_UNITARY = np.array([[1.0, 1.0], [-1.0, 1.0]], dtype=complex) / np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -82,29 +77,6 @@ def plus_minus_decomposition(alpha_e: np.ndarray, alpha_g: np.ndarray
     return n_plus, squared_norms(combined) / 4.0
 
 
-def atomic_state_after_phase(alpha_e: np.ndarray, alpha_g: np.ndarray,
-                             phi: float) -> np.ndarray:
-    """Reduced 2x2 atomic density after the split and the accumulated phase phi.
-
-    With equal branch norms the populations are 1/2 and the only memory of the
-    field is the off-diagonal overlap:
-        [[1/2,                e^{i phi} <alpha_e|alpha_g>],
-         [e^{-i phi} <alpha_g|alpha_e>, 1/2             ]]
-    """
-    c = branch_overlap(alpha_e, alpha_g) * np.exp(1j * phi)
-    return np.array([[0.5, c], [np.conj(c), 0.5]], dtype=complex)
-
-
-def classical_pi_half(rho: np.ndarray) -> np.ndarray:
-    """Recombine the levels of a 2x2 atomic density by the classical pi/2 rotation.
-
-    Maps coherence into populations: for input off-diagonal c the output
-    populations are 1/2 + Re(c) (ground) and 1/2 - Re(c) (excited).
-    """
-    U = RECOMBINATION_UNITARY
-    return U @ rho @ U.conj().T
-
-
 def visibility_from_pattern(phis, p_g) -> float:
     """(max - min) / (max + min) of the underlying sinusoid.
 
@@ -133,26 +105,30 @@ def apply_detection(v: float, model: DetectionModel) -> float:
     return model.eta * v
 
 
+def sinusoid_fringe(phi_grid, c0: float, c1: complex) -> FringePattern:
+    """The fringe P_g(phi) = c0 + Re(c1 e^{i phi}), sampled on phi_grid.
+
+    P_g is linear in the state and only the g/e coherence carries phi, so
+    every fringe is fixed by these two numbers. The samples are clipped to
+    [0, 1]; the visibility is fitted to the unclipped ones.
+    """
+    phis = np.asarray(phi_grid, dtype=float)
+    p_g = c0 + (c1 * np.exp(1j * phis)).real
+    return FringePattern(phis, np.clip(p_g, 0.0, 1.0),
+                         visibility_from_pattern(phis, p_g))
+
+
 def fringe_scan_setup1(alpha: complex,
                        trunc: TruncationConfig | None = None,
                        phi_grid=None) -> FringePattern:
     """Full single-quantized-zone fringe: solve the pulse area, scan phi.
 
-    P_g(phi) = 1/2 + Re(e^{i phi} <alpha_e|alpha_g>), read from the recombined
-    atomic state rather than from the overlap directly, so the scan exercises
-    the same matrix pipeline the overlap shortcut is checked against.
+    The classical pi/2 zone recombines the split atom, whose populations are
+    1/2 and whose coherence is e^{i phi} <alpha_e|alpha_g>, into
+    P_g(phi) = 1/2 + Re(e^{i phi} <alpha_e|alpha_g>).
     """
     if phi_grid is None:
         phi_grid = np.linspace(0.0, 2.0 * np.pi, 65)
-    phi_grid = np.asarray(phi_grid, dtype=float)
-    if phi_grid.size < 8 or phi_grid.max() - phi_grid.min() < 2.0 * np.pi - 1e-9:
-        raise ValueError("phi grid needs >= 8 points spanning a full period")
     area = solve_pi_half_time(alpha, trunc)
-    a_e, a_g = branch_states(alpha, area, trunc)
-    p_g = np.array([
-        classical_pi_half(atomic_state_after_phase(a_e, a_g, phi))[G, G].real
-        for phi in phi_grid
-    ])
-    p_g = np.clip(p_g, 0.0, 1.0)
-    vis = visibility_from_pattern(phi_grid, p_g)
-    return FringePattern(phi_grid, p_g, vis)
+    return sinusoid_fringe(phi_grid, 0.5,
+                           complex(branch_overlap(*branch_states(alpha, area, trunc))))

@@ -126,14 +126,6 @@ def branch_states(alpha: complex, area: float,
     return branch_amplitudes(coherent_state(alpha, trunc), area)
 
 
-def excited_branch_norm(alpha: complex, area: float,
-                        trunc: TruncationConfig) -> float:
-    """<alpha_e|alpha_e> = sum_n |c_n|^2 cos^2(area sqrt(n+1)), without vectors."""
-    c2 = np.abs(coherent_state(alpha, trunc)) ** 2
-    ang = area * np.sqrt(np.arange(trunc.n_levels) + 1.0)
-    return float(np.sum(c2 * np.cos(ang) ** 2))
-
-
 def _pi_half_areas(alphas: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, int, float]:
     """The pi/2 areas of solve_pi_half_time for the rows c of a 1-d alphas.
 

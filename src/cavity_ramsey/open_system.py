@@ -24,7 +24,7 @@ from .fock import (
     poisson_cutoff,
     pure_density,
 )
-from .interferometry import FringePattern, visibility_from_pattern
+from .interferometry import FringePattern, sinusoid_fringe
 from .jc import DEFAULT_OMEGA_CHI, branch_amplitudes, jc_evolve, stark_phase
 
 
@@ -181,6 +181,31 @@ def zero_temp_wait(phi: float, T: float,
     return JointDensity(mat)
 
 
+def _fringe_coefficients(mat: np.ndarray, area: float) -> tuple[float, complex]:
+    """(c0, c1) of P_g(phi) = c0 + Re(c1 e^{i phi}) after a pulse of this area.
+
+    mat is the (2L, 2L) joint density at phi = 0; phi scales its |g><e|
+    block by e^{i phi} and its |e><g| block by e^{-i phi}. P_g is linear in
+    the state, so the pulsed diagonal blocks give c0 and the pulsed |g><e|
+    block alone gives c1 / 2 (the |e><g| block gives its conjugate): two
+    pulses for any phi grid. The first pulse carries jc_evolve's leak guard.
+    """
+    L = mat.shape[0] // 2
+    diagonal = mat.copy()
+    diagonal[:L, L:] = diagonal[L:, :L] = 0.0
+    coherence = np.zeros_like(mat)
+    coherence[:L, L:] = mat[:L, L:]
+    c0 = np.trace(jc_evolve(JointDensity(diagonal), area).mat[:L, :L]).real
+    half = np.trace(jc_evolve(JointDensity(coherence), area).mat[:L, :L])
+    return float(c0), 2.0 * complex(half)
+
+
+def _setup2_coefficients(T: float) -> tuple[float, complex]:
+    """(c0, c1) of the zero-temperature fringe after a wait T."""
+    return _fringe_coefficients(zero_temp_wait(-math.pi / 2.0, T).mat,
+                                DEFAULT_OMEGA_CHI)
+
+
 def setup2_pg(phi: float, T: float) -> float:
     """Ground-state detection probability for the shared-mode interferometer.
 
@@ -190,20 +215,15 @@ def setup2_pg(phi: float, T: float) -> float:
 
         P_g(phi, T) = 3/4 - e^{-2T}/4 + (e^{-T}/2) cos(phi)
     """
-    rho = zero_temp_wait(phi - math.pi / 2.0, T)
-    rho = jc_evolve(rho, DEFAULT_OMEGA_CHI)
-    L = rho.n_levels
-    return float(np.trace(rho.mat[:L, :L]).real)
+    c0, c1 = _setup2_coefficients(T)
+    return float(c0 + (c1 * np.exp(1j * phi)).real)
 
 
 def setup2_fringe(T: float, phi_grid=None) -> FringePattern:
-    """Zero-temperature fringe from the closed-form chain."""
+    """Zero-temperature fringe from the closed-form wait state."""
     if phi_grid is None:
         phi_grid = np.linspace(0.0, 2.0 * np.pi, 65)
-    phi_grid = np.asarray(phi_grid, dtype=float)
-    p_g = np.array([setup2_pg(phi, T) for phi in phi_grid])
-    return FringePattern(phi_grid, np.clip(p_g, 0.0, 1.0),
-                         visibility_from_pattern(phi_grid, p_g))
+    return sinusoid_fringe(phi_grid, *_setup2_coefficients(T))
 
 
 def zero_temp_visibility_closed_form(T: float) -> float:
@@ -247,16 +267,16 @@ def master_fringe(T: float, nbar: float, phi_grid=None,
     acts alike on the field indices of every atom block, so it commutes with
     the Stark phase phi, which only scales the |g><e| block by e^{i phi} and
     |e><g| by e^{-i phi}: the phi = 0 state is propagated once, as in
-    `evolve_master`, and each phi is applied after the wait. Without an
-    explicit trunc, n_max is chosen from the thermal feeding rate; the second
-    pulse raises TruncationLeak if that choice let the top level fill. A
-    negative, NaN or infinite T raises ValueError.
+    `evolve_master`, and two second pulses of the waited state give the
+    whole fringe (`_fringe_coefficients`). Without an explicit trunc, n_max
+    is chosen from the thermal feeding rate; the second pulse raises
+    TruncationLeak if that choice let the top level fill. A negative, NaN or
+    infinite T raises ValueError.
     """
     _check_wait(T)
     _check_nbar(nbar)
     if phi_grid is None:
         phi_grid = np.linspace(0.0, 2.0 * np.pi, 9)
-    phi_grid = np.asarray(phi_grid, dtype=float)
     if trunc is None:
         # thermal feeding dies off geometrically in nbar/(1+nbar); keep enough
         # levels that the top excited level stays below the pulse's leak guard
@@ -271,15 +291,7 @@ def master_fringe(T: float, nbar: float, phi_grid=None,
     waited = pure_density(split_vacuum_state(-math.pi / 2.0, trunc)).mat
     if T > 0:
         waited = _evolve(waited, T, nbar)
-    L = trunc.n_levels
-    p_g = np.empty(len(phi_grid))
-    for i, phase in enumerate(np.exp(1j * phi_grid)):
-        m = waited.copy()
-        m[:L, L:] *= phase
-        m[L:, :L] *= phase.conjugate()
-        p_g[i] = np.trace(jc_evolve(JointDensity(m), omega_chi).mat[:L, :L]).real
-    return FringePattern(phi_grid, np.clip(p_g, 0.0, 1.0),
-                         visibility_from_pattern(phi_grid, p_g))
+    return sinusoid_fringe(phi_grid, *_fringe_coefficients(waited, omega_chi))
 
 
 def master_visibility(T: float, nbar: float, **kwargs) -> float:

@@ -46,7 +46,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DomainError, InconclusiveSelection
+from .errors import ConvergenceFailure, InconclusiveSelection
 from .fock import bd0, rounding_bound, stirlerr, upper_tail_sum
 from .jc import DEFAULT_OMEGA_CHI
 from .summation import exact_sum
@@ -57,23 +57,22 @@ SELECTION_GRID = (
     (0.1, 0.3), (0.1, 0.7),
     (0.4, 0.3), (0.4, 0.7),
 )
+# caps on the ladder length and on an inner sum's support
+J_MAX = 256
+M_MAX = 4096
 
 
 @dataclass(frozen=True)
 class SeriesConfig:
-    """Truncation thresholds, caps and the transcription choices."""
+    """Truncation threshold and the transcription choices."""
 
     term_tol: float = 1e-12
-    j_max: int = 256
-    m_max: int = 4096
     variant: str = "A"
     printed_osc_sign: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.term_tol <= 1e-6:
             raise ValueError(f"term_tol must be in (0, 1e-6], got {self.term_tol}")
-        if self.j_max < 16 or self.m_max < 16:
-            raise ValueError("series caps must be >= 16")
         if self.variant not in ("A", "B"):
             raise ValueError(f"variant must be 'A' or 'B', got {self.variant!r}")
 
@@ -82,9 +81,9 @@ def _waits(T, nbar: float) -> np.ndarray:
     """The waits as a flat float array, after checking the domain."""
     ts = np.asarray(T, dtype=float).reshape(-1)
     if not np.all(ts >= 0):  # also refuses NaN
-        raise DomainError(f"T must be >= 0, got {T}")
+        raise ValueError(f"T must be >= 0, got {T}")
     if not 0.0 < nbar < 1.0:
-        raise DomainError(f"nbar must lie in (0, 1) for convergence, got {nbar}")
+        raise ValueError(f"nbar must lie in (0, 1) for convergence, got {nbar}")
     return ts
 
 
@@ -177,7 +176,7 @@ def _support(successes: int, scale: float, nbar: float, start: int,
     `_negbin_tail` gives the tail itself, which then grows by one term per
     step back down, tail(K - 1) = tail(K) + P[= K], to the smallest K that
     still holds it. Every tail compared is an upper bound, so the support is
-    certified; it is K < cfg.m_max or ConvergenceFailure. Raises ValueError
+    certified; it is K < M_MAX or ConvergenceFailure. Raises ValueError
     unless nbar is finite and > 0.
     """
     _check_tail_nbar(nbar)
@@ -186,7 +185,7 @@ def _support(successes: int, scale: float, nbar: float, start: int,
     # past the mode: the term ratio q (x + successes) / (x + 1) is below 1
     x = max(start, math.floor((successes - 1) * nbar)) + 1
     term = math.exp(_negbin_log_pmf(x, successes, nbar)[0])
-    while x <= cfg.m_max:
+    while x <= M_MAX:
         ratio = q * (x + successes) / (x + 1)
         if term / (1.0 - ratio) <= 0.5 * limit:  # bounds P[> x - 1]
             break
@@ -201,8 +200,8 @@ def _support(successes: int, scale: float, nbar: float, start: int,
             break
         tail += term
         K -= 1
-    if K >= cfg.m_max or tail > limit:
-        raise ConvergenceFailure(f"inner sum needs more than m_max={cfg.m_max} terms "
+    if K >= M_MAX or tail > limit:
+        raise ConvergenceFailure(f"inner sum needs more than M_MAX={M_MAX} terms "
                                  f"to reach {cfg.term_tol:.1e}")
     return K
 
@@ -214,7 +213,7 @@ def _ladder(coefficient, cfg: SeriesConfig, label: str) -> np.ndarray:
     them, so this is the longest ladder any wait needs.
     """
     out, below = [], 0
-    for j in range(cfg.j_max):
+    for j in range(J_MAX):
         out.append(coefficient(j))
         below = below + 1 if abs(out[-1]) < cfg.term_tol else 0
         if below == 3:

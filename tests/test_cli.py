@@ -202,13 +202,32 @@ class TestExitCodes:
         assert "error" in err
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _package_env():
+    """The environment with this checkout's src first on PYTHONPATH."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+
+
 def test_import_leaves_scipy_out():
     # the package needs numpy only; scipy must not creep back into start-up
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
     code = ("import sys, cavity_ramsey.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", code], env=_package_env(), check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_run_all_scenarios_script(tmp_path):
+    # every scenario at the default configuration, on a coarse fig4 grid
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_all_scenarios.py"),
+         "--out-dir", str(tmp_path), "--fig4-step", "0.2"],
+        env=_package_env(), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "config.json", "fig4.csv", "selftest.csv", "setup1.csv", "setup2.json",
+        "velocity_scan.csv"]
+    assert "selftest: all checks passed" in done.stdout.splitlines()

@@ -8,15 +8,13 @@ from hypothesis import strategies as st
 from cavity_ramsey.errors import DegeneratePattern
 from cavity_ramsey.fock import G, TruncationConfig
 from cavity_ramsey.interferometry import (
-    RECOMBINATION_UNITARY,
     DetectionModel,
     FringePattern,
     apply_detection,
-    atomic_state_after_phase,
     branch_overlap,
-    classical_pi_half,
     fringe_scan_setup1,
     plus_minus_decomposition,
+    sinusoid_fringe,
     visibility_from_pattern,
 )
 from cavity_ramsey.jc import branch_states, solve_pi_half_time
@@ -90,19 +88,66 @@ class TestPlusMinus:
         assert n_plus == pytest.approx(0.5, abs=1e-12)
 
 
+# the classical pi/2 zone; visibilities do not depend on this convention
+RECOMBINATION = np.array([[1.0, 1.0], [-1.0, 1.0]], dtype=complex) / math.sqrt(2.0)
+
+
+def recombined(a_e, a_g, phi):
+    """The split atom after the phase phi and the classical pi/2 zone.
+
+    With equal branch norms the reduced atomic state before the zone is
+    [[1/2, c], [c*, 1/2]], c = <alpha_e|alpha_g> e^{i phi}.
+    """
+    c = branch_overlap(a_e, a_g) * np.exp(1j * phi)
+    rho = np.array([[0.5, c], [np.conj(c), 0.5]], dtype=complex)
+    return RECOMBINATION @ rho @ RECOMBINATION.conj().T
+
+
 class TestRecombination:
-    def test_unitary_pinned(self):
-        expected = np.array([[1.0, 1.0], [-1.0, 1.0]]) / math.sqrt(2.0)
-        assert np.allclose(RECOMBINATION_UNITARY, expected)
+    """fringe_scan_setup1 against a 2x2 recombination per phi."""
 
     def test_maps_coherence_to_population(self):
         a_e, a_g = _branches(5.0)
         ov = branch_overlap(a_e, a_g)
         phi = 0.8
-        rho = classical_pi_half(atomic_state_after_phase(a_e, a_g, phi))
+        rho = recombined(a_e, a_g, phi)
         expected = 0.5 + (ov * np.exp(1j * phi)).real
         assert rho[G, G].real == pytest.approx(expected, abs=1e-12)
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n_mean", N_GRID)
+    def test_matches_recombination_per_phi(self, n_mean):
+        pattern = fringe_scan_setup1(math.sqrt(n_mean), TRUNC)
+        a_e, a_g = _branches(n_mean)
+        ref = np.clip([recombined(a_e, a_g, phi)[G, G].real for phi in pattern.phis],
+                      0.0, 1.0)
+        assert pattern.phis.size == 65
+        assert np.max(np.abs(pattern.p_g - ref)) <= 1e-14
+
+
+class TestSinusoidFringe:
+    @given(st.floats(min_value=0.2, max_value=0.8),
+           st.floats(min_value=0.0, max_value=0.19),
+           st.floats(min_value=-math.pi, max_value=math.pi))
+    @settings(max_examples=60, deadline=None)
+    def test_samples_and_visibility(self, c0, r, arg):
+        c1 = r * complex(math.cos(arg), math.sin(arg))
+        phis = np.linspace(0.0, 2.0 * math.pi, 9)
+        pattern = sinusoid_fringe(phis, c0, c1)
+        assert np.array_equal(pattern.phis, phis)
+        assert np.max(np.abs(pattern.p_g - (c0 + r * np.cos(phis + arg)))) <= 1e-15
+        assert abs(pattern.visibility - r / c0) <= 1e-12
+
+    def test_clips_samples_but_fits_unclipped(self):
+        # a contrast just past 1, as rounding can give, dips below 0 at phi = pi
+        phis = np.linspace(0.0, 2.0 * math.pi, 17)
+        pattern = sinusoid_fringe(phis, 0.5, 0.5 + 1e-13)
+        assert pattern.p_g.min() == 0.0 and pattern.p_g.max() == 1.0
+        assert pattern.visibility == pytest.approx(1.0 + 2e-13, abs=1e-15)
+
+    def test_refuses_a_short_grid(self):
+        with pytest.raises(ValueError, match="at least 8"):
+            sinusoid_fringe(np.linspace(0.0, 2.0 * math.pi, 5), 0.5, 0.25)
 
 
 class TestVisibilityExtraction:

@@ -13,6 +13,7 @@ from cavity_ramsey.fock import (
     coherent_amplitudes,
     coherent_state,
     pure_density,
+    squared_norms,
     tensor,
 )
 from cavity_ramsey.jc import (
@@ -21,7 +22,6 @@ from cavity_ramsey.jc import (
     branch_amplitudes,
     branch_states,
     doublet_unitary,
-    excited_branch_norm,
     jc_evolve,
     solve_pi_half_time,
     stark_phase,
@@ -180,7 +180,7 @@ class TestPiHalfTime:
         # both defining equalities of the pulse condition
         assert abs(np.vdot(a_e, a_e).real - 0.5) < 1e-9
         assert abs(np.vdot(a_g, a_g).real - 0.5) < 1e-9
-        assert abs(excited_branch_norm(alpha, t, trunc) - 0.5) < 1e-9
+        assert abs(squared_norms(branch_states(alpha, t, trunc)[0]) - 0.5) < 1e-9
 
     def test_first_root_is_shortest(self):
         # for the vacuum the roots are odd multiples of pi/4

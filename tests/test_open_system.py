@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cavity_ramsey import open_system
+from cavity_ramsey.errors import TruncationLeak
 from cavity_ramsey.fock import (
     JointDensity,
     TruncationConfig,
@@ -244,6 +246,20 @@ class TestSetup2:
             pattern = setup2_fringe(T)
             assert abs(pattern.visibility - zero_temp_visibility_derived(T)) < 1e-9
 
+    @pytest.mark.parametrize("T", (0.0,) + T_GRID)
+    def test_matches_pulse_per_phi(self, T):
+        # the chain per phi: closed-form wait state, second pulse, trace
+        grid = np.linspace(0.0, 2.0 * math.pi, 65)
+        L = TruncationConfig(n_max=8).n_levels
+        ref = np.array([
+            np.trace(jc_evolve(zero_temp_wait(phi - math.pi / 2.0, T),
+                               DEFAULT_OMEGA_CHI).mat[:L, :L]).real
+            for phi in grid])
+        assert np.max(np.abs([setup2_pg(phi, T) for phi in grid] - ref)) <= 1e-14
+        pattern = setup2_fringe(T)
+        assert np.array_equal(pattern.phis, grid)
+        assert np.max(np.abs(pattern.p_g - np.clip(ref, 0.0, 1.0))) <= 1e-14
+
     def test_printed_form_is_defective(self):
         # documents why the transcribed compact fringe is excluded from oracles
         assert setup2_pg_printed_form(-0.5, 0.0) < 0.0
@@ -285,6 +301,24 @@ class TestMasterFringe:
         with pytest.raises(ValueError, match="T must be"):
             master_fringe(-0.1, 0.0)
 
+    def test_top_level_leak_raises(self):
+        # a 4-photon truncation cannot hold the thermal field at nbar 0.7
+        with pytest.raises(TruncationLeak):
+            master_fringe(0.4, 0.7, trunc=TruncationConfig(n_max=4))
+
+    @pytest.mark.parametrize("points", [9, 65, 1001])
+    def test_two_pulses_whatever_the_grid(self, points, monkeypatch):
+        calls = []
+
+        def counted(rho, area):
+            calls.append(area)
+            return jc_evolve(rho, area)
+
+        monkeypatch.setattr(open_system, "jc_evolve", counted)
+        grid = np.linspace(0.0, 2.0 * math.pi, points)
+        assert master_fringe(0.1, 0.7, phi_grid=grid, omega_chi=0.9).p_g.size == points
+        assert calls == [0.9, 0.9]
+
     def test_subnormal_wait_is_the_undamped_fringe(self):
         # a subnormal numpy wait gives a subnormal Poisson mean, where numpy
         # scalar division overflows with a warning
@@ -292,6 +326,24 @@ class TestMasterFringe:
             warnings.simplefilter("error")
             v = master_fringe(np.float64(5e-324), 0.7).visibility
         assert abs(v - master_fringe(0.0, 0.7).visibility) <= 1e-15
+
+
+def test_fringe_coefficients_match_a_pulse_per_phase(rng):
+    # a random density, whose fringe need not be even in phi as the
+    # package's fringes are; its |e, n_max> row and column stay empty
+    L = 6
+    a = random_matrix(rng, 2 * L)
+    a[-1] = 0.0
+    mat = a @ a.conj().T
+    mat /= np.trace(mat).real
+    c0, c1 = open_system._fringe_coefficients(mat, 0.9)
+    assert abs(c1.imag) > 1e-2
+    for phi in np.linspace(0.0, 2.0 * math.pi, 13):
+        m = mat.copy()
+        m[:L, L:] *= np.exp(1j * phi)
+        m[L:, :L] *= np.exp(-1j * phi)
+        p_g = np.trace(jc_evolve(JointDensity(m), 0.9).mat[:L, :L]).real
+        assert abs(c0 + (c1 * np.exp(1j * phi)).real - p_g) <= 1e-14
 
 
 def per_phi_fringe(T, nbar, phi_grid, omega_chi=DEFAULT_OMEGA_CHI):

@@ -109,10 +109,11 @@ def test_negbin_tail_refuses_bad_nbar(nbar):
         _support(5, 1.5, nbar, 0, SeriesConfig())
 
 
-def test_support_refuses_past_m_max():
+def test_support_refuses_past_m_max(monkeypatch):
     # the mode of 200 successes at nbar 0.9 lies far past 16 terms
+    monkeypatch.setattr(thermal, "M_MAX", 16)
     with pytest.raises(ConvergenceFailure):
-        _support(200, 1.9, 0.9, 0, SeriesConfig(m_max=16))
+        _support(200, 1.9, 0.9, 0, SeriesConfig())
 
 
 # --- the same cutoffs as scipy's tails on the benchmark's inputs -------------
@@ -170,7 +171,7 @@ def test_inner_supports_match_nbdtrc(workload, tmp_path, monkeypatch):
     _run(_benchmark_inputs(workload), tmp_path, monkeypatch)
     assert calls
     for (successes, scale, nbar, start, cfg), support in calls:
-        ks = np.arange(start, cfg.m_max)
+        ks = np.arange(start, thermal.M_MAX)
         held = scale * special.nbdtrc(ks, successes, 1.0 / (1.0 + nbar)) <= cfg.term_tol
         assert support == ks[np.argmax(held)]
 

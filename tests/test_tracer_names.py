@@ -39,7 +39,9 @@ def test_traced_name_resolves(module, cls, attr):
 
 def test_tracer_sees_the_oracle_density_batch():
     # the batch and level count give open_system.state_bytes, which the
-    # benchmark's self-check pins for the selftest workload's T = 0.04 point
+    # benchmark's self-check pins for the selftest workload's T = 0.04 point;
+    # master_fringe pulses two densities per fringe (the diagonal blocks and
+    # the |g><e| block), so the batch is 2 whatever the phi grid
     open_system = importlib.import_module(f"{tracer.PACKAGE}.open_system")
     t = tracer.Tracer()
     t.install()
@@ -51,5 +53,5 @@ def test_tracer_sees_the_oracle_density_batch():
     trace = t.dump()
     [fringe] = trace["fringe"]
     assert fringe["point"] == "T0.04_nbar0.7"
-    assert (fringe["batch"], fringe["levels"]) == (9, 33)
-    assert tracer.layer_metrics(trace, 1.0)["open_system.state_bytes"] == 627_264
+    assert (fringe["batch"], fringe["levels"]) == (2, 33)
+    assert tracer.layer_metrics(trace, 1.0)["open_system.state_bytes"] == 139_392
