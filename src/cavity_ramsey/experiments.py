@@ -137,8 +137,9 @@ def run_setup1(n_values=None, config: PhysicalConfig | None = None,
                phi_points: int = 65) -> ScanReport:
     """Single-quantized-zone scan over mean photon number N = |alpha|^2.
 
-    For each N the pulse area (pulse_time, in units with Omega = 1) is solved
-    for the equal-branch condition, the visibility is 2|<alpha_e|alpha_g>|,
+    For each N the pulse area (pulse_time, in units with Omega = 1) is the
+    first root of the equal-branch condition, reached by steps that cannot
+    pass it (`solve_pi_half_time`), the visibility is 2|<alpha_e|alpha_g>|,
     and the which-path weights n_+/- come from the gauge-aligned
     decomposition. The full fringe for the largest N is attached to the meta
     block. One truncation serves every row: the configured one, widened until

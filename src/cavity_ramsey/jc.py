@@ -24,7 +24,6 @@ from .fock import (
     coherent_amplitudes,
     coherent_state,
     default_truncation,
-    photon_means,
     rounding_bound,
     squared_norms,
 )
@@ -33,7 +32,7 @@ from .fock import (
 DEFAULT_OMEGA_CHI = math.pi / 4.0
 # largest |e, n_max> population a pulse may rotate without its partner level
 LEAK_TOL = 1e-10
-# |<alpha_e|alpha_e> - 1/2| at which the pulse-area bisection stops
+# |<alpha_e|alpha_e> - 1/2| at which the pulse-area steps stop
 PI_HALF_RESIDUAL_TOL = 1e-10
 
 
@@ -133,61 +132,58 @@ def _pi_half_areas(alphas: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, int, 
     f(t) = <alpha_e|alpha_e> - 1/2 they took (summed over the rows) and the
     largest |f| at an accepted area.
 
-    For each row, the first sign change of f is bracketed on a grid of step
-    pi / (64 sqrt(N+1)) and then bisected until |f| < PI_HALF_RESIDUAL_TOL;
-    the first root is the physical (shortest) pulse. All rows step together,
-    over a shrinking set of unfinished rows, but each keeps its own
-    arithmetic, so a row's area does not depend on the other rows.
+    With x = 2t sqrt(n+1), f = (sum c_n^2 cos x + sum c_n^2 - 1) / 2 and
+    f' = -sum c_n^2 sqrt(n+1) sin x share one angle array, and
+    M = 2 sum c_n^2 (n+1) >= |f''|. Each row starts at t = 0, where f > 0,
+    and steps to the first root of the lower bound f + f' h - M h^2 / 2 on
+    f(t + h), until |f| < PI_HALF_RESIDUAL_TOL. No step can pass a root of
+    f, so the area is its first root, the physical (shortest) pulse; near it
+    the step is Newton's. All rows step together and finished rows are
+    dropped, but each keeps its own arithmetic, so a row's area does not
+    depend on the other rows.
     """
-    c2 = np.abs(c) ** 2
-    sq = np.sqrt(np.arange(c.shape[-1]) + 1.0)
-
-    def f(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
-        return np.sum(c2[rows] * np.cos(t[:, None] * sq) ** 2, axis=1) - 0.5
-
-    K = len(alphas)
-    step = math.pi / (64.0 * np.sqrt(photon_means(alphas) + 1.0))
+    n1 = np.arange(c.shape[-1]) + 1.0
+    sq = np.sqrt(n1)
+    c2 = np.abs(c)
+    c2 *= c2
+    half_excess = 0.5 * np.sum(c2, axis=1) - 0.5
+    bound = 2.0 * np.sum(c2 * n1, axis=1)
     t_end = 4.0 * math.pi
-    rows = np.arange(K)
-    lo, f_lo = np.zeros(K), f(rows, np.zeros(K))
-    hi = np.zeros(K)
-    t = step.copy()
-    evaluations = K
-    while rows.size:
-        # written so that a NaN area (from a NaN alpha) also stops the scan
-        late = ~(t[rows] <= t_end)
+    areas = np.empty(len(alphas))
+    rows = np.arange(len(alphas))
+    t = np.zeros(len(alphas))
+    evaluations = 0
+    residual = 0.0
+    for _ in range(100):
+        if not rows.size:
+            break
+        # written so that a NaN area (from a NaN alpha) also stops the loop
+        late = ~(t <= t_end)
         if late.any():
             alpha = alphas[rows[late][0]]
             raise NoRootFound(f"no pi/2 crossing before Omega*t = 4*pi for alpha={alpha}")
-        f_t = f(rows, t[rows])
+        x = np.multiply.outer(2.0 * t, sq)
+        cos_x = np.cos(x)
+        cos_x *= c2
+        f = 0.5 * np.sum(cos_x, axis=1) + half_excess
+        # freed before x is copied or overwritten, so an evaluation never
+        # holds more than two (rows, n_levels) temporaries
+        del cos_x
         evaluations += rows.size
-        f_prev = f_lo[rows]
-        cross = (f_prev > 0.0) & (0.0 >= f_t) | (f_prev < 0.0) & (0.0 <= f_t)
-        hi[rows[cross]] = t[rows[cross]]
-        rows, f_t = rows[~cross], f_t[~cross]
-        lo[rows], f_lo[rows] = t[rows], f_t
-        t[rows] += step[rows]
-
-    areas = np.empty(K)
-    residual = 0.0
-    rows = np.arange(K)
-    for _ in range(200):
-        if not rows.size:
-            break
-        mid = 0.5 * (lo[rows] + hi[rows])
-        f_mid = f(rows, mid)
-        evaluations += rows.size
-        done = np.abs(f_mid) < PI_HALF_RESIDUAL_TOL
-        areas[rows[done]] = mid[done]
-        residual = max(residual, float(np.abs(f_mid[done]).max(initial=0.0)))
-        same = (f_lo[rows] > 0) == (f_mid > 0)
-        up = ~done & same
-        lo[rows[up]], f_lo[rows[up]] = mid[up], f_mid[up]
-        down = ~done & ~same
-        hi[rows[down]] = mid[down]
-        rows = rows[~done]
+        done = np.abs(f) < PI_HALF_RESIDUAL_TOL
+        if done.any():
+            areas[rows[done]] = t[done]
+            residual = max(residual, float(np.abs(f[done]).max()))
+            keep = ~done
+            rows, t, f, x, c2, half_excess, bound = (
+                a[keep] for a in (rows, t, f, x, c2, half_excess, bound))
+        np.sin(x, out=x)
+        x *= c2
+        x *= sq
+        df = -np.sum(x, axis=1)
+        t += 2.0 * f / (np.sqrt(df * df + 2.0 * bound * f) - df)
     if rows.size:  # pragma: no cover
-        raise NoRootFound(f"bisection stalled for alpha={alphas[rows[0]]}")
+        raise NoRootFound(f"pi/2 area did not converge for alpha={alphas[rows[0]]}")
     return areas, evaluations, residual
 
 
@@ -199,9 +195,10 @@ def solve_pi_half_time(alpha: complex | np.ndarray,
     `alpha` is a scalar (the result is a float) or a 1-d array (the result is
     an array of areas, one per entry, each equal to the scalar call's with
     the same `trunc`). Without `trunc`, the default truncation for the
-    largest |alpha| serves every entry. The entries are bracketed and
-    bisected together; see `_pi_half_areas`. Raises NoRootFound naming the
-    alpha that has no crossing.
+    largest |alpha| serves every entry. The entries step together from
+    t = 0 by curvature-bounded steps that cannot pass the first root; see
+    `_pi_half_areas`. Raises NoRootFound naming the alpha that has no
+    crossing.
 
     A `diagnostics` dict, if given, accumulates the solver's work across
     calls: "pulse_solver_evaluations" (evaluations of

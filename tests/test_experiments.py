@@ -134,7 +134,7 @@ class TestSetup1:
         diag = setup1_report.meta["diagnostics"]
         assert set(diag) == {"pulse_solver_evaluations", "max_pi_half_residual",
                              "coherent_tail"}
-        # each N costs f(0), a bracket scan and a bisection
+        # each N costs f(0) and a few curvature steps
         assert diag["pulse_solver_evaluations"] > 3 * len(setup1_report.rows)
         assert 0.0 <= diag["max_pi_half_residual"] < PI_HALF_RESIDUAL_TOL
         assert diag["coherent_tail"] == poisson_tail(20.0, setup1_report.meta["n_max"])

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cavity_ramsey.errors import NoRootFound, TailTooLarge, TruncationLeak
+from cavity_ramsey.experiments import SETUP1_BLOCK
 from cavity_ramsey.fock import (
     E,
     G,
@@ -15,6 +17,7 @@ from cavity_ramsey.fock import (
     pure_density,
     squared_norms,
     tensor,
+    widened_truncation,
 )
 from cavity_ramsey.jc import (
     PI_HALF_RESIDUAL_TOL,
@@ -34,19 +37,37 @@ PHOTON_NUMBERS = st.lists(
 
 
 def pi_half_area_one_alpha(alpha, trunc):
-    """(area, evaluations, |f| at the area) from a scalar bracket-and-bisect
-    loop over one alpha.
+    """(area, evaluations, |f| at the area) from a scalar curvature-step loop
+    over one alpha.
 
     The reference for the array solve_pi_half_time: the same rule, written
     one alpha and one float at a time.
     """
     c2 = np.abs(coherent_state(alpha, trunc)) ** 2
+    n1 = np.arange(trunc.n_levels) + 1.0
+    sq = np.sqrt(n1)
+    half_excess = 0.5 * float(np.sum(c2)) - 0.5
+    bound = 2.0 * float(np.sum(c2 * n1))
+    t = 0.0
+    for evaluations in range(1, 101):
+        assert t <= 4.0 * math.pi
+        x = 2.0 * t * sq
+        f = 0.5 * float(np.sum(c2 * np.cos(x))) + half_excess
+        if abs(f) < PI_HALF_RESIDUAL_TOL:
+            return t, evaluations, abs(f)
+        df = -float(np.sum(c2 * np.sin(x) * sq))
+        t += 2.0 * f / (math.sqrt(df * df + 2.0 * bound * f) - df)
+    raise AssertionError("curvature steps did not converge")
+
+
+def bisection_area_one_alpha(alpha, trunc):
+    """The pi/2 area from an independent bracket-and-bisect loop: the first
+    sign change of f on a grid of step pi / (64 sqrt(N+1)), bisected until
+    |f| < PI_HALF_RESIDUAL_TOL."""
+    c2 = np.abs(coherent_state(alpha, trunc)) ** 2
     sq = np.sqrt(np.arange(trunc.n_levels) + 1.0)
-    evaluations = 0
 
     def f(t):
-        nonlocal evaluations
-        evaluations += 1
         return float(np.sum(c2 * np.cos(t * sq) ** 2)) - 0.5
 
     step = math.pi / (64.0 * math.sqrt(abs(alpha) ** 2 + 1.0))
@@ -64,7 +85,7 @@ def pi_half_area_one_alpha(alpha, trunc):
         mid = 0.5 * (lo + hi)
         f_mid = f(mid)
         if abs(f_mid) < PI_HALF_RESIDUAL_TOL:
-            return mid, evaluations, abs(f_mid)
+            return mid
         if (f_lo > 0) == (f_mid > 0):
             lo, f_lo = mid, f_mid
         else:
@@ -210,6 +231,46 @@ class TestPiHalfTime:
         assert diagnostics["max_pi_half_residual"] == pytest.approx(
             max(r for _, _, r in reference), abs=1e-15)
 
+    @given(PHOTON_NUMBERS)
+    @settings(max_examples=20, deadline=None)
+    def test_areas_match_the_bisection(self, n_values):
+        trunc = TruncationConfig()
+        areas = solve_pi_half_time(np.sqrt(n_values), trunc)
+        reference = [bisection_area_one_alpha(math.sqrt(n), trunc) for n in n_values]
+        assert np.max(np.abs(areas - reference)) <= 1e-9
+
+    def test_areas_match_the_bisection_up_to_n_20000(self):
+        n_values = np.concatenate([[0.0], np.geomspace(0.01, 20000.0, 24)])
+        trunc = widened_truncation(20000.0, TruncationConfig())
+        areas = solve_pi_half_time(np.sqrt(n_values), trunc)
+        reference = [bisection_area_one_alpha(math.sqrt(n), trunc) for n in n_values]
+        assert np.max(np.abs(areas - reference)) <= 1e-9
+
+    @given(st.floats(min_value=0.0, max_value=20.0),
+           st.floats(min_value=0.0, max_value=2.0 * math.pi))
+    @settings(max_examples=30, deadline=None)
+    def test_no_crossing_before_the_area(self, n_mean, phase):
+        # f > 0 on a dense grid up to just short of the area, with f taken
+        # from the coherent state directly: the area is the first root
+        alpha = math.sqrt(n_mean) * cmath.exp(1j * phase)
+        trunc = TruncationConfig()
+        area = solve_pi_half_time(alpha, trunc)
+        c2 = np.abs(coherent_state(alpha, trunc)) ** 2
+        sq = np.sqrt(np.arange(trunc.n_levels) + 1.0)
+        grid = np.linspace(0.0, area * (1.0 - 1e-9), 2001)
+        f = np.cos(np.outer(grid, sq)) ** 2 @ c2 - 0.5
+        assert np.all(f > 0.0)
+
+    @pytest.mark.parametrize("n_values", [
+        np.sort(np.random.default_rng(1).uniform(0.0, 20.0, 1601)),
+        np.arange(20000.0, 20000.0 + SETUP1_BLOCK),
+    ], ids=["scan-1601", "block-20000"])
+    def test_at_most_eight_evaluations_per_n(self, n_values):
+        trunc = widened_truncation(float(n_values[-1]), TruncationConfig())
+        diagnostics = {}
+        solve_pi_half_time(np.sqrt(n_values), trunc, diagnostics)
+        assert diagnostics["pulse_solver_evaluations"] <= 8 * len(n_values)
+
     def test_diagnostics_accumulate_across_calls(self):
         trunc = TruncationConfig()
         both, first, second = {}, {}, {}
@@ -246,8 +307,8 @@ class TestPiHalfTime:
             solve_pi_half_time(np.array([0.0, 1.0, math.nan]), TruncationConfig())
 
     def test_scan_stops_on_a_nan_row(self):
-        # the bracket scan's own guard: a NaN alpha makes its step, and so
-        # every trial area, NaN; the scan must stop, not run on
+        # the step loop's own guard: a NaN alpha makes f, and so the step
+        # and the next area, NaN; the loop must stop, not run on
         c = coherent_amplitudes(np.array([0.0, 1.0]), TruncationConfig(n_max=20))
         c[1] = math.nan
         with pytest.raises(NoRootFound, match="alpha=nan"):
