@@ -15,8 +15,14 @@ from dataclasses import dataclass, field, replace
 from .fock import TruncationConfig
 from .thermal import SeriesConfig
 
-CONFIG_KEYS = ("t_cav_s", "tau_s", "nbar", "eta", "v_ref_mps",
-               "omega_chi_rad", "n_max", "tail_tol", "term_tol", "variant")
+# the six settings that must be positive finite numbers
+_POSITIVE = ("t_cav_s", "tau_s", "nbar", "eta", "v_ref_mps", "omega_chi_rad")
+# config key -> (the PhysicalConfig part that holds it, its type); every key
+# is the attribute name in its part
+_FIELDS = {**dict.fromkeys(_POSITIVE, (None, float)),
+           "n_max": ("trunc", int), "tail_tol": ("trunc", float),
+           "term_tol": ("series", float), "variant": (None, str)}
+CONFIG_KEYS = tuple(_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -39,7 +45,7 @@ class PhysicalConfig:
     series: SeriesConfig = field(default_factory=SeriesConfig)
 
     def __post_init__(self):
-        for name in ("t_cav_s", "tau_s", "nbar", "eta", "v_ref_mps", "omega_chi_rad"):
+        for name in _POSITIVE:
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be a positive finite number, got {v!r}")
@@ -50,6 +56,9 @@ class PhysicalConfig:
             raise ValueError(f"eta must be <= 1, got {self.eta}")
         if self.variant not in ("A", "B", "auto"):
             raise ValueError(f"variant must be 'A', 'B' or 'auto', got {self.variant!r}")
+        if self.series.variant not in (SeriesConfig().variant, self.variant):
+            raise ValueError(f"series.variant={self.series.variant!r} would be replaced "
+                             f"by variant={self.variant!r}; set variant instead")
 
     @property
     def T(self) -> float:
@@ -66,42 +75,33 @@ class PhysicalConfig:
 
 
 def config_to_dict(cfg: PhysicalConfig) -> dict:
-    return {
-        "t_cav_s": cfg.t_cav_s,
-        "tau_s": cfg.tau_s,
-        "nbar": cfg.nbar,
-        "eta": cfg.eta,
-        "v_ref_mps": cfg.v_ref_mps,
-        "omega_chi_rad": cfg.omega_chi_rad,
-        "n_max": cfg.trunc.n_max,
-        "tail_tol": cfg.trunc.tail_tol,
-        "term_tol": cfg.series.term_tol,
-        "variant": cfg.variant,
-    }
+    return {key: getattr(getattr(cfg, part) if part else cfg, key)
+            for key, (part, _) in _FIELDS.items()}
+
+
+def _convert(key: str, value, kind: type):
+    """value as kind, refusing a boolean and an n_max that is not a whole number."""
+    if isinstance(value, bool):
+        raise ValueError(f"config key {key!r} must be a {kind.__name__}, got {value!r}")
+    if kind is int:
+        number = float(value)
+        if not number.is_integer():
+            raise ValueError(f"config key {key!r} must be a whole number, got {value!r}")
+        return int(number)
+    return kind(value)
 
 
 def config_from_dict(data: dict) -> PhysicalConfig:
-    unknown = set(data) - set(CONFIG_KEYS)
+    unknown = set(data) - set(_FIELDS)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}; "
                          f"allowed keys are {list(CONFIG_KEYS)}")
-    base = PhysicalConfig()
-    trunc = TruncationConfig(
-        n_max=int(data.get("n_max", base.trunc.n_max)),
-        tail_tol=float(data.get("tail_tol", base.trunc.tail_tol)),
-    )
-    series = SeriesConfig(term_tol=float(data.get("term_tol", base.series.term_tol)))
-    return PhysicalConfig(
-        t_cav_s=float(data.get("t_cav_s", base.t_cav_s)),
-        tau_s=float(data.get("tau_s", base.tau_s)),
-        nbar=float(data.get("nbar", base.nbar)),
-        eta=float(data.get("eta", base.eta)),
-        v_ref_mps=float(data.get("v_ref_mps", base.v_ref_mps)),
-        omega_chi_rad=float(data.get("omega_chi_rad", base.omega_chi_rad)),
-        variant=str(data.get("variant", base.variant)),
-        trunc=trunc,
-        series=series,
-    )
+    parts = {None: {}, "trunc": {}, "series": {}}
+    for key, value in data.items():
+        part, kind = _FIELDS[key]
+        parts[part][key] = _convert(key, value, kind)
+    return PhysicalConfig(**parts[None], trunc=TruncationConfig(**parts["trunc"]),
+                          series=SeriesConfig(**parts["series"]))
 
 
 def load_config(path: str) -> PhysicalConfig:

@@ -261,16 +261,6 @@ def poisson_tail(mean: float, n_max: int) -> float:
 
 # --- state constructors -------------------------------------------------------
 
-def photon_means(alphas: np.ndarray) -> np.ndarray:
-    """|alpha|^2 for each entry of a 1-d array.
-
-    Python's abs and ** are used, one entry at a time: numpy's complex
-    absolute value and its x*x square round differently in the last bit for
-    some alpha, and every pulse area and amplitude is pinned to these means.
-    """
-    return np.array([abs(a) ** 2 for a in alphas.tolist()], dtype=float)
-
-
 def coherent_amplitudes(alphas: np.ndarray, trunc: TruncationConfig) -> np.ndarray:
     """Truncated coherent amplitudes exp(-|a|^2/2) a^n / sqrt(n!), one row per alpha.
 
@@ -283,8 +273,11 @@ def coherent_amplitudes(alphas: np.ndarray, trunc: TruncationConfig) -> np.ndarr
     alphas = np.asarray(alphas)
     if alphas.ndim != 1:
         raise ValueError("coherent_amplitudes takes a 1-d array of alphas")
+    # Python's abs and ** one entry at a time: numpy's complex abs and x*x
+    # differ from them in the last bit for some alpha, and every pulse area
+    # is pinned to these bits
     mags = [abs(a) for a in alphas.tolist()]
-    mean = np.array([m ** 2 for m in mags], dtype=float)  # photon_means' bits
+    mean = np.array([m ** 2 for m in mags], dtype=float)
     top = float(mean.max(initial=0.0))
     if not math.isfinite(top):
         k = np.flatnonzero(~np.isfinite(mean))[0]
@@ -300,7 +293,7 @@ def coherent_amplitudes(alphas: np.ndarray, trunc: TruncationConfig) -> np.ndarr
                     f"tail_tol={trunc.tail_tol:.3e} at n_max={trunc.n_max}"
                 )
     n = np.arange(trunc.n_levels)
-    # math.log, like photon_means, keeps each row's last bits fixed; the
+    # math.log, like abs and ** above, keeps each row's last bits fixed; the
     # vacuum rows get a placeholder and are overwritten below
     log_abs = np.array([math.log(m) if m else 0.0 for m in mags])
     log_mag = -0.5 * mean[:, None] + n * log_abs[:, None] - 0.5 * np.array(

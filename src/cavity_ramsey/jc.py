@@ -58,24 +58,31 @@ def doublet_unitary(n_levels: int, theta: float) -> np.ndarray:
     return U
 
 
-def jc_evolve(rho: JointDensity, area: float) -> JointDensity:
-    """Apply a resonant pulse of area Omega*t to a joint density.
+def check_pulse(top: float, area: float) -> None:
+    """Refuse a pulse of this area on a state whose |e, n_max> population is top.
 
-    Raises TypeError for anything but a JointDensity, and TruncationLeak
-    when |e, n_max> carries more than LEAK_TOL probability: its doublet
-    partner lies outside the truncated space, so the rotation could not be
-    represented faithfully.
+    Raises ValueError for a negative area, and TruncationLeak when top
+    exceeds LEAK_TOL: the doublet partner of |e, n_max> lies outside the
+    truncated space, so the rotation could not be represented faithfully.
     """
-    if not isinstance(rho, JointDensity):
-        raise TypeError(f"expected a JointDensity, got {type(rho)!r}")
     if area < 0:
         raise ValueError(f"pulse area must be >= 0, got {area}")
-    top = float(rho.blocks()[E, -1, E, -1].real)
     if top > LEAK_TOL:
         raise TruncationLeak(
             f"|e, n_max> holds probability {top:.3e} > {LEAK_TOL:.3e}; "
             "raise n_max before evolving"
         )
+
+
+def jc_evolve(rho: JointDensity, area: float) -> JointDensity:
+    """Apply a resonant pulse of area Omega*t to a joint density.
+
+    Raises TypeError for anything but a JointDensity, and `check_pulse`'s
+    errors for a negative area or a filled |e, n_max>.
+    """
+    if not isinstance(rho, JointDensity):
+        raise TypeError(f"expected a JointDensity, got {type(rho)!r}")
+    check_pulse(float(rho.blocks()[E, -1, E, -1].real), area)
     U = doublet_unitary(rho.n_levels, area)
     return JointDensity(U @ rho.mat @ U.conj().T)
 

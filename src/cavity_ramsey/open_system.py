@@ -10,6 +10,12 @@ the wait the atom is Stark-detuned and idle, so only the field factor
 dissipates. The coherent part -i[H_f, rho] is dropped (rotating frame): it
 commutes with photon loss, and its sole observable effect is a fringe
 translation already parametrized by phi.
+
+The wait is one three-point stencil (`_stencil`, `_apply`, `_evolve`): it
+keeps the photon-number offset m - n and the atom block fixed, so an entry
+only meets its (m+1, n+1) and (m-1, n-1) neighbours. `evolve_master` runs it
+on a whole flattened density; the oracle fringe runs it on the 3L + 1
+entries the second pulse reads (`_chain`), to the same bits.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from .fock import (
     pure_density,
 )
 from .interferometry import FringePattern, sinusoid_fringe
-from .jc import DEFAULT_OMEGA_CHI, branch_amplitudes, jc_evolve, stark_phase
+from .jc import DEFAULT_OMEGA_CHI, branch_amplitudes, check_pulse, stark_phase
 
 
 # q*h of one propagation chunk is at most this, so e^{-q h} cannot underflow
@@ -50,71 +56,89 @@ def _check_density(rho) -> None:
 
 
 def _stencil(n_levels: int, nbar: float):
-    """Generator weights on field indices (m, n) of the truncated space.
+    """Generator weights (loss, down, up) on one (2L, 2L) joint density.
 
         D(rho)[m,n] = -loss[m,n] rho[m,n] + down[m,n] rho[m+1,n+1]
-                      + up[m-1,n-1] rho[m-1,n-1]
+                      + up[m,n] rho[m-1,n-1]
 
-    with loss = (nbar+1)(m + n) + nbar(aa+[m] + aa+[n]), where the a+a and
-    aa+ diagonals are those of the truncated operators (aa+ = 0 on the top
-    level), and hop weights 2(nbar+1) sqrt((m+1)(n+1)) for loss and
-    2 nbar sqrt(mn) for gain, all per unit of T. Photon-number offsets m - n
-    never mix.
+    on the field indices (m, n) of every atom block alike, with
+    loss = (nbar+1)(m + n) + nbar(aa+[m] + aa+[n]),
+    down = 2(nbar+1) sqrt(aa+[m] aa+[n]) and up = 2 nbar sqrt(mn), all per
+    unit of T, where the a+a and aa+ diagonals are those of the truncated
+    operators (aa+ = 0 on the top level). So down is zero on a block's last
+    row and column and up on its first: exactly where a neighbour would
+    cross a block edge. Photon-number offsets m - n never mix, and the
+    weights are the same in every atom block.
     """
     n = np.arange(n_levels, dtype=float)
     aad = np.append(n[1:], 0.0)
     loss = ((nbar + 1.0) * (n[:, None] + n[None, :])
             + nbar * (aad[:, None] + aad[None, :]))
-    hop = np.sqrt(np.outer(n[1:], n[1:]))
-    return loss, 2.0 * (nbar + 1.0) * hop, 2.0 * nbar * hop
+    down = 2.0 * (nbar + 1.0) * np.sqrt(np.outer(aad, aad))
+    up = 2.0 * nbar * np.sqrt(np.outer(n, n))
+    return tuple(np.tile(w, (2, 2)) for w in (loss, down, up))
 
 
-def _apply(r: np.ndarray, diag, down, up) -> np.ndarray:
-    """diag*r plus both hops, on r of shape (2, L, 2, L): every atom block alike."""
-    out = diag[:, None, :] * r
-    out[:, :-1, :, :-1] += down[:, None, :] * r[:, 1:, :, 1:]
-    out[:, 1:, :, 1:] += up[:, None, :] * r[:, :-1, :, :-1]
+def _apply(x: np.ndarray, diag, down, up, s: int) -> np.ndarray:
+    """diag*x plus both hops on a flat x whose (m+1, n+1) neighbour is s entries on."""
+    out = diag * x
+    out[:-s] += down[:-s] * x[s:]
+    out[s:] += up[s:] * x[:-s]
     return out
+
+
+def _chain(mat: np.ndarray) -> np.ndarray:
+    """The 3L + 1 entries of a (2L, 2L) array that the second pulse reads.
+
+    Its diagonal, rho_gg[n,n] then rho_ee[n,n], then its (L-1)-th
+    superdiagonal, rho_gg[0,L-1], rho_ge[n+1,n] for n < L-1 and
+    rho_ee[0,L-1]. Along it every (m+1, n+1) neighbour is the next entry,
+    and the stencil weights between entries of different blocks are zero.
+    """
+    L = mat.shape[0] // 2
+    return np.concatenate([np.diagonal(mat), np.diagonal(mat, L - 1)])
 
 
 def dissipator_apply(rho: JointDensity, nbar: float) -> JointDensity:
     """Apply the Lindblad generator once; acts on the field factor only."""
     _check_density(rho)
     _check_nbar(nbar)
-    L = rho.n_levels
-    loss, down, up = _stencil(L, nbar)
-    out = _apply(rho.blocks(), -loss, down, up)
+    loss, down, up = (w.reshape(-1) for w in _stencil(rho.n_levels, nbar))
+    out = _apply(rho.mat.reshape(-1), -loss, down, up, 2 * rho.n_levels + 1)
     return JointDensity(out.reshape(rho.mat.shape))
 
 
-def _evolve(mat: np.ndarray, T: float, nbar: float) -> np.ndarray:
-    """e^{T D} on one (2L, 2L) joint density matrix, by uniformization.
+def _evolve(x: np.ndarray, weights, s: int, T: float) -> np.ndarray:
+    """e^{T D} x by uniformization, for x and its `_stencil` weights read alike.
 
-    With q = max(loss), P = I + D/q is entrywise non-negative and, since
-    2 sqrt(mn) <= m + n, never increases the entrywise l1 norm. Each chunk
-    h = T/c with q h <= MAX_CHUNK_RATE sums
-        e^{hD} rho = e^{-qh} sum_j (qh)^j / j! P^j rho
+    x is flat with neighbour stride s: a whole flattened density (s = 2L + 1)
+    or its `_chain` (s = 1). The weights must include the density's diagonal,
+    where the largest loss lies. With q = max(loss), P = I + D/q is entrywise
+    non-negative and, since 2 sqrt(mn) <= m + n, never increases the
+    entrywise l1 norm. Each chunk h = T/c with q h <= MAX_CHUNK_RATE sums
+        e^{hD} x = e^{-qh} sum_j (qh)^j / j! P^j x
     over j = 0 .. J, where J is the smallest j whose Poisson(qh) tail above j
     is below SERIES_TAIL_TOL (`fock.poisson_cutoff`). Every chunk shares qh,
     so J is found once per call. That tail is a direct sum plus a geometric
-    bound on the rest, never below the exact mass the chunk drops.
+    bound on the rest, never below the exact mass the chunk drops. Every
+    entry is computed alike whatever else x holds, so a chain propagates to
+    the same bits as the same entries of the whole density.
     """
-    L = mat.shape[-1] // 2
-    loss, down, up = _stencil(L, nbar)
+    loss, down, up = weights
     q = float(loss.max())
     chunks = max(1, math.ceil(q * T / MAX_CHUNK_RATE))
     qh = q * T / chunks
     terms = poisson_cutoff(qh, SERIES_TAIL_TOL)
     keep, down, up = 1.0 - loss / q, down / q, up / q
-    r = mat.reshape(2, L, 2, L)
+    r = x
     for _ in range(chunks):
         term, weight = r, math.exp(-qh)
         r = weight * term
         for j in range(1, terms + 1):
-            term = _apply(term, keep, down, up)
+            term = _apply(term, keep, down, up, s)
             weight *= qh / j
             r += weight * term
-    return r.reshape(mat.shape)
+    return r
 
 
 def evolve_master(rho: JointDensity, T: float, nbar: float) -> JointDensity:
@@ -135,7 +159,9 @@ def evolve_master(rho: JointDensity, T: float, nbar: float) -> JointDensity:
     _check_nbar(nbar)
     if T == 0.0:
         return rho
-    return JointDensity(_evolve(rho.mat, T, nbar))
+    weights = [w.reshape(-1) for w in _stencil(rho.n_levels, nbar)]
+    out = _evolve(rho.mat.reshape(-1), weights, 2 * rho.n_levels + 1, T)
+    return JointDensity(out.reshape(rho.mat.shape))
 
 
 # --- zero-temperature closed forms --------------------------------------------
@@ -181,28 +207,29 @@ def zero_temp_wait(phi: float, T: float,
     return JointDensity(mat)
 
 
-def _fringe_coefficients(mat: np.ndarray, area: float) -> tuple[float, complex]:
+def _fringe_coefficients(chain: np.ndarray, area: float) -> tuple[float, complex]:
     """(c0, c1) of P_g(phi) = c0 + Re(c1 e^{i phi}) after a pulse of this area.
 
-    mat is the (2L, 2L) joint density at phi = 0; phi scales its |g><e|
-    block by e^{i phi} and its |e><g| block by e^{-i phi}. P_g is linear in
-    the state, so the pulsed diagonal blocks give c0 and the pulsed |g><e|
-    block alone gives c1 / 2 (the |e><g| block gives its conjugate): two
-    pulses for any phi grid. The first pulse carries jc_evolve's leak guard.
+    chain is the `_chain` of the joint density at phi = 0; phi scales its
+    |g><e| block by e^{i phi}. The pulse turns doublet n, {|e,n>, |g,n+1>},
+    through theta_n = area sqrt(n+1), so P_g reads only the chain:
+        c0 = rho_gg[0] + sum_n (cos^2 theta_n rho_gg[n+1] + sin^2 theta_n rho_ee[n])
+        c1 = 2i sum_n cos theta_n sin theta_n rho_ge[n+1,n]
+    over n < L-1. |e, n_max> has no partner, so `jc.check_pulse` refuses
+    a chain whose rho_ee[L-1] exceeds the leak tolerance.
     """
-    L = mat.shape[0] // 2
-    diagonal = mat.copy()
-    diagonal[:L, L:] = diagonal[L:, :L] = 0.0
-    coherence = np.zeros_like(mat)
-    coherence[:L, L:] = mat[:L, L:]
-    c0 = np.trace(jc_evolve(JointDensity(diagonal), area).mat[:L, :L]).real
-    half = np.trace(jc_evolve(JointDensity(coherence), area).mat[:L, :L])
-    return float(c0), 2.0 * complex(half)
+    L = (chain.size - 1) // 3
+    gg, ee, ge = chain[:L].real, chain[L:2 * L].real, chain[2 * L + 1:3 * L]
+    check_pulse(float(ee[-1]), area)
+    theta = area * np.sqrt(np.arange(1.0, L))
+    cos, sin = np.cos(theta), np.sin(theta)
+    c0 = gg[0] + np.sum(cos * cos * gg[1:] + sin * sin * ee[:-1])
+    return float(c0), complex(2j * np.sum(cos * sin * ge))
 
 
 def _setup2_coefficients(T: float) -> tuple[float, complex]:
     """(c0, c1) of the zero-temperature fringe after a wait T."""
-    return _fringe_coefficients(zero_temp_wait(-math.pi / 2.0, T).mat,
+    return _fringe_coefficients(_chain(zero_temp_wait(-math.pi / 2.0, T).mat),
                                 DEFAULT_OMEGA_CHI)
 
 
@@ -266,12 +293,15 @@ def master_fringe(T: float, nbar: float, phi_grid=None,
     recombining pulse, the same parameter as the series' omega_chi. The wait
     acts alike on the field indices of every atom block, so it commutes with
     the Stark phase phi, which only scales the |g><e| block by e^{i phi} and
-    |e><g| by e^{-i phi}: the phi = 0 state is propagated once, as in
-    `evolve_master`, and two second pulses of the waited state give the
-    whole fringe (`_fringe_coefficients`). Without an explicit trunc, n_max
-    is chosen from the thermal feeding rate; the second pulse raises
-    TruncationLeak if that choice let the top level fill. A negative, NaN or
-    infinite T raises ValueError.
+    |e><g| by e^{-i phi}: the phi = 0 state is waited once. The second pulse
+    reads only rho_gg[n,n], rho_ee[n,n] and rho_ge[n+1,n], and the wait
+    never mixes entries of different offsets or blocks, so only that
+    `_chain` of 3L + 1 entries is propagated (bit for bit the same entries
+    as `evolve_master`'s), and (c0, c1) are read from it
+    (`_fringe_coefficients`) for the whole phi grid. Without an explicit
+    trunc, n_max is chosen from the thermal feeding rate; the second pulse
+    raises TruncationLeak if that choice let the top level fill. A negative,
+    NaN or infinite T raises ValueError.
     """
     _check_wait(T)
     _check_nbar(nbar)
@@ -288,10 +318,11 @@ def master_fringe(T: float, nbar: float, phi_grid=None,
 
     # same phase convention as setup2_pg: at the default omega_chi the
     # undamped fringe is cos^2(phi/2)
-    waited = pure_density(split_vacuum_state(-math.pi / 2.0, trunc)).mat
+    chain = _chain(pure_density(split_vacuum_state(-math.pi / 2.0, trunc)).mat)
     if T > 0:
-        waited = _evolve(waited, T, nbar)
-    return sinusoid_fringe(phi_grid, *_fringe_coefficients(waited, omega_chi))
+        weights = [_chain(w) for w in _stencil(trunc.n_levels, nbar)]
+        chain = _evolve(chain, weights, 1, T)
+    return sinusoid_fringe(phi_grid, *_fringe_coefficients(chain, omega_chi))
 
 
 def master_visibility(T: float, nbar: float, **kwargs) -> float:

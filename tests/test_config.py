@@ -43,6 +43,16 @@ class TestPhysicalConfig:
         cfg = PhysicalConfig(variant="B")
         assert cfg.resolved_series().variant == "B"
 
+    def test_series_variant_must_match_variant(self):
+        # resolved_series overwrites series.variant with variant, so a
+        # different one would be dropped without a word
+        with pytest.raises(ValueError, match=r"series\.variant='B'.*variant='A'"):
+            PhysicalConfig(series=SeriesConfig(variant="B"))
+        with pytest.raises(ValueError, match="series.variant"):
+            PhysicalConfig(variant="auto", series=SeriesConfig(variant="B"))
+        cfg = PhysicalConfig(variant="B", series=SeriesConfig(variant="B"))
+        assert cfg.resolved_series().variant == "B"
+
     def test_resolved_series_auto_runs_selection(self, monkeypatch):
         import cavity_ramsey.thermal as thermal
 
@@ -88,3 +98,27 @@ class TestRoundTrip:
         path.write_text("[1, 2, 3]")
         with pytest.raises(ValueError):
             load_config(str(path))
+
+    @pytest.mark.parametrize("data", [
+        {"n_max": 12.9},
+        {"n_max": True},
+        {"n_max": float("inf")},
+        {"nbar": True},
+        {"term_tol": False},
+        {"variant": True},
+    ])
+    def test_rejects_booleans_and_fractional_n_max(self, data):
+        with pytest.raises(ValueError, match=repr(next(iter(data)))):
+            config_from_dict(data)
+
+    def test_integral_float_n_max_is_accepted(self):
+        n_max = config_from_dict({"n_max": 12.0}).trunc.n_max
+        assert n_max == 12 and type(n_max) is int
+
+    def test_cli_refuses_fractional_n_max(self, tmp_path, capsys):
+        from cavity_ramsey.cli import main
+
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n_max": 12.9}))
+        assert main(["setup2", "--config", str(path)]) == 1
+        assert "n_max" in capsys.readouterr().err

@@ -307,17 +307,20 @@ class TestMasterFringe:
             master_fringe(0.4, 0.7, trunc=TruncationConfig(n_max=4))
 
     @pytest.mark.parametrize("points", [9, 65, 1001])
-    def test_two_pulses_whatever_the_grid(self, points, monkeypatch):
+    def test_one_wait_whatever_the_grid(self, points, monkeypatch):
+        # one propagation of the 3L + 1 chain entries (L = 33 levels at
+        # nbar 0.7), with neighbour stride 1, serves any phi grid
         calls = []
+        evolve = open_system._evolve
 
-        def counted(rho, area):
-            calls.append(area)
-            return jc_evolve(rho, area)
+        def counted(x, weights, s, T):
+            calls.append((x.size, s, T))
+            return evolve(x, weights, s, T)
 
-        monkeypatch.setattr(open_system, "jc_evolve", counted)
+        monkeypatch.setattr(open_system, "_evolve", counted)
         grid = np.linspace(0.0, 2.0 * math.pi, points)
         assert master_fringe(0.1, 0.7, phi_grid=grid, omega_chi=0.9).p_g.size == points
-        assert calls == [0.9, 0.9]
+        assert calls == [(3 * 33 + 1, 1, 0.1)]
 
     def test_subnormal_wait_is_the_undamped_fringe(self):
         # a subnormal numpy wait gives a subnormal Poisson mean, where numpy
@@ -336,7 +339,7 @@ def test_fringe_coefficients_match_a_pulse_per_phase(rng):
     a[-1] = 0.0
     mat = a @ a.conj().T
     mat /= np.trace(mat).real
-    c0, c1 = open_system._fringe_coefficients(mat, 0.9)
+    c0, c1 = open_system._fringe_coefficients(open_system._chain(mat), 0.9)
     assert abs(c1.imag) > 1e-2
     for phi in np.linspace(0.0, 2.0 * math.pi, 13):
         m = mat.copy()
@@ -344,6 +347,23 @@ def test_fringe_coefficients_match_a_pulse_per_phase(rng):
         m[L:, :L] *= np.exp(-1j * phi)
         p_g = np.trace(jc_evolve(JointDensity(m), 0.9).mat[:L, :L]).real
         assert abs(c0 + (c1 * np.exp(1j * phi)).real - p_g) <= 1e-14
+
+
+@pytest.mark.parametrize("T, nbar", [(0.3, 0.0), (3.0, 0.0), (0.4, 0.7), (3.0, 0.95)])
+def test_waited_chain_is_the_dense_waits_chain(rng, T, nbar):
+    # every entry of a random density is nonzero, so only the zero weights
+    # across block edges keep the chain's neighbours out of other blocks;
+    # T = 3 takes more than one uniformization chunk at both nbar
+    L = 14
+    a = random_matrix(rng, 2 * L)
+    mat = a @ a.conj().T
+    mat /= np.trace(mat).real
+    weights = [open_system._chain(w) for w in open_system._stencil(L, nbar)]
+    if T == 3.0:
+        assert float(weights[0].max()) * T > open_system.MAX_CHUNK_RATE
+    chain = open_system._evolve(open_system._chain(mat), weights, 1, T)
+    dense = evolve_master(JointDensity(mat), T, nbar).mat
+    assert np.array_equal(chain, open_system._chain(dense))
 
 
 def per_phi_fringe(T, nbar, phi_grid, omega_chi=DEFAULT_OMEGA_CHI):
