@@ -2,8 +2,9 @@
 
 Subcommands: setup1 | setup2 | fig4 | velocity-scan | selftest.
 Exit codes: 0 success, 1 validation/usage error, 2 convergence or oracle
-failure (series cap hit, no pulse root, truncation leak, inconclusive
-variant selection, failing selftest).
+failure (any `errors.CavityRamseyError`: series cap hit, no pulse root,
+truncation leak or tail, degenerate fringe, inconclusive variant selection)
+or a failing selftest.
 """
 
 from __future__ import annotations
@@ -15,14 +16,7 @@ import sys
 from dataclasses import replace
 
 from .config import CONFIG_KEYS, PhysicalConfig, load_config
-from .errors import (
-    ConvergenceFailure,
-    DegeneratePattern,
-    InconclusiveSelection,
-    NoRootFound,
-    TailTooLarge,
-    TruncationLeak,
-)
+from .errors import CavityRamseyError
 from .experiments import (
     run_fig4,
     run_selftest,
@@ -30,10 +24,6 @@ from .experiments import (
     run_setup2,
     run_velocity_scan,
 )
-
-_CONVERGENCE_ERRORS = (ConvergenceFailure, NoRootFound, TruncationLeak,
-                       TailTooLarge, InconclusiveSelection, DegeneratePattern)
-
 
 class _Parser(argparse.ArgumentParser):
     """Usage errors exit with code 1 (code 2 is reserved for convergence)."""
@@ -160,7 +150,7 @@ def main(argv=None) -> int:
             return 0
         _emit(report, args)
         return 0
-    except _CONVERGENCE_ERRORS as exc:
+    except CavityRamseyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError, json.JSONDecodeError) as exc:

@@ -15,7 +15,10 @@ The wait is one three-point stencil (`_stencil`, `_apply`, `_evolve`): it
 keeps the photon-number offset m - n and the atom block fixed, so an entry
 only meets its (m+1, n+1) and (m-1, n-1) neighbours. `evolve_master` runs it
 on a whole flattened density; the oracle fringe runs it on the 3L + 1
-entries the second pulse reads (`_chain`), to the same bits.
+entries the second pulse reads (`_chain`), to the same bits. One
+uniformization sweep serves every wait up to the longest, each with its own
+Poisson weights, so `master_visibility` takes an array of waits at the cost
+of its longest one.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import numpy as np
 from .fock import (
     JointDensity,
     TruncationConfig,
+    _poisson_log_pmf,
     poisson_cutoff,
     pure_density,
 )
@@ -34,15 +38,13 @@ from .interferometry import FringePattern, sinusoid_fringe
 from .jc import DEFAULT_OMEGA_CHI, branch_amplitudes, check_pulse, stark_phase
 
 
-# q*h of one propagation chunk is at most this, so e^{-q h} cannot underflow
-MAX_CHUNK_RATE = 50.0
-# Poisson mass of the series terms each chunk drops
+# Poisson mass of the uniformization terms a wait drops
 SERIES_TAIL_TOL = 1e-16
 
 
 def _check_nbar(nbar: float) -> None:
-    if nbar < 0:
-        raise ValueError(f"nbar must be >= 0, got {nbar}")
+    if not 0.0 <= nbar < math.inf:  # also refuses NaN
+        raise ValueError(f"nbar must be finite and >= 0, got {nbar}")
 
 
 def _check_wait(T: float) -> None:
@@ -108,37 +110,56 @@ def dissipator_apply(rho: JointDensity, nbar: float) -> JointDensity:
     return JointDensity(out.reshape(rho.mat.shape))
 
 
-def _evolve(x: np.ndarray, weights, s: int, T: float) -> np.ndarray:
-    """e^{T D} x by uniformization, for x and its `_stencil` weights read alike.
+def _poisson_weights(mean: float, terms: int) -> list[float]:
+    """Poisson(j; mean) for j = 0 .. terms, none of which can underflow early.
+
+    Anchored at the mode, in the saddle-point form of `fock._poisson_log_pmf`
+    (no large terms cancel, where j log(mean) - mean - lgamma(j+1) loses
+    5e-13 in l1 at mean 1000), and reached from it by the ratios j/mean going
+    down and mean/j going up, so every weight is exact to a few units in the
+    last place or is below the smallest float. `mean` is a Python float.
+    """
+    mode = int(mean)  # at most terms: the cutoff lies past the mode
+    w = [0.0] * (terms + 1)
+    w[mode] = math.exp(_poisson_log_pmf(mode, mean)[0])
+    for j in range(mode, 0, -1):
+        w[j - 1] = w[j] * j / mean
+    for j in range(mode + 1, terms + 1):
+        w[j] = w[j - 1] * mean / j
+    return w
+
+
+def _evolve(x: np.ndarray, weights, s: int, ts) -> list[np.ndarray]:
+    """e^{T D} x for every wait T in ts, one row each, by uniformization.
 
     x is flat with neighbour stride s: a whole flattened density (s = 2L + 1)
-    or its `_chain` (s = 1). The weights must include the density's diagonal,
-    where the largest loss lies. With q = max(loss), P = I + D/q is entrywise
-    non-negative and, since 2 sqrt(mn) <= m + n, never increases the
-    entrywise l1 norm. Each chunk h = T/c with q h <= MAX_CHUNK_RATE sums
-        e^{hD} x = e^{-qh} sum_j (qh)^j / j! P^j x
-    over j = 0 .. J, where J is the smallest j whose Poisson(qh) tail above j
-    is below SERIES_TAIL_TOL (`fock.poisson_cutoff`). Every chunk shares qh,
-    so J is found once per call. That tail is a direct sum plus a geometric
-    bound on the rest, never below the exact mass the chunk drops. Every
+    or its `_chain` (s = 1), read alike with its `_stencil` weights, which
+    must include the density's diagonal, where the largest loss lies. With
+    q = max(loss), P = I + D/q is entrywise non-negative and, since
+    2 sqrt(mn) <= m + n, never increases the entrywise l1 norm, and
+        e^{T D} x = sum_j Poisson(j; qT) P^j x.
+    One sweep applies P once per j and adds P^j x into every wait's row with
+    its own weight (`_poisson_weights`), for j = 0 .. J, where J is the
+    smallest j whose Poisson(q max(ts)) tail above j is below
+    SERIES_TAIL_TOL (`fock.poisson_cutoff`). That tail grows with the mean,
+    so J certifies every smaller wait too, and it is a direct sum plus a
+    geometric bound on the rest, never below the exact mass dropped. Every
     entry is computed alike whatever else x holds, so a chain propagates to
     the same bits as the same entries of the whole density.
     """
     loss, down, up = weights
     q = float(loss.max())
-    chunks = max(1, math.ceil(q * T / MAX_CHUNK_RATE))
-    qh = q * T / chunks
-    terms = poisson_cutoff(qh, SERIES_TAIL_TOL)
+    means = [q * float(T) for T in ts]
+    terms = poisson_cutoff(max(means, default=0.0), SERIES_TAIL_TOL)
+    poisson = [_poisson_weights(mean, terms) for mean in means]
     keep, down, up = 1.0 - loss / q, down / q, up / q
-    r = x
-    for _ in range(chunks):
-        term, weight = r, math.exp(-qh)
-        r = weight * term
-        for j in range(1, terms + 1):
-            term = _apply(term, keep, down, up, s)
-            weight *= qh / j
-            r += weight * term
-    return r
+    term = x
+    rows = [(w[0] * term, w) for w in poisson]
+    for j in range(1, terms + 1):
+        term = _apply(term, keep, down, up, s)
+        for row, w in rows:
+            row += w[j] * term
+    return [row for row, _ in rows]
 
 
 def evolve_master(rho: JointDensity, T: float, nbar: float) -> JointDensity:
@@ -146,21 +167,17 @@ def evolve_master(rho: JointDensity, T: float, nbar: float) -> JointDensity:
 
     The atom is untouched (coupling is switched off during the wait). This is
     the ground-truth oracle the closed forms are validated against. It is
-    exact up to a certified truncation: each of the c = ceil(q T / 50)
-    chunks of the uniformized series drops at most 1e-16 times the entrywise
-    l1 norm of its input, so before rounding the result is within
-    c * 1e-16 * sum|rho_ij| of e^{T D} rho in the entrywise l1 norm (q is
-    the largest diagonal loss rate of the truncated generator, at most
-    2(2 nbar + 1) n_max). Raises TypeError for anything but a JointDensity
-    and ValueError for a negative, NaN or infinite T.
+    exact up to a certified truncation: the uniformized series (`_evolve`)
+    drops at most 1e-16 times the entrywise l1 norm of rho, so before
+    rounding the result is within 1e-16 * sum|rho_ij| of e^{T D} rho in the
+    entrywise l1 norm. Raises TypeError for anything but a JointDensity and
+    ValueError for a negative, NaN or infinite T or nbar.
     """
     _check_density(rho)
     _check_wait(T)
     _check_nbar(nbar)
-    if T == 0.0:
-        return rho
     weights = [w.reshape(-1) for w in _stencil(rho.n_levels, nbar)]
-    out = _evolve(rho.mat.reshape(-1), weights, 2 * rho.n_levels + 1, T)
+    [out] = _evolve(rho.mat.reshape(-1), weights, 2 * rho.n_levels + 1, [T])
     return JointDensity(out.reshape(rho.mat.shape))
 
 
@@ -283,6 +300,32 @@ def setup2_pg_printed_form(phi: float, T: float) -> float:
 
 # --- master-equation oracle chain ---------------------------------------------
 
+def _fringes(ts, nbar: float, phi_grid=None,
+             trunc: TruncationConfig | None = None,
+             omega_chi: float = DEFAULT_OMEGA_CHI) -> list[FringePattern]:
+    """`master_fringe` at every wait in ts, all from one sweep (`_evolve`)."""
+    for T in ts:
+        _check_wait(T)
+    _check_nbar(nbar)
+    if phi_grid is None:
+        phi_grid = np.linspace(0.0, 2.0 * np.pi, 9)
+    if trunc is None:
+        # thermal feeding dies off geometrically in nbar/(1+nbar); keep enough
+        # levels that the top excited level stays below the pulse's leak guard
+        n_max = 12
+        if nbar > 0:
+            x = nbar / (1.0 + nbar)
+            n_max = max(12, int(math.ceil(math.log(1e-12) / math.log(x))))
+        trunc = TruncationConfig(n_max=n_max)
+
+    # same phase convention as setup2_pg: at the default omega_chi the
+    # undamped fringe is cos^2(phi/2)
+    chain = _chain(pure_density(split_vacuum_state(-math.pi / 2.0, trunc)).mat)
+    weights = [_chain(w) for w in _stencil(trunc.n_levels, nbar)]
+    return [sinusoid_fringe(phi_grid, *_fringe_coefficients(c, omega_chi))
+            for c in _evolve(chain, weights, 1, ts)]
+
+
 def master_fringe(T: float, nbar: float, phi_grid=None,
                   trunc: TruncationConfig | None = None,
                   omega_chi: float = DEFAULT_OMEGA_CHI) -> FringePattern:
@@ -301,30 +344,18 @@ def master_fringe(T: float, nbar: float, phi_grid=None,
     (`_fringe_coefficients`) for the whole phi grid. Without an explicit
     trunc, n_max is chosen from the thermal feeding rate; the second pulse
     raises TruncationLeak if that choice let the top level fill. A negative,
-    NaN or infinite T raises ValueError.
+    NaN or infinite T or nbar raises ValueError.
     """
-    _check_wait(T)
-    _check_nbar(nbar)
-    if phi_grid is None:
-        phi_grid = np.linspace(0.0, 2.0 * np.pi, 9)
-    if trunc is None:
-        # thermal feeding dies off geometrically in nbar/(1+nbar); keep enough
-        # levels that the top excited level stays below the pulse's leak guard
-        n_max = 12
-        if nbar > 0:
-            x = nbar / (1.0 + nbar)
-            n_max = max(12, int(math.ceil(math.log(1e-12) / math.log(x))))
-        trunc = TruncationConfig(n_max=n_max)
-
-    # same phase convention as setup2_pg: at the default omega_chi the
-    # undamped fringe is cos^2(phi/2)
-    chain = _chain(pure_density(split_vacuum_state(-math.pi / 2.0, trunc)).mat)
-    if T > 0:
-        weights = [_chain(w) for w in _stencil(trunc.n_levels, nbar)]
-        chain = _evolve(chain, weights, 1, T)
-    return sinusoid_fringe(phi_grid, *_fringe_coefficients(chain, omega_chi))
+    return _fringes([T], nbar, phi_grid, trunc, omega_chi)[0]
 
 
-def master_visibility(T: float, nbar: float, **kwargs) -> float:
-    """Oracle visibility at (T, nbar) from the brute-force fringe."""
-    return master_fringe(T, nbar, **kwargs).visibility
+def master_visibility(T, nbar: float, **kwargs):
+    """Oracle visibility at (T, nbar) from the brute-force fringe.
+
+    T may be a scalar or an array of waits, all served by one sweep; the
+    result has T's shape (a float for a scalar, the `master_fringe` value).
+    kwargs are `master_fringe`'s.
+    """
+    ts = np.asarray(T, dtype=float).reshape(-1).tolist()
+    v = np.array([f.visibility for f in _fringes(ts, nbar, **kwargs)])
+    return float(v[0]) if np.ndim(T) == 0 else v.reshape(np.shape(T))

@@ -336,12 +336,14 @@ class VariantSelection:
 
 
 def select_variant(cfg: SeriesConfig | None = None,
-                   grid=SELECTION_GRID,
                    oracle=None) -> VariantSelection:
     """Pick the oscillatory-factor variant that tracks the integrator oracle.
 
-    Evaluates the visibility under both variants across the grid and returns
-    the one with the smaller total absolute deviation. Raises
+    Evaluates the visibility under both variants across SELECTION_GRID and
+    returns the one with the smaller total absolute deviation. Each nbar of
+    the grid costs one oracle call and one series build per variant, each
+    serving all of that nbar's waits; `oracle(ts, nbar)` takes an array of
+    waits, as `open_system.master_visibility` does. Raises
     InconclusiveSelection when both variants miss by more than 0.05 at every
     grid point, which would signal a transcription problem deeper than the
     factor ambiguity. The losing variant stays available through SeriesConfig.
@@ -350,24 +352,20 @@ def select_variant(cfg: SeriesConfig | None = None,
     if oracle is None:
         from .open_system import master_visibility
         oracle = master_visibility
-    oracle_vals = {(T, nb): oracle(T, nb) for (T, nb) in grid}
-    deviations = {}
-    for variant in ("A", "B"):
-        vcfg = replace(cfg, variant=variant)
-        rows = []
-        for (T, nb) in grid:
-            v = thermal_visibility(T, nb, vcfg)
-            rows.append((T, nb, v, oracle_vals[(T, nb)]))
-        deviations[variant] = tuple(rows)
-
-    def all_far(variant):
-        return all(abs(s - o) > 0.05 for (_, _, s, o) in deviations[variant])
-
-    if all_far("A") and all_far("B"):
+    points = {}
+    for nbar in dict.fromkeys(nb for _, nb in SELECTION_GRID):
+        ts = np.array([T for T, nb in SELECTION_GRID if nb == nbar])
+        oracle_vals = np.asarray(oracle(ts, nbar)).tolist()
+        for variant in ("A", "B"):
+            series = thermal_visibility(ts, nbar, replace(cfg, variant=variant))
+            for T, v, o in zip(ts.tolist(), series.tolist(), oracle_vals):
+                points[variant, T, nbar] = (T, nbar, v, o)
+    deviations = {variant: tuple(points[variant, T, nb] for T, nb in SELECTION_GRID)
+                  for variant in ("A", "B")}
+    if all(abs(s - o) > 0.05 for rows in deviations.values() for (_, _, s, o) in rows):
         raise InconclusiveSelection(
             "both oscillatory variants deviate from the oracle by > 0.05 at "
             "every grid point; check the transcription before trusting either"
         )
-    sel = VariantSelection(winner="", deviations=deviations)
-    winner = min(("A", "B"), key=sel.total_deviation)
+    winner = min(("A", "B"), key=VariantSelection("", deviations).total_deviation)
     return VariantSelection(winner=winner, deviations=deviations)

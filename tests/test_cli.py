@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from cavity_ramsey import cli
 from cavity_ramsey.cli import _parse_grid, main
+from cavity_ramsey.errors import CavityRamseyError
 
 
 def run_cli(capsys, *argv):
@@ -200,6 +202,18 @@ class TestExitCodes:
                                "--config", str(path))
         assert code == 2
         assert "error" in err
+
+
+@pytest.mark.parametrize("error", CavityRamseyError.__subclasses__(),
+                         ids=lambda e: e.__name__)
+def test_package_errors_exit_two(capsys, monkeypatch, error):
+    def fail(*args, **kwargs):
+        raise error("raised inside main")
+
+    monkeypatch.setattr(cli, "run_setup2", fail)
+    code, _, err = run_cli(capsys, "setup2")
+    assert code == 2
+    assert "raised inside main" in err
 
 
 ROOT = Path(__file__).resolve().parent.parent

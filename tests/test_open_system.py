@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from cavity_ramsey.fock import (
     JointDensity,
     TruncationConfig,
     assert_physical_density,
+    poisson_cutoff,
     pure_density,
     thermal_density,
 )
@@ -20,6 +22,7 @@ from cavity_ramsey.open_system import (
     dissipator_apply,
     evolve_master,
     master_fringe,
+    master_visibility,
     setup2_fringe,
     setup2_pg,
     setup2_pg_printed_form,
@@ -125,7 +128,7 @@ class TestEvolveMaster:
 
     def test_long_wait_reaches_steady_state(self):
         # the largest loss rate is 20.6 here, so q tau = 824 and e^{-q tau}
-        # would underflow without splitting the wait into chunks
+        # underflows: the Poisson weights are anchored at their mode instead
         rho0 = pure_density(split_vacuum_state(0.3, TruncationConfig(n_max=5)))
         out = evolve_master(rho0, 40.0, 0.7)
         assert abs(out.trace() - 1.0) < 1e-12
@@ -147,7 +150,7 @@ class TestEvolveMaster:
     def test_zero_duration_identity(self):
         rho0 = pure_density(split_vacuum_state(0.2))
         out = evolve_master(rho0, 0.0, 0.0)
-        assert out is rho0
+        assert np.array_equal(out.mat, rho0.mat)
 
     def test_negative_duration_rejected(self):
         rho0 = pure_density(split_vacuum_state(0.0))
@@ -164,6 +167,23 @@ def test_negative_nbar_rejected(T):
         evolve_master(rho0, T, -0.1)
     with pytest.raises(ValueError, match="nbar"):
         master_fringe(T, -0.1)
+
+
+@pytest.mark.parametrize("T", [0.0, 0.1])
+@pytest.mark.parametrize("nbar", [math.nan, math.inf, -math.inf])
+def test_non_finite_nbar_rejected(T, nbar):
+    rho0 = pure_density(split_vacuum_state(0.0))
+    message = "nbar must be finite and >= 0"
+    with pytest.raises(ValueError, match=message):
+        dissipator_apply(rho0, nbar)
+    with pytest.raises(ValueError, match=message):
+        evolve_master(rho0, T, nbar)
+    with pytest.raises(ValueError, match=message):
+        master_fringe(T, nbar, trunc=TruncationConfig(n_max=12))
+    with pytest.raises(ValueError, match=message):
+        master_visibility(T, nbar)
+    with pytest.raises(ValueError, match=message):
+        master_visibility(np.array([0.0, T]), nbar)
 
 
 @pytest.mark.parametrize("T", [math.nan, math.inf])
@@ -313,14 +333,14 @@ class TestMasterFringe:
         calls = []
         evolve = open_system._evolve
 
-        def counted(x, weights, s, T):
-            calls.append((x.size, s, T))
-            return evolve(x, weights, s, T)
+        def counted(x, weights, s, ts):
+            calls.append((x.size, s, list(ts)))
+            return evolve(x, weights, s, ts)
 
         monkeypatch.setattr(open_system, "_evolve", counted)
         grid = np.linspace(0.0, 2.0 * math.pi, points)
         assert master_fringe(0.1, 0.7, phi_grid=grid, omega_chi=0.9).p_g.size == points
-        assert calls == [(3 * 33 + 1, 1, 0.1)]
+        assert calls == [(3 * 33 + 1, 1, [0.1])]
 
     def test_subnormal_wait_is_the_undamped_fringe(self):
         # a subnormal numpy wait gives a subnormal Poisson mean, where numpy
@@ -349,21 +369,59 @@ def test_fringe_coefficients_match_a_pulse_per_phase(rng):
         assert abs(c0 + (c1 * np.exp(1j * phi)).real - p_g) <= 1e-14
 
 
-@pytest.mark.parametrize("T, nbar", [(0.3, 0.0), (3.0, 0.0), (0.4, 0.7), (3.0, 0.95)])
+@pytest.mark.parametrize("T, nbar", [(0.3, 0.0), (3.0, 0.0), (0.4, 0.7), (3.0, 0.95),
+                                     (12.0, 0.95), (40.0, 0.0)])
 def test_waited_chain_is_the_dense_waits_chain(rng, T, nbar):
     # every entry of a random density is nonzero, so only the zero weights
     # across block edges keep the chain's neighbours out of other blocks;
-    # T = 3 takes more than one uniformization chunk at both nbar
+    # at T = 12 and T = 40 the Poisson weight e^{-qT} of j = 0 underflows
     L = 14
     a = random_matrix(rng, 2 * L)
     mat = a @ a.conj().T
     mat /= np.trace(mat).real
     weights = [open_system._chain(w) for w in open_system._stencil(L, nbar)]
-    if T == 3.0:
-        assert float(weights[0].max()) * T > open_system.MAX_CHUNK_RATE
-    chain = open_system._evolve(open_system._chain(mat), weights, 1, T)
+    if T > 3.0:
+        assert math.exp(-float(weights[0].max()) * T) == 0.0
+    [chain] = open_system._evolve(open_system._chain(mat), weights, 1, [T])
     dense = evolve_master(JointDensity(mat), T, nbar).mat
     assert np.array_equal(chain, open_system._chain(dense))
+
+
+@pytest.mark.parametrize("mean", [0.0, 5e-324, 0.5, 6.0, 50.0, 858.0, 3000.0, 20000.0])
+def test_poisson_weights_match_mpmath(mean):
+    # the reference runs the recurrence p_j = p_{j-1} mean / j from e^{-mean}
+    # in 40-digit arithmetic, where e^{-20000} does not underflow
+    terms = poisson_cutoff(mean, open_system.SERIES_TAIL_TOL)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        weights = open_system._poisson_weights(mean, terms)
+    with mpmath.workdps(40):
+        p = mpmath.exp(-mpmath.mpf(mean))
+        ref = [p]
+        for j in range(1, terms + 1):
+            p = p * mean / j
+            ref.append(p)
+        distance = float(mpmath.fsum(abs(w - r) for w, r in zip(weights, ref)))
+    assert len(weights) == terms + 1
+    assert distance <= 1e-15
+
+
+@given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=5),
+       st.floats(min_value=0.0, max_value=0.95))
+@settings(max_examples=20, deadline=None)
+def test_visibility_sweep_matches_each_wait(waits, nbar):
+    # one sweep serves every wait; each is certified by the longest's cutoff
+    swept = master_visibility(np.array(waits), nbar)
+    assert swept.shape == (len(waits),)
+    for T, v in zip(waits, swept):
+        assert abs(v - master_fringe(T, nbar).visibility) <= 1e-14
+
+
+@pytest.mark.parametrize("T, nbar", [(0.0, 0.3), (0.04, 0.7), (1.0, 0.95)])
+def test_scalar_visibility_is_the_fringes(T, nbar):
+    v = master_visibility(T, nbar)
+    assert type(v) is float
+    assert v == master_fringe(T, nbar).visibility
 
 
 def per_phi_fringe(T, nbar, phi_grid, omega_chi=DEFAULT_OMEGA_CHI):

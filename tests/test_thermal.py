@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cavity_ramsey import thermal
+from cavity_ramsey import open_system, thermal
 from cavity_ramsey.errors import ConvergenceFailure, InconclusiveSelection
 from cavity_ramsey.open_system import master_visibility, zero_temp_visibility_derived
 from cavity_ramsey.thermal import (
@@ -177,13 +177,26 @@ class TestVariants:
         assert set(sel.deviations) == {"A", "B"}
 
     def test_select_variant_inconclusive(self):
-        sel_grid = SELECTION_GRID
-
-        def hostile_oracle(T, nbar):
-            return -10.0  # nothing can match this
+        def hostile_oracle(ts, nbar):
+            return np.full(ts.shape, -10.0)  # nothing can match this
 
         with pytest.raises(InconclusiveSelection):
-            select_variant(grid=sel_grid, oracle=hostile_oracle)
+            select_variant(oracle=hostile_oracle)
+
+    def test_select_variant_waits_once_per_nbar(self, monkeypatch):
+        # one oracle sweep per nbar of the grid, and one series build per
+        # variant there, each serving all of that nbar's waits
+        counts = {"_evolve": 0, "pg_constant": 0}
+        for module, name in ((open_system, "_evolve"), (thermal, "pg_constant")):
+            original = getattr(module, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        assert select_variant().winner == "A"
+        assert counts == {"_evolve": 2, "pg_constant": 4}
 
 
 def test_series_matches_oracle_grid():

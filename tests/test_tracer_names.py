@@ -54,3 +54,25 @@ def test_tracer_sees_the_oracle_density_batch():
     assert fringe["point"] == "T0.04_nbar0.7"
     assert (fringe["batch"], fringe["levels"]) == (0, 0)
     assert tracer.layer_metrics(trace, 1.0)["open_system.state_bytes"] == 0
+
+
+def test_traced_variant_selection_and_selftest_label_every_fringe():
+    # the tracer labels each master_fringe span by formatting its T and nbar
+    # with :g, which a wait array would break; select_variant sweeps arrays of
+    # waits, so they must not reach master_fringe
+    thermal = importlib.import_module(f"{tracer.PACKAGE}.thermal")
+    experiments = importlib.import_module(f"{tracer.PACKAGE}.experiments")
+    config = importlib.import_module(f"{tracer.PACKAGE}.config")
+    t = tracer.Tracer()
+    t.install()
+    try:
+        assert thermal.select_variant().winner == "A"
+        report = experiments.run_selftest(config.PhysicalConfig(tau_s=80e-6))
+    finally:
+        t.uninstall()
+    assert tracer.leftover_wrappers() == []
+    assert report.meta["all_pass"]
+    fringes = t.dump()["fringe"]
+    assert fringes
+    assert all(isinstance(f["point"], str) and f["point"] for f in fringes)
+    assert {f["point"] for f in fringes} == set(tracer.ORACLE_POINTS)
