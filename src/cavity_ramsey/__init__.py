@@ -27,14 +27,10 @@ from .experiments import (
     run_velocity_scan,
 )
 from .fock import (
-    JointDensity,
     TruncationConfig,
     coherent_state,
     default_truncation,
-    partial_trace_field,
     pure_density,
-    tensor,
-    thermal_density,
 )
 from .interferometry import (
     DetectionModel,
@@ -53,7 +49,6 @@ from .jc import (
     stark_phase,
 )
 from .open_system import (
-    dissipator_apply,
     evolve_master,
     master_fringe,
     master_visibility,

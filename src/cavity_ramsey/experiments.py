@@ -28,7 +28,7 @@ from .interferometry import (
     fringe_scan_setup1,
     plus_minus_decomposition,
 )
-from .jc import branch_amplitudes, branch_states, solve_pi_half_time
+from .jc import _pi_half_areas, branch_amplitudes, branch_states, solve_pi_half_time
 from .open_system import (
     master_fringe,
     zero_temp_visibility_closed_form,
@@ -119,12 +119,17 @@ def _setup1_block(n_values: list, trunc: TruncationConfig,
     """run_setup1's rows for one block of N; the pulse solver adds its work
     to `diagnostics`.
 
-    A block's matrices are freed when this returns, before the next block's
-    are built, so only one block is ever held.
+    The block's coherent matrix is built once and serves both the pulse
+    solver and the branches. A block's matrices are freed when this returns,
+    before the next block's are built, so only one block is ever held.
     """
     alphas = np.sqrt(n_values)
-    areas = solve_pi_half_time(alphas, trunc, diagnostics)
-    a_e, a_g = branch_amplitudes(coherent_amplitudes(alphas, trunc), areas)
+    c = coherent_amplitudes(alphas, trunc)
+    areas, evaluations, residual = _pi_half_areas(alphas, c)
+    diagnostics["pulse_solver_evaluations"] += evaluations
+    diagnostics["max_pi_half_residual"] = max(diagnostics["max_pi_half_residual"],
+                                              residual)
+    a_e, a_g = branch_amplitudes(c, areas)
     vs = 2.0 * np.abs(branch_overlap(a_e, a_g))
     n_plus, n_minus = plus_minus_decomposition(a_e, a_g)
     return [(n_mean, t, v, apply_detection(min(v, 1.0), det), n_p, n_m)
@@ -145,10 +150,11 @@ def run_setup1(n_values=None, config: PhysicalConfig | None = None,
     block. One truncation serves every row: the configured one, widened until
     the largest N's Poisson tail is below tail_tol.
 
-    N is taken SETUP1_BLOCK values at a time: one array solve_pi_half_time
-    call and one branch-amplitude matrix per block, whose squared norms
-    `branch_amplitudes` checks once. The overlaps and n_+/- are then taken
-    row by row over the block's matrices. meta["diagnostics"] records the
+    N is taken SETUP1_BLOCK values at a time: one coherent matrix per block
+    serves the array pulse solver (`jc._pi_half_areas`) and the
+    branch-amplitude matrices, whose squared norms `branch_amplitudes`
+    checks once. The overlaps and n_+/- are then taken row by row over the
+    block's matrices. meta["diagnostics"] records the
     pulse solver's evaluations of <alpha_e|alpha_e> - 1/2, the largest
     |<alpha_e|alpha_e> - 1/2| at a solved area, and the Poisson tail the
     cutoff discards at the largest N. N must be >= 0; NaN is refused with
@@ -330,13 +336,12 @@ def run_selftest(config: PhysicalConfig | None = None) -> ScanReport:
     rho0 = zero_temp_wait(0.7, 0.0)
     rho_num = evolve_master(rho0, T, 0.0)
     rho_cf = zero_temp_wait(0.7, T)
-    check("wait_state_entrywise", float(np.max(np.abs(rho_num.mat - rho_cf.mat))),
-          0.0, 1e-8)
+    check("wait_state_entrywise", float(np.max(np.abs(rho_num - rho_cf))), 0.0, 1e-8)
 
     # physicality of a thermal evolution
     rho_th = evolve_master(rho0, 0.3, cfg.nbar)
     try:
-        assert_physical_density(rho_th.mat)
+        assert_physical_density(rho_th)
         rows.append(("thermal_evolution_physical", 0.0, 0.0, 0.0, "pass"))
     except AssertionError:
         rows.append(("thermal_evolution_physical", 1.0, 0.0, 0.0, "FAIL"))

@@ -7,8 +7,10 @@ Conventions used everywhere in this package:
 * a pure joint state is a (2, n_levels) amplitude array, atom on axis 0; its
   atom-major flattening puts |a, n> at a*(n_max+1) + n, which keeps each
   doublet {|g, n+1>, |e, n>} at a fixed stride;
-* a pure field state is an amplitude array, photon number on the last axis,
-  and a field density an (n_levels, n_levels) array.
+* a joint density is a (2L, 2L) complex array, L = n_levels, in the same
+  atom-major order, so rho[:L, :L] is its |g><g| block; the package defines
+  no state class;
+* a pure field state is an amplitude array, photon number on the last axis.
 
 All operations are pure functions on arrays and immutable value objects;
 nothing in this module holds shared mutable state.
@@ -99,32 +101,6 @@ def poisson_cutoff(mean: float, tol: float, lo: int = 0) -> int:
         else:
             lo = mid + 1
     return hi
-
-
-@dataclass(frozen=True)
-class JointDensity:
-    """Density operator of atom (x) field, atom-major index order."""
-
-    mat: np.ndarray
-
-    def __post_init__(self):
-        mat = np.asarray(self.mat, dtype=complex)
-        object.__setattr__(self, "mat", mat)
-        d = mat.shape[0]
-        if mat.ndim != 2 or mat.shape != (d, d) or d % 2 != 0 or d < 4:
-            raise ValueError("JointDensity must be square with even dimension >= 4")
-
-    @property
-    def n_levels(self) -> int:
-        return self.mat.shape[0] // 2
-
-    def trace(self) -> float:
-        return float(np.trace(self.mat).real)
-
-    def blocks(self) -> np.ndarray:
-        """View as (2, n_levels, 2, n_levels) for (atom, photon) indexing."""
-        L = self.n_levels
-        return self.mat.reshape(2, L, 2, L)
 
 
 # --- diagnostics used by tests and by the self-check CLI ---------------------
@@ -320,56 +296,23 @@ def squared_norms(amps: np.ndarray) -> np.ndarray:
             + np.einsum("...n,...n->...", amps.imag, amps.imag))
 
 
-def thermal_density(nbar: float, trunc: TruncationConfig | None = None) -> np.ndarray:
-    """Thermal (geometric) field density p_n = nbar^n / (1+nbar)^(n+1), renormalized.
-
-    The geometric tail beyond n_max must stay below tail_tol; the kept weights
-    are rescaled to unit trace.
-    """
-    if nbar < 0:
-        raise ValueError(f"nbar must be >= 0, got {nbar}")
-    if trunc is None:
-        trunc = TruncationConfig()
-    L = trunc.n_levels
-    if nbar == 0.0:
-        mat = np.zeros((L, L), dtype=complex)
-        mat[0, 0] = 1.0
-        return mat
-    x = nbar / (1.0 + nbar)
-    tail = x ** L  # exact geometric remainder
-    if tail >= trunc.tail_tol:
-        raise TailTooLarge(
-            f"thermal state nbar={nbar} discards {tail:.3e} >= tail_tol at n_max={trunc.n_max}"
-        )
-    p = x ** np.arange(L) / (1.0 + nbar)
-    p = p / p.sum()
-    return np.diag(p).astype(complex)
-
-
-def tensor(atom: np.ndarray, fld: np.ndarray) -> np.ndarray:
-    """Product state (atom 2-vector, basis order (g, e)) (x) field amplitudes.
-
-    Returns the (2, n_levels) joint amplitude array.
-    """
-    atom = np.asarray(atom, dtype=complex).reshape(2)
-    if not np.all(np.isfinite(atom)) or not np.all(np.isfinite(fld)):
-        raise ValueError("tensor inputs must be finite")
-    return np.outer(atom, fld)
-
-
-def pure_density(amps: np.ndarray) -> JointDensity:
+def pure_density(amps: np.ndarray) -> np.ndarray:
     """|psi><psi| of a (2, n_levels) joint amplitude array, atom-major."""
     amps = np.asarray(amps, dtype=complex)
     if amps.ndim != 2 or amps.shape[0] != 2:
         raise ValueError("joint amplitudes must have shape (2, n_levels)")
     v = amps.reshape(-1)
-    return JointDensity(np.outer(v, v.conj()))
+    return np.outer(v, v.conj())
 
 
-def partial_trace_field(rho: JointDensity) -> np.ndarray:
-    """Trace out the field: the 2x2 atomic density sum_n <a, n| rho |a', n>.
+def _joint_density(rho) -> np.ndarray:
+    """rho as a complex (2L, 2L) joint density array.
 
-    The atomic trace equals the joint trace exactly (it is the same sum of
-    diagonal entries, just regrouped).
+    Raises ValueError, before any work, unless rho is square with an even
+    dimension >= 4 (L >= 2 field levels per atom block).
     """
-    return np.einsum("anbn->ab", rho.blocks())
+    shape = np.shape(rho)
+    if len(shape) != 2 or shape[0] != shape[1] or shape[0] % 2 or shape[0] < 4:
+        raise ValueError("a joint density must be a square array with an even "
+                         f"dimension >= 4, got shape {shape}")
+    return np.asarray(rho, dtype=complex)

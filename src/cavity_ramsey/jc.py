@@ -17,10 +17,9 @@ import numpy as np
 
 from .errors import NoRootFound, TruncationLeak
 from .fock import (
-    E,
     G,
-    JointDensity,
     TruncationConfig,
+    _joint_density,
     coherent_amplitudes,
     coherent_state,
     default_truncation,
@@ -61,12 +60,13 @@ def doublet_unitary(n_levels: int, theta: float) -> np.ndarray:
 def check_pulse(top: float, area: float) -> None:
     """Refuse a pulse of this area on a state whose |e, n_max> population is top.
 
-    Raises ValueError for a negative area, and TruncationLeak when top
-    exceeds LEAK_TOL: the doublet partner of |e, n_max> lies outside the
-    truncated space, so the rotation could not be represented faithfully.
+    Raises ValueError for a negative, NaN or infinite area, and
+    TruncationLeak when top exceeds LEAK_TOL: the doublet partner of
+    |e, n_max> lies outside the truncated space, so the rotation could not be
+    represented faithfully.
     """
-    if area < 0:
-        raise ValueError(f"pulse area must be >= 0, got {area}")
+    if not 0.0 <= area < math.inf:  # also refuses NaN
+        raise ValueError(f"pulse area must be finite and >= 0, got {area}")
     if top > LEAK_TOL:
         raise TruncationLeak(
             f"|e, n_max> holds probability {top:.3e} > {LEAK_TOL:.3e}; "
@@ -74,17 +74,18 @@ def check_pulse(top: float, area: float) -> None:
         )
 
 
-def jc_evolve(rho: JointDensity, area: float) -> JointDensity:
-    """Apply a resonant pulse of area Omega*t to a joint density.
+def jc_evolve(rho: np.ndarray, area: float) -> np.ndarray:
+    """Apply a resonant pulse of area Omega*t to a (2L, 2L) joint density.
 
-    Raises TypeError for anything but a JointDensity, and `check_pulse`'s
-    errors for a negative area or a filled |e, n_max>.
+    Returns a new array. Raises ValueError, before any work, for any other
+    shape (see `fock._joint_density`), and `check_pulse`'s errors for a
+    negative or non-finite area or a filled |e, n_max>, the last diagonal
+    entry.
     """
-    if not isinstance(rho, JointDensity):
-        raise TypeError(f"expected a JointDensity, got {type(rho)!r}")
-    check_pulse(float(rho.blocks()[E, -1, E, -1].real), area)
-    U = doublet_unitary(rho.n_levels, area)
-    return JointDensity(U @ rho.mat @ U.conj().T)
+    rho = _joint_density(rho)
+    check_pulse(float(rho[-1, -1].real), area)
+    U = doublet_unitary(rho.shape[0] // 2, area)
+    return U @ rho @ U.conj().T
 
 
 def branch_amplitudes(c: np.ndarray, area: float | np.ndarray
@@ -97,10 +98,14 @@ def branch_amplitudes(c: np.ndarray, area: float | np.ndarray
     The amplitude that would land on level n_max+1 is dropped; it is bounded
     by the coherent tail already certified by the truncation check.
 
-    Raises ValueError for a row of c with squared norm above 1 by more than
-    the `rounding_bound` of the largest mean and n_levels: log-domain
-    coherent amplitudes are off by about N eps relative at mean N.
+    Raises ValueError for a NaN or infinite area, and for a row of c with
+    squared norm above 1 by more than the `rounding_bound` of the largest
+    mean and n_levels: log-domain coherent amplitudes are off by about N eps
+    relative at mean N.
     """
+    area = np.asarray(area, dtype=float)
+    if not np.all(np.isfinite(area)):
+        raise ValueError(f"pulse area must be finite, got {area[~np.isfinite(area)][0]}")
     n = np.arange(c.shape[-1])
     means = (np.einsum("...n,...n,n->...", c.real, c.real, n)
              + np.einsum("...n,...n,n->...", c.imag, c.imag, n))
@@ -108,7 +113,7 @@ def branch_amplitudes(c: np.ndarray, area: float | np.ndarray
     over = norm2 > 1.0 + rounding_bound(float(np.max(means, initial=0.0)), n.size)
     if np.any(over):
         raise ValueError(f"squared norm {np.asarray(norm2)[over][0]} exceeds 1")
-    ang = np.asarray(area, dtype=float)[..., None] * np.sqrt(n + 1.0)
+    ang = area[..., None] * np.sqrt(n + 1.0)
     a_e = c * np.cos(ang)
     # the sines overwrite ang and the products go straight into a_g, so a
     # block never holds more than one full-size temporary (the cosines)
@@ -195,8 +200,7 @@ def _pi_half_areas(alphas: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, int, 
 
 
 def solve_pi_half_time(alpha: complex | np.ndarray,
-                       trunc: TruncationConfig | None = None,
-                       diagnostics: dict | None = None) -> float | np.ndarray:
+                       trunc: TruncationConfig | None = None) -> float | np.ndarray:
     """Smallest area Omega*t > 0 with <alpha_e|alpha_e> = 1/2 (equal branches).
 
     `alpha` is a scalar (the result is a float) or a 1-d array (the result is
@@ -204,13 +208,8 @@ def solve_pi_half_time(alpha: complex | np.ndarray,
     the same `trunc`). Without `trunc`, the default truncation for the
     largest |alpha| serves every entry. The entries step together from
     t = 0 by curvature-bounded steps that cannot pass the first root; see
-    `_pi_half_areas`. Raises NoRootFound naming the alpha that has no
-    crossing.
-
-    A `diagnostics` dict, if given, accumulates the solver's work across
-    calls: "pulse_solver_evaluations" (evaluations of
-    <alpha_e|alpha_e> - 1/2) and "max_pi_half_residual" (the largest
-    |<alpha_e|alpha_e> - 1/2| at a returned area).
+    `_pi_half_areas`, which also counts the work. Raises NoRootFound naming
+    the alpha that has no crossing.
     """
     alphas = np.asarray(alpha)
     if alphas.ndim > 1:
@@ -218,12 +217,7 @@ def solve_pi_half_time(alpha: complex | np.ndarray,
     if trunc is None:
         trunc = default_truncation(np.abs(alphas).max(initial=0.0))
     flat = alphas.reshape(-1)
-    areas, evaluations, residual = _pi_half_areas(flat, coherent_amplitudes(flat, trunc))
-    if diagnostics is not None:
-        diagnostics["pulse_solver_evaluations"] = (
-            diagnostics.get("pulse_solver_evaluations", 0) + evaluations)
-        diagnostics["max_pi_half_residual"] = max(
-            diagnostics.get("max_pi_half_residual", 0.0), residual)
+    areas = _pi_half_areas(flat, coherent_amplitudes(flat, trunc))[0]
     return float(areas[0]) if alphas.ndim == 0 else areas
 
 

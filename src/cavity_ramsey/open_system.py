@@ -28,8 +28,8 @@ import math
 import numpy as np
 
 from .fock import (
-    JointDensity,
     TruncationConfig,
+    _joint_density,
     _poisson_log_pmf,
     poisson_cutoff,
     pure_density,
@@ -50,11 +50,6 @@ def _check_nbar(nbar: float) -> None:
 def _check_wait(T: float) -> None:
     if not 0.0 <= T < math.inf:  # also refuses NaN
         raise ValueError(f"T must be finite and >= 0, got {T}")
-
-
-def _check_density(rho) -> None:
-    if not isinstance(rho, JointDensity):
-        raise TypeError(f"expected a JointDensity, got {type(rho)!r}")
 
 
 def _stencil(n_levels: int, nbar: float):
@@ -99,15 +94,6 @@ def _chain(mat: np.ndarray) -> np.ndarray:
     """
     L = mat.shape[0] // 2
     return np.concatenate([np.diagonal(mat), np.diagonal(mat, L - 1)])
-
-
-def dissipator_apply(rho: JointDensity, nbar: float) -> JointDensity:
-    """Apply the Lindblad generator once; acts on the field factor only."""
-    _check_density(rho)
-    _check_nbar(nbar)
-    loss, down, up = (w.reshape(-1) for w in _stencil(rho.n_levels, nbar))
-    out = _apply(rho.mat.reshape(-1), -loss, down, up, 2 * rho.n_levels + 1)
-    return JointDensity(out.reshape(rho.mat.shape))
 
 
 def _poisson_weights(mean: float, terms: int) -> list[float]:
@@ -162,23 +148,26 @@ def _evolve(x: np.ndarray, weights, s: int, ts) -> list[np.ndarray]:
     return [row for row, _ in rows]
 
 
-def evolve_master(rho: JointDensity, T: float, nbar: float) -> JointDensity:
+def evolve_master(rho: np.ndarray, T: float, nbar: float) -> np.ndarray:
     """Dissipative wait: rho -> e^{T D} rho for a dimensionless wait T = k*tau.
 
-    The atom is untouched (coupling is switched off during the wait). This is
+    rho is a (2L, 2L) joint density array; the result is a new one. The
+    atom is untouched (coupling is switched off during the wait). This is
     the ground-truth oracle the closed forms are validated against. It is
     exact up to a certified truncation: the uniformized series (`_evolve`)
     drops at most 1e-16 times the entrywise l1 norm of rho, so before
     rounding the result is within 1e-16 * sum|rho_ij| of e^{T D} rho in the
-    entrywise l1 norm. Raises TypeError for anything but a JointDensity and
-    ValueError for a negative, NaN or infinite T or nbar.
+    entrywise l1 norm. Raises ValueError, before any work, for any other
+    shape (see `fock._joint_density`) and for a negative, NaN or infinite T
+    or nbar.
     """
-    _check_density(rho)
+    rho = _joint_density(rho)
     _check_wait(T)
     _check_nbar(nbar)
-    weights = [w.reshape(-1) for w in _stencil(rho.n_levels, nbar)]
-    [out] = _evolve(rho.mat.reshape(-1), weights, 2 * rho.n_levels + 1, [T])
-    return JointDensity(out.reshape(rho.mat.shape))
+    L = rho.shape[0] // 2
+    weights = [w.reshape(-1) for w in _stencil(L, nbar)]
+    [out] = _evolve(rho.reshape(-1), weights, 2 * L + 1, [T])
+    return out.reshape(rho.shape)
 
 
 # --- zero-temperature closed forms --------------------------------------------
@@ -200,13 +189,13 @@ def split_vacuum_state(phi: float,
 
 
 def zero_temp_wait(phi: float, T: float,
-                   trunc: TruncationConfig | None = None) -> JointDensity:
+                   trunc: TruncationConfig | None = None) -> np.ndarray:
     """Closed-form joint state after a wait T = k*tau over a zero-temperature bath.
 
     With the bath at nbar = 0 the system only loses excitations, so starting
     from the split vacuum state everything stays inside {|g,0>, |g,1>, |e,0>}:
     populations (1 - e^{-2T})/2, e^{-2T}/2, 1/2, with a |g,1><e,0| coherence of
-    magnitude e^{-T}/2 and phase phi.
+    magnitude e^{-T}/2 and phase phi. Returns the (2L, 2L) joint density.
     """
     _check_wait(T)
     if trunc is None:
@@ -221,7 +210,7 @@ def zero_temp_wait(phi: float, T: float,
     coh = 0.5 * math.exp(-T) * np.exp(1j * phi)
     mat[ig1, ie0] = coh
     mat[ie0, ig1] = np.conj(coh)
-    return JointDensity(mat)
+    return mat
 
 
 def _fringe_coefficients(chain: np.ndarray, area: float) -> tuple[float, complex]:
@@ -246,7 +235,7 @@ def _fringe_coefficients(chain: np.ndarray, area: float) -> tuple[float, complex
 
 def _setup2_coefficients(T: float) -> tuple[float, complex]:
     """(c0, c1) of the zero-temperature fringe after a wait T."""
-    return _fringe_coefficients(_chain(zero_temp_wait(-math.pi / 2.0, T).mat),
+    return _fringe_coefficients(_chain(zero_temp_wait(-math.pi / 2.0, T)),
                                 DEFAULT_OMEGA_CHI)
 
 
@@ -320,7 +309,7 @@ def _fringes(ts, nbar: float, phi_grid=None,
 
     # same phase convention as setup2_pg: at the default omega_chi the
     # undamped fringe is cos^2(phi/2)
-    chain = _chain(pure_density(split_vacuum_state(-math.pi / 2.0, trunc)).mat)
+    chain = _chain(pure_density(split_vacuum_state(-math.pi / 2.0, trunc)))
     weights = [_chain(w) for w in _stencil(trunc.n_levels, nbar)]
     return [sinusoid_fringe(phi_grid, *_fringe_coefficients(c, omega_chi))
             for c in _evolve(chain, weights, 1, ts)]

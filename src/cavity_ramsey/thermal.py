@@ -77,13 +77,16 @@ class SeriesConfig:
             raise ValueError(f"variant must be 'A' or 'B', got {self.variant!r}")
 
 
-def _waits(T, nbar: float) -> np.ndarray:
-    """The waits as a flat float array, after checking the domain."""
+def _waits(T, nbar: float, omega_chi: float) -> np.ndarray:
+    """The waits as a flat float array, after checking the domain of T, nbar
+    and the pulse area omega_chi."""
     ts = np.asarray(T, dtype=float).reshape(-1)
     if not np.all(ts >= 0):  # also refuses NaN
         raise ValueError(f"T must be >= 0, got {T}")
     if not 0.0 < nbar < 1.0:
         raise ValueError(f"nbar must lie in (0, 1) for convergence, got {nbar}")
+    if not math.isfinite(omega_chi):
+        raise ValueError(f"omega_chi must be finite, got {omega_chi}")
     return ts
 
 
@@ -243,7 +246,7 @@ def pg_constant(T, nbar: float, omega_chi: float = DEFAULT_OMEGA_CHI,
     coefficients a_j with P_c(T) = sum_j e^{-2jT} a_j. T may be a scalar or
     an array; the result has T's shape (a float for a scalar).
     """
-    ts = _waits(T, nbar)
+    ts = _waits(T, nbar, omega_chi)
     cfg = cfg or SeriesConfig()
     c3, c4, support, log_fact = [], [], 0, np.empty(0)
 
@@ -279,7 +282,7 @@ def pg_oscillatory(T, nbar: float, omega_chi: float = DEFAULT_OMEGA_CHI,
     per-term factor follows cfg.variant; the inner sign exponent follows
     cfg.printed_osc_sign (see the module docstring).
     """
-    ts = _waits(T, nbar)
+    ts = _waits(T, nbar, omega_chi)
     cfg = cfg or SeriesConfig()
     # the printed reading's inner sum is nbar^l times the folded one, and it
     # carries (-nbar)^l outside in place of (-1)^l

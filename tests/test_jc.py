@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cavity_ramsey.errors import NoRootFound, TailTooLarge, TruncationLeak
-from cavity_ramsey.experiments import SETUP1_BLOCK
+from cavity_ramsey.experiments import SETUP1_BLOCK, run_setup1
 from cavity_ramsey.fock import (
     E,
     G,
@@ -16,7 +17,6 @@ from cavity_ramsey.fock import (
     coherent_state,
     pure_density,
     squared_norms,
-    tensor,
     widened_truncation,
 )
 from cavity_ramsey.jc import (
@@ -40,7 +40,7 @@ def pi_half_area_one_alpha(alpha, trunc):
     """(area, evaluations, |f| at the area) from a scalar curvature-step loop
     over one alpha.
 
-    The reference for the array solve_pi_half_time: the same rule, written
+    The reference for the array solver `_pi_half_areas`: the same rule, written
     one alpha and one float at a time.
     """
     c2 = np.abs(coherent_state(alpha, trunc)) ** 2
@@ -120,27 +120,27 @@ class TestJCEvolve:
     def test_norm_preserved(self):
         # a unitary pulse keeps a pure state's trace and purity
         trunc = TruncationConfig(n_max=40)
-        rho = pure_density(tensor([0.0, 1.0], coherent_state(1.5, trunc)))
+        rho = pure_density(np.outer([0.0, 1.0], coherent_state(1.5, trunc)))
         out = jc_evolve(rho, 0.8)
-        assert out.trace() == pytest.approx(rho.trace(), abs=1e-12)
-        assert np.trace(out.mat @ out.mat).real == pytest.approx(1.0, abs=1e-12)
+        assert np.trace(out).real == pytest.approx(np.trace(rho).real, abs=1e-12)
+        assert np.trace(out @ out).real == pytest.approx(1.0, abs=1e-12)
 
     @given(st.floats(min_value=0.0, max_value=3.0),
            st.floats(min_value=0.0, max_value=3.0))
     @settings(max_examples=40, deadline=None)
     def test_composition(self, t1, t2):
         trunc = TruncationConfig(n_max=30)
-        rho = pure_density(tensor([0.6, 0.8], coherent_state(1.0, trunc)))
+        rho = pure_density(np.outer([0.6, 0.8], coherent_state(1.0, trunc)))
         two_step = jc_evolve(jc_evolve(rho, t1), t2)
         one_step = jc_evolve(rho, t1 + t2)
-        assert np.max(np.abs(two_step.mat - one_step.mat)) < 1e-9
+        assert np.max(np.abs(two_step - one_step)) < 1e-9
 
     def test_density_trace_hermiticity(self):
         trunc = TruncationConfig(n_max=20)
-        rho = pure_density(tensor([0.0, 1.0], coherent_state(0.8, trunc)))
+        rho = pure_density(np.outer([0.0, 1.0], coherent_state(0.8, trunc)))
         out = jc_evolve(rho, 1.1)
-        assert out.trace() == pytest.approx(1.0, abs=1e-12)
-        assert np.max(np.abs(out.mat - out.mat.conj().T)) < 1e-12
+        assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
+        assert np.max(np.abs(out - out.conj().T)) < 1e-12
 
     def test_truncation_leak_raises(self):
         amps = np.zeros((2, 5), dtype=complex)
@@ -164,14 +164,14 @@ class TestBranchStates:
         trunc = TruncationConfig(n_max=60)
         t = 0.6
         a_e, a_g = branch_states(alpha, t, trunc)
-        state = tensor([0.0, 1.0], coherent_state(alpha, trunc))
+        state = np.outer([0.0, 1.0], coherent_state(alpha, trunc))
         U = doublet_unitary(trunc.n_levels, t)
         evolved = (U @ state.reshape(-1)).reshape(2, -1)
         assert np.max(np.abs(evolved[E] - a_e)) < 1e-10
         assert np.max(np.abs(evolved[G] - a_g)) < 1e-10
-        branches = pure_density(np.stack([a_g, a_e])).mat
+        branches = pure_density(np.stack([a_g, a_e]))
         rho = jc_evolve(pure_density(state), t)
-        assert np.max(np.abs(rho.mat - branches)) < 1e-10
+        assert np.max(np.abs(rho - branches)) < 1e-10
 
     def test_norms_sum_to_one(self):
         trunc = TruncationConfig(n_max=50)
@@ -185,6 +185,22 @@ class TestBranchStates:
         # one check per block: a single bad row refuses the block
         with pytest.raises(ValueError, match="squared norm 1.25 exceeds 1"):
             branch_amplitudes(np.array([[1.0, 0.0], [1.0, 0.5]]), np.array([0.3, 0.3]))
+
+
+@pytest.mark.parametrize("area", [math.nan, math.inf, -math.inf])
+def test_non_finite_area_is_refused(area):
+    # refused before any cosine of it is taken, so with no RuntimeWarning
+    amps = np.zeros((2, 4), dtype=complex)
+    amps[E, 0] = 1.0
+    c = coherent_amplitudes(np.array([0.5, 1.0]), TruncationConfig(n_max=20))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="pulse area must be finite"):
+            jc_evolve(pure_density(amps), area)
+        with pytest.raises(ValueError, match="pulse area must be finite"):
+            branch_amplitudes(c[0], area)
+        with pytest.raises(ValueError, match=f"pulse area must be finite, got {area}"):
+            branch_amplitudes(c, np.array([0.3, area]))
 
 
 class TestPiHalfTime:
@@ -223,13 +239,13 @@ class TestPiHalfTime:
         # same areas, bit for bit, the same count of evaluations and the
         # same largest residual
         trunc = TruncationConfig()
-        diagnostics = {}
-        areas = solve_pi_half_time(np.sqrt(n_values), trunc, diagnostics)
+        alphas = np.sqrt(n_values)
+        areas, evaluations, residual = _pi_half_areas(
+            alphas, coherent_amplitudes(alphas, trunc))
         reference = [pi_half_area_one_alpha(math.sqrt(n), trunc) for n in n_values]
         assert areas.tolist() == [area for area, _, _ in reference]
-        assert diagnostics["pulse_solver_evaluations"] == sum(e for _, e, _ in reference)
-        assert diagnostics["max_pi_half_residual"] == pytest.approx(
-            max(r for _, _, r in reference), abs=1e-15)
+        assert evaluations == sum(e for _, e, _ in reference)
+        assert residual == pytest.approx(max(r for _, _, r in reference), abs=1e-15)
 
     @given(PHOTON_NUMBERS)
     @settings(max_examples=20, deadline=None)
@@ -267,21 +283,21 @@ class TestPiHalfTime:
     ], ids=["scan-1601", "block-20000"])
     def test_at_most_eight_evaluations_per_n(self, n_values):
         trunc = widened_truncation(float(n_values[-1]), TruncationConfig())
-        diagnostics = {}
-        solve_pi_half_time(np.sqrt(n_values), trunc, diagnostics)
-        assert diagnostics["pulse_solver_evaluations"] <= 8 * len(n_values)
+        alphas = np.sqrt(n_values)
+        _, evaluations, _ = _pi_half_areas(alphas, coherent_amplitudes(alphas, trunc))
+        assert evaluations <= 8 * len(n_values)
 
     def test_diagnostics_accumulate_across_calls(self):
-        trunc = TruncationConfig()
-        both, first, second = {}, {}, {}
-        solve_pi_half_time(np.array([0.5, 1.0]), trunc, both)
-        solve_pi_half_time(np.array([2.0]), trunc, both)
-        solve_pi_half_time(np.array([0.5, 1.0]), trunc, first)
-        solve_pi_half_time(2.0, trunc, second)
-        assert both["pulse_solver_evaluations"] == (
-            first["pulse_solver_evaluations"] + second["pulse_solver_evaluations"])
-        assert both["max_pi_half_residual"] == max(
-            first["max_pi_half_residual"], second["max_pi_half_residual"])
+        # run_setup1 solves three blocks; a row's steps do not depend on the
+        # other rows, so its diagnostics are those of one call on every N
+        n_values = np.linspace(0.0, 20.0, 2 * SETUP1_BLOCK + 1)
+        report = run_setup1(n_values)
+        trunc = widened_truncation(20.0, TruncationConfig())
+        alphas = np.sqrt(n_values)
+        _, evaluations, residual = _pi_half_areas(alphas, coherent_amplitudes(alphas, trunc))
+        diagnostics = report.meta["diagnostics"]
+        assert diagnostics["pulse_solver_evaluations"] == evaluations
+        assert diagnostics["max_pi_half_residual"] == residual
 
     def test_scalar_returns_float_and_empty_array_empty(self):
         trunc = TruncationConfig(n_max=20)
@@ -318,12 +334,12 @@ class TestStarkPhase:
     def test_vector_density_consistency(self):
         # the amplitude map agrees with the dense phase operator on densities
         trunc = TruncationConfig(n_max=10)
-        state = tensor([0.6, 0.8], coherent_state(0.5, trunc))
+        state = np.outer([0.6, 0.8], coherent_state(0.5, trunc))
         phi = 1.234
         P = np.diag(np.repeat([np.exp(1j * phi), 1.0], trunc.n_levels))
         before = state.copy()
-        via_vector = pure_density(stark_phase(state, phi)).mat
-        via_density = P @ pure_density(state).mat @ P.conj().T
+        via_vector = pure_density(stark_phase(state, phi))
+        via_density = P @ pure_density(state) @ P.conj().T
         assert np.max(np.abs(via_vector - via_density)) < 1e-12
         assert np.array_equal(state, before)  # the input is left alone
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -65,6 +66,16 @@ class TestDomain:
         # NaN used to pass the T >= 0 check and give a NaN visibility
         with pytest.raises(ValueError, match="T must be"):
             thermal_visibility(np.array([0.1, math.nan]), 0.5)
+
+    @pytest.mark.parametrize("omega_chi", [math.nan, math.inf, -math.inf])
+    def test_non_finite_pulse_area(self, omega_chi):
+        # a ValueError (exit 1), not a ladder that never converges (exit 2),
+        # and no RuntimeWarning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for series in (thermal_visibility, pg_constant, pg_oscillatory):
+                with pytest.raises(ValueError, match="omega_chi must be finite"):
+                    series(0.1, 0.5, omega_chi=omega_chi)
 
     def test_small_nbar_is_accepted(self):
         # folded evaluation keeps tiny occupations well-conditioned

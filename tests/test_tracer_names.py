@@ -11,6 +11,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -55,6 +56,30 @@ def test_tracer_sees_the_oracle_density_batch():
     assert (fringe["batch"], fringe["levels"]) == (0, 0)
     assert tracer.layer_metrics(trace, 1.0)["open_system.state_bytes"] == 0
 
+
+
+def test_tracer_takes_array_densities():
+    # joint densities are plain arrays: the tracer's jc_evolve hook probes
+    # its first argument for `.mat`, which an array lacks, so both traced
+    # calls go through, count no density batch and leave no wrapper behind
+    fock = importlib.import_module(f"{tracer.PACKAGE}.fock")
+    jc = importlib.import_module(f"{tracer.PACKAGE}.jc")
+    open_system = importlib.import_module(f"{tracer.PACKAGE}.open_system")
+    rho = fock.pure_density(open_system.split_vacuum_state(0.3))
+    t = tracer.Tracer()
+    t.install()
+    try:
+        waited = open_system.evolve_master(rho, 0.04, 0.7)
+        pulsed = jc.jc_evolve(waited, 0.5)
+    finally:
+        t.uninstall()
+    assert tracer.leftover_wrappers() == []
+    for out in (waited, pulsed):
+        assert isinstance(out, np.ndarray) and out.shape == rho.shape
+    trace = t.dump()
+    assert [span[0] for span in trace["spans"]] == ["open_system.evolve_master",
+                                                   "jc.jc_evolve"]
+    assert tracer.layer_metrics(trace, 1.0)["open_system.state_bytes"] == 0
 
 def test_traced_variant_selection_and_selftest_label_every_fringe():
     # the tracer labels each master_fringe span by formatting its T and nbar
