@@ -30,10 +30,8 @@ from .fock import (
     TruncationConfig,
     coherent_state,
     default_truncation,
-    pure_density,
 )
 from .interferometry import (
-    DetectionModel,
     FringePattern,
     apply_detection,
     branch_overlap,

@@ -25,6 +25,12 @@ from .experiments import (
     run_velocity_scan,
 )
 
+# most points a grid flag may ask for, a 1e-4 step over [0, 1]: fig4 holds
+# two (waits x ladder <= thermal.J_MAX) float arrays, 20 MB each at this
+# size, so a grid without a bound exhausts memory instead of failing
+MAX_POINTS = 10_001
+
+
 class _Parser(argparse.ArgumentParser):
     """Usage errors exit with code 1 (code 2 is reserved for convergence)."""
 
@@ -51,8 +57,10 @@ def _parse_grid(text: str) -> list[float]:
         raise ValueError(f"--t-grid needs finite start, stop and step, got {text!r}")
     if step <= 0 or stop < start:
         raise ValueError("--t-grid needs step > 0 and stop >= start")
-    count = int((stop - start) / step + 1e-9) + 1
-    return [start + i * step for i in range(count)]
+    span = (stop - start) / step  # inf when it overflows
+    if not span + 1e-9 < MAX_POINTS:
+        raise ValueError(f"--t-grid {text!r} gives more than {MAX_POINTS} points")
+    return [start + i * step for i in range(int(span + 1e-9) + 1)]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -122,6 +130,8 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         cfg = _load(args)
+        if args.phi_points > MAX_POINTS:
+            raise ValueError(f"--phi-points must be <= {MAX_POINTS}, got {args.phi_points}")
         if args.command == "setup1":
             n_values = (_parse_float_list(args.n_values, "--n-values")
                         if args.n_values else None)
@@ -136,19 +146,14 @@ def main(argv=None) -> int:
             report = run_velocity_scan(velocities, cfg)
         else:
             report = run_selftest(cfg)
-            widths = (32, 16, 16, 10, 6)
-            for row in [report.columns, *report.rows]:
-                cells = [f"{v:.6g}" if isinstance(v, float) else str(v)
-                         for v in row]
-                print("  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip())
-            if not report.meta["all_pass"]:
-                print("selftest: FAILED", file=sys.stderr)
-                return 2
-            print("selftest: all checks passed")
-            if args.out:
-                _emit(report, args)
-            return 0
         _emit(report, args)
+        if args.command != "selftest":
+            return 0
+        # the verdict goes to stderr, so stdout stays a parseable report
+        if not report.meta["all_pass"]:
+            print("selftest: FAILED", file=sys.stderr)
+            return 2
+        print("selftest: all checks passed", file=sys.stderr)
         return 0
     except CavityRamseyError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -103,25 +103,6 @@ def poisson_cutoff(mean: float, tol: float, lo: int = 0) -> int:
     return hi
 
 
-# --- diagnostics used by tests and by the self-check CLI ---------------------
-
-def hermiticity_defect(mat: np.ndarray) -> float:
-    return float(np.max(np.abs(mat - mat.conj().T)))
-
-
-def min_eigenvalue(mat: np.ndarray) -> float:
-    h = 0.5 * (mat + mat.conj().T)
-    return float(np.linalg.eigvalsh(h)[0])
-
-
-def assert_physical_density(mat: np.ndarray, *, herm_tol: float = 1e-10,
-                            trace_tol: float = 1e-9, eig_floor: float = -1e-8) -> None:
-    """Raise AssertionError unless mat is Hermitian, unit-trace and PSD within tolerance."""
-    assert hermiticity_defect(mat) < herm_tol, "density not Hermitian"
-    assert abs(np.trace(mat).real - 1.0) < trace_tol, "density trace != 1"
-    assert min_eigenvalue(mat) > eig_floor, "density not positive semidefinite"
-
-
 # --- Poisson tails ------------------------------------------------------------
 
 def stirlerr(n: int) -> float:
@@ -294,15 +275,6 @@ def squared_norms(amps: np.ndarray) -> np.ndarray:
     """<c|c> of each row of amps, from views of its real and imaginary parts."""
     return (np.einsum("...n,...n->...", amps.real, amps.real)
             + np.einsum("...n,...n->...", amps.imag, amps.imag))
-
-
-def pure_density(amps: np.ndarray) -> np.ndarray:
-    """|psi><psi| of a (2, n_levels) joint amplitude array, atom-major."""
-    amps = np.asarray(amps, dtype=complex)
-    if amps.ndim != 2 or amps.shape[0] != 2:
-        raise ValueError("joint amplitudes must have shape (2, n_levels)")
-    v = amps.reshape(-1)
-    return np.outer(v, v.conj())
 
 
 def _joint_density(rho) -> np.ndarray:

@@ -19,17 +19,6 @@ from .jc import branch_states, solve_pi_half_time
 
 
 @dataclass(frozen=True)
-class DetectionModel:
-    """Aggregate detection/imperfection factor applied to model visibilities."""
-
-    eta: float = 0.75
-
-    def __post_init__(self):
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
-
-
-@dataclass(frozen=True)
 class FringePattern:
     """Sampled (phi, P_g) fringe plus its extracted visibility."""
 
@@ -98,11 +87,13 @@ def visibility_from_pattern(phis, p_g) -> float:
     return amp / float(a)
 
 
-def apply_detection(v: float, model: DetectionModel) -> float:
-    """Scale a model visibility by the aggregate imperfection factor eta."""
+def apply_detection(v: float, eta: float) -> float:
+    """Scale a model visibility by the aggregate detection/imperfection factor eta."""
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"eta must lie in [0, 1], got {eta}")
     if not 0.0 <= v <= 1.0:
         raise ValueError(f"visibility must lie in [0, 1], got {v}")
-    return model.eta * v
+    return eta * v
 
 
 def sinusoid_fringe(phi_grid, c0: float, c1: complex) -> FringePattern:

@@ -13,9 +13,10 @@ translation already parametrized by phi.
 
 The wait is one three-point stencil (`_stencil`, `_apply`, `_evolve`): it
 keeps the photon-number offset m - n and the atom block fixed, so an entry
-only meets its (m+1, n+1) and (m-1, n-1) neighbours. `evolve_master` runs it
-on a whole flattened density; the oracle fringe runs it on the 3L + 1
-entries the second pulse reads (`_chain`), to the same bits. One
+only meets its (m+1, n+1) and (m-1, n-1) neighbours. The oracle fringe and
+the selftest's wait rows run it on the 3L + 1 entries the second pulse reads
+(`_chain`, `_wait_chain`); `evolve_master` runs it on a whole flattened
+density, to the same bits, and no package path calls it. One
 uniformization sweep serves every wait up to the longest, each with its own
 Poisson weights, so `master_visibility` takes an array of waits at the cost
 of its longest one.
@@ -27,13 +28,7 @@ import math
 
 import numpy as np
 
-from .fock import (
-    TruncationConfig,
-    _joint_density,
-    _poisson_log_pmf,
-    poisson_cutoff,
-    pure_density,
-)
+from .fock import TruncationConfig, _joint_density, _poisson_log_pmf, poisson_cutoff
 from .interferometry import FringePattern, sinusoid_fringe
 from .jc import DEFAULT_OMEGA_CHI, branch_amplitudes, check_pulse, stark_phase
 
@@ -148,13 +143,19 @@ def _evolve(x: np.ndarray, weights, s: int, ts) -> list[np.ndarray]:
     return [row for row, _ in rows]
 
 
+def _wait_chain(chain: np.ndarray, nbar: float, ts) -> list[np.ndarray]:
+    """The `_chain` of the waited density at every wait in ts, from one sweep."""
+    L = (chain.size - 1) // 3
+    return _evolve(chain, [_chain(w) for w in _stencil(L, nbar)], 1, ts)
+
+
 def evolve_master(rho: np.ndarray, T: float, nbar: float) -> np.ndarray:
     """Dissipative wait: rho -> e^{T D} rho for a dimensionless wait T = k*tau.
 
     rho is a (2L, 2L) joint density array; the result is a new one. The
-    atom is untouched (coupling is switched off during the wait). This is
-    the ground-truth oracle the closed forms are validated against. It is
-    exact up to a certified truncation: the uniformized series (`_evolve`)
+    atom is untouched (coupling is switched off during the wait). The
+    tests check the oracle's chain (`_wait_chain`) against it entry for
+    entry. It is exact up to a certified truncation: the uniformized series (`_evolve`)
     drops at most 1e-16 times the entrywise l1 norm of rho, so before
     rounding the result is within 1e-16 * sum|rho_ij| of e^{T D} rho in the
     entrywise l1 norm. Raises ValueError, before any work, for any other
@@ -233,6 +234,25 @@ def _fringe_coefficients(chain: np.ndarray, area: float) -> tuple[float, complex
     return float(c0), complex(2j * np.sum(cos * sin * ge))
 
 
+def _chain_spectrum(chain: np.ndarray) -> tuple[float, float]:
+    """Trace and smallest eigenvalue of the density whose `_chain` this is.
+
+    The density's entries off the chain must be zero, as the wait keeps them
+    from a start with none. It is then Hermitian, with the chain as its upper
+    triangle, and the direct sum of |g,0>, |e,L-1> and the doublet blocks
+    [[rho_gg[n+1], rho_ge[n+1,n]], [rho_ge[n+1,n]*, rho_ee[n]]], whose
+    smaller eigenvalue is their mean minus hypot(half their difference,
+    |rho_ge[n+1,n]|), provided its diagonal is real and its in-block corners
+    rho_gg[0,L-1] and rho_ee[0,L-1] are empty; raises ValueError otherwise.
+    """
+    L = (chain.size - 1) // 3
+    if chain[2 * L] or chain[3 * L] or chain[:2 * L].imag.any():
+        raise ValueError("the chain is not a Hermitian sum of doublet blocks")
+    gg, ee, ge = chain[:L].real, chain[L:2 * L].real, chain[2 * L + 1:3 * L]
+    low = (gg[1:] + ee[:-1]) / 2.0 - np.hypot((gg[1:] - ee[:-1]) / 2.0, np.abs(ge))
+    return float(chain[:2 * L].real.sum()), float(min(gg[0], ee[-1], low.min()))
+
+
 def _setup2_coefficients(T: float) -> tuple[float, complex]:
     """(c0, c1) of the zero-temperature fringe after a wait T."""
     return _fringe_coefficients(_chain(zero_temp_wait(-math.pi / 2.0, T)),
@@ -308,11 +328,13 @@ def _fringes(ts, nbar: float, phi_grid=None,
         trunc = TruncationConfig(n_max=n_max)
 
     # same phase convention as setup2_pg: at the default omega_chi the
-    # undamped fringe is cos^2(phi/2)
-    chain = _chain(pure_density(split_vacuum_state(-math.pi / 2.0, trunc)))
-    weights = [_chain(w) for w in _stencil(trunc.n_levels, nbar)]
+    # undamped fringe is cos^2(phi/2); the chain of |v><v| is its diagonal
+    # v v* and its (L-1)-th superdiagonal v[i] v*[i+L-1]
+    v = split_vacuum_state(-math.pi / 2.0, trunc).reshape(-1)
+    L = trunc.n_levels
+    chain = np.concatenate([v * v.conj(), v[:L + 1] * v[L - 1:].conj()])
     return [sinusoid_fringe(phi_grid, *_fringe_coefficients(c, omega_chi))
-            for c in _evolve(chain, weights, 1, ts)]
+            for c in _wait_chain(chain, nbar, ts)]
 
 
 def master_fringe(T: float, nbar: float, phi_grid=None,

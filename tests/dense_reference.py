@@ -1,0 +1,35 @@
+"""Dense (2L, 2L) joint densities and their physicality checks, for the tests only.
+
+The package propagates and reads only the chain of entries the second pulse
+reads (`open_system._chain`). This module keeps the brute-force view the
+tests check it against: a whole density built from joint amplitudes, and
+Hermiticity, trace and spectrum read from the full matrix, sharing no code
+with the chain's closed forms.
+"""
+
+import numpy as np
+
+
+def pure_density(amps):
+    """|psi><psi| of a (2, n_levels) joint amplitude array, atom-major."""
+    amps = np.asarray(amps, dtype=complex)
+    if amps.ndim != 2 or amps.shape[0] != 2:
+        raise ValueError("joint amplitudes must have shape (2, n_levels)")
+    v = amps.reshape(-1)
+    return np.outer(v, v.conj())
+
+
+def hermiticity_defect(mat):
+    return float(np.max(np.abs(mat - mat.conj().T)))
+
+
+def min_eigenvalue(mat):
+    h = 0.5 * (mat + mat.conj().T)
+    return float(np.linalg.eigvalsh(h)[0])
+
+
+def assert_physical_density(mat, *, herm_tol=1e-10, trace_tol=1e-9, eig_floor=-1e-8):
+    """Raise AssertionError unless mat is Hermitian, unit-trace and PSD within tolerance."""
+    assert hermiticity_defect(mat) < herm_tol, "density not Hermitian"
+    assert abs(np.trace(mat).real - 1.0) < trace_tol, "density trace != 1"
+    assert min_eigenvalue(mat) > eig_floor, "density not positive semidefinite"

@@ -20,14 +20,8 @@ from cavity_ramsey.experiments import (
     run_setup1,
     run_velocity_scan,
 )
-from cavity_ramsey.fock import (
-    TruncationConfig,
-    assert_physical_density,
-    pure_density,
-    squared_norms,
-)
+from cavity_ramsey.fock import TruncationConfig, squared_norms
 from cavity_ramsey.interferometry import (
-    DetectionModel,
     apply_detection,
     branch_overlap,
     fringe_scan_setup1,
@@ -46,9 +40,10 @@ from cavity_ramsey.thermal import (
     select_variant,
     thermal_visibility,
 )
+from dense_reference import assert_physical_density, pure_density
 
 CFG = PhysicalConfig()
-DET = DetectionModel(eta=0.75)
+ETA = 0.75
 
 
 def report(number, ok, detail):
@@ -58,7 +53,7 @@ def report(number, ok, detail):
 
 def test_criterion_1_zero_temperature_closed_form():
     v = zero_temp_visibility_closed_form(0.008)
-    v_eta = apply_detection(v, DET)
+    v_eta = apply_detection(v, ETA)
     ok = abs(v - 0.9881) <= 0.0005 and abs(v_eta - 0.7411) <= 0.0005
     report(1, ok, f"closed form V(0.008)={v:.5f}, eta-scaled {v_eta:.5f}")
 
@@ -89,7 +84,7 @@ def test_criterion_3_thermal_visibility():
     winner = select_variant().winner
     cfg = PhysicalConfig(variant=winner)
     v = thermal_visibility(0.008, 0.7, cfg.resolved_series())
-    v_eta = apply_detection(v, DET)
+    v_eta = apply_detection(v, ETA)
     r = OBSERVED_REFERENCE_VISIBILITY / v
     ok = (abs(v - 0.983) <= 0.004 and abs(v_eta - 0.737) <= 0.004
           and abs(r - 0.702) <= 0.004)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from cavity_ramsey import cli
+from cavity_ramsey import cli, jc, open_system
 from cavity_ramsey.cli import _parse_grid, main
 from cavity_ramsey.errors import CavityRamseyError
 
@@ -30,6 +30,19 @@ class TestGridParsing:
     @pytest.mark.parametrize("text", ["0:1", "1:0:0.1", "0:1:0", "a:b:c"])
     def test_rejects_malformed(self, text):
         with pytest.raises(ValueError):
+            _parse_grid(text)
+
+    def test_largest_grid(self):
+        assert len(_parse_grid("0:1:1e-4")) == cli.MAX_POINTS
+
+    @pytest.mark.parametrize("text", ["0:1:9.99e-5", "0:1e-300:1e-310",
+                                      "0:1:1e-320", "-1e308:1e308:1"])
+    def test_rejects_oversized_grid_before_building_it(self, text, monkeypatch):
+        # 1e10 points, and spans whose point count overflows to inf; a
+        # missing bound fails here instead of filling memory
+        monkeypatch.setattr(cli, "range", lambda *a: pytest.fail("grid built"),
+                            raising=False)
+        with pytest.raises(ValueError, match="more than 10001 points"):
             _parse_grid(text)
 
 
@@ -113,16 +126,35 @@ class TestSubcommands:
         assert err.startswith("error: ") and "T = tau_s" in err
 
     def test_selftest_passes(self, capsys):
-        code, out, _ = run_cli(capsys, "selftest")
+        code, out, err = run_cli(capsys, "selftest")
         assert code == 0
-        assert "all checks passed" in out
+        assert "all checks passed" in err
+        assert out.startswith("check,value,reference,tol,status\n")
+
+    def test_selftest_report_follows_format(self, capsys, tmp_path):
+        # the report goes to stdout like every other subcommand's, the same
+        # text --out writes; the verdict goes to stderr
+        code, out, err = run_cli(capsys, "selftest", "--format", "json")
+        assert code == 0
+        assert err == "selftest: all checks passed\n"
+        path = tmp_path / "selftest.json"
+        assert run_cli(capsys, "selftest", "--format", "json", "--out", str(path))[:2] == (0, "")
+        assert path.read_text() == out
+        assert json.loads(out)["scenario"] == "selftest"
+
+    def test_failing_selftest_still_reports(self, capsys):
+        # variant B misses the oracle: the report names the failing row
+        code, out, err = run_cli(capsys, "selftest", "--variant", "B")
+        assert code == 2
+        assert err == "selftest: FAILED\n"
+        assert "thermal_series_vs_oracle" in out and ",FAIL" in out
 
     def test_selftest_auto_variant_arbitrates_to_a(self, capsys, tmp_path):
         path = tmp_path / "selftest.json"
-        code, out, _ = run_cli(capsys, "selftest", "--variant", "auto",
+        code, _, err = run_cli(capsys, "selftest", "--variant", "auto",
                                "--format", "json", "--out", str(path))
         assert code == 0
-        assert "all checks passed" in out
+        assert "all checks passed" in err
         assert json.loads(path.read_text())["meta"]["series_variant"] == "A"
 
     def test_selftest_oracle_follows_configured_second_pulse(self, capsys, tmp_path):
@@ -163,13 +195,46 @@ class TestSubcommands:
         code, _, _ = run_cli(capsys, "selftest", "--variant", "B")
         assert code == 2  # variant B misses the oracle
         path = tmp_path / "selftest.json"
-        code, out, _ = run_cli(capsys, "selftest", "--format", "json", "--out", str(path))
+        code, _, err = run_cli(capsys, "selftest", "--format", "json", "--out", str(path))
         assert code == 0
-        assert "all checks passed" in out
+        assert "all checks passed" in err
         assert json.loads(path.read_text())["meta"]["series_variant"] == "A"
         with pytest.raises(SystemExit) as exc:
             main(["selftest", "--variant", "C"])
         assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("fig4", "--t-grid", "0:1e-300:1e-310"),
+    ("setup2", "--phi-points", "10002"),
+    ("setup1", "--phi-points", "100000000000"),
+])
+def test_oversized_grid_is_a_usage_error(capsys, monkeypatch, argv):
+    # refused before any grid is built or any scenario runs
+    monkeypatch.setattr(cli, "range", lambda *a: pytest.fail("grid built"),
+                        raising=False)
+    monkeypatch.setattr(cli, "run_fig4", lambda *a, **k: pytest.fail("ran"))
+    monkeypatch.setattr(cli, "run_setup1", lambda *a, **k: pytest.fail("ran"))
+    monkeypatch.setattr(cli, "run_setup2", lambda *a, **k: pytest.fail("ran"))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "10001" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("setup1",), ("setup2",), ("fig4",), ("velocity-scan",), ("selftest",),
+    ("selftest", "--variant", "auto"),
+])
+def test_no_scenario_propagates_a_dense_density(capsys, monkeypatch, argv):
+    # the oracle waits and pulses only the chain of entries P_g reads
+    def dense(*args, **kwargs):
+        raise AssertionError("dense density propagated")
+
+    monkeypatch.setattr(open_system, "evolve_master", dense)
+    monkeypatch.setattr(jc, "jc_evolve", dense)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 0, err
 
 
 class TestExitCodes:

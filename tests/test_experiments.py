@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from cavity_ramsey import experiments
 from cavity_ramsey.config import PhysicalConfig
 from cavity_ramsey.experiments import (
     OBSERVED_REFERENCE_VISIBILITY,
@@ -17,13 +18,20 @@ from cavity_ramsey.experiments import (
 )
 from cavity_ramsey.fock import poisson_tail, widened_truncation
 from cavity_ramsey.interferometry import (
-    DetectionModel,
     apply_detection,
     branch_overlap,
     plus_minus_decomposition,
 )
 from cavity_ramsey.jc import PI_HALF_RESIDUAL_TOL, branch_states, solve_pi_half_time
+from cavity_ramsey.open_system import (
+    _chain,
+    _chain_spectrum,
+    _wait_chain,
+    evolve_master,
+    zero_temp_wait,
+)
 from cavity_ramsey.thermal import thermal_visibility
+from dense_reference import assert_physical_density, hermiticity_defect, min_eigenvalue
 
 CFG = PhysicalConfig()
 
@@ -31,7 +39,6 @@ CFG = PhysicalConfig()
 def setup1_rows_one_n_at_a_time(n_values, cfg):
     """run_setup1's rows computed one N at a time through the scalar API."""
     trunc = widened_truncation(max(n_values), cfg.trunc)
-    det = DetectionModel(eta=cfg.eta)
     rows = []
     for n_mean in n_values:
         alpha = math.sqrt(n_mean)
@@ -39,7 +46,7 @@ def setup1_rows_one_n_at_a_time(n_values, cfg):
         a_e, a_g = branch_states(alpha, t, trunc)
         v = 2.0 * abs(branch_overlap(a_e, a_g))
         n_plus, n_minus = plus_minus_decomposition(a_e, a_g)
-        rows.append((n_mean, t, v, apply_detection(min(v, 1.0), det),
+        rows.append((n_mean, t, v, apply_detection(min(v, 1.0), cfg.eta),
                      n_plus, n_minus))
     return rows
 
@@ -233,3 +240,65 @@ class TestSelftest:
         assert report.meta["all_pass"]
         assert all(row[-1] == "pass" for row in report.rows)
         assert len(report.rows) >= 5
+
+
+@pytest.mark.parametrize("T", [0.01, 0.1, 0.3, 1.0])
+@pytest.mark.parametrize("nbar", [0.0, 0.3, 0.7, 0.95])
+def test_chain_check_is_the_dense_check(T, nbar):
+    # the selftest's start state waited densely: nothing leaves the chain,
+    # so the block-form trace and spectrum are the whole matrix's
+    start = zero_temp_wait(0.7, 0.0)
+    dense = evolve_master(start, T, nbar)
+    L = dense.shape[0] // 2
+    on_chain = np.eye(2 * L) + np.eye(2 * L, k=L - 1) + np.eye(2 * L, k=1 - L)
+    assert not np.any(dense[on_chain == 0])
+    assert hermiticity_defect(dense) == 0.0
+    assert_physical_density(dense)
+    [chain] = _wait_chain(_chain(start), nbar, [T])
+    assert np.array_equal(chain, _chain(dense))
+    assert chain[2 * L] == chain[3 * L] == 0.0
+    trace, low = _chain_spectrum(chain)
+    assert abs(trace - np.trace(dense).real) <= 1e-15
+    assert abs(low - min_eigenvalue(dense)) <= 1e-15
+
+
+def _physicality_row(monkeypatch, mutate):
+    """The thermal_evolution_physical row with mutate(chain, L) applied to
+    every waited chain the selftest reads."""
+    def mutated(chain, nbar, ts):
+        out = _wait_chain(chain, nbar, ts)
+        for c in out:
+            mutate(c, (c.size - 1) // 3)
+        return out
+
+    monkeypatch.setattr(experiments, "_wait_chain", mutated)
+    rows = {row[0]: row for row in run_selftest(CFG).rows}
+    return rows["thermal_evolution_physical"]
+
+
+def _coherence_above_populations(c, L):
+    # |rho_ge[1,0]|^2 = rho_gg[1] rho_ee[0] + 1e-6: doublet 0 is not PSD
+    c[2 * L + 1] = math.sqrt(c[1].real * c[L].real + 1e-6)
+
+
+def _negative_population(c, L):
+    # rho_ee[L-1] = -1e-7, its mass moved to rho_gg[0]: the trace holds
+    c[0] += c[2 * L - 1].real + 1e-7
+    c[2 * L - 1] = -1e-7
+
+
+def _trace_off(c, L):
+    c[0] += 2e-9
+
+
+@pytest.mark.parametrize("mutate", [
+    _coherence_above_populations,
+    _negative_population,
+    _trace_off,
+    lambda c, L: c.__setitem__(2 * L, 1e-15),
+    lambda c, L: c.__setitem__(3 * L, 1e-15),
+    lambda c, L: c.__setitem__(0, c[0] + 1e-3j),
+], ids=["coherence", "population", "trace", "gg_corner", "ee_corner", "not_hermitian"])
+def test_physicality_row_fails_an_unphysical_chain(monkeypatch, mutate):
+    assert _physicality_row(monkeypatch, lambda c, L: None)[-1] == "pass"
+    assert _physicality_row(monkeypatch, mutate)[1:] == (1.0, 0.0, 0.0, "FAIL")

@@ -12,15 +12,17 @@ from cavity_ramsey.fock import (
     G,
     TruncationConfig,
     _joint_density,
-    assert_physical_density,
     coherent_amplitudes,
     coherent_state,
     default_truncation,
+    poisson_tail,
+    widened_truncation,
+)
+from dense_reference import (
+    assert_physical_density,
     hermiticity_defect,
     min_eigenvalue,
-    poisson_tail,
     pure_density,
-    widened_truncation,
 )
 
 

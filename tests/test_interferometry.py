@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from cavity_ramsey.errors import DegeneratePattern
 from cavity_ramsey.fock import G, TruncationConfig
 from cavity_ramsey.interferometry import (
-    DetectionModel,
     FringePattern,
     apply_detection,
     branch_overlap,
@@ -178,13 +177,14 @@ class TestVisibilityExtraction:
 
 class TestDetection:
     def test_scaling(self):
-        assert apply_detection(0.8, DetectionModel(eta=0.75)) == pytest.approx(0.6)
+        assert apply_detection(0.8, 0.75) == pytest.approx(0.6)
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            apply_detection(1.2, DetectionModel())
-        with pytest.raises(ValueError):
-            DetectionModel(eta=1.5)
+        with pytest.raises(ValueError, match="visibility"):
+            apply_detection(1.2, 0.75)
+        for eta in (1.5, -0.1, math.nan):
+            with pytest.raises(ValueError, match="eta"):
+                apply_detection(0.5, eta)
 
 
 class TestFringePattern:

@@ -15,7 +15,6 @@ from cavity_ramsey.fock import (
     TruncationConfig,
     coherent_amplitudes,
     coherent_state,
-    pure_density,
     squared_norms,
     widened_truncation,
 )
@@ -29,6 +28,7 @@ from cavity_ramsey.jc import (
     solve_pi_half_time,
     stark_phase,
 )
+from dense_reference import pure_density
 
 # sorted photon numbers in [0, 20] that always hold the vacuum and a repeat
 PHOTON_NUMBERS = st.lists(

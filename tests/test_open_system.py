@@ -9,12 +9,7 @@ from hypothesis import strategies as st
 
 from cavity_ramsey import open_system
 from cavity_ramsey.errors import TruncationLeak
-from cavity_ramsey.fock import (
-    TruncationConfig,
-    assert_physical_density,
-    poisson_cutoff,
-    pure_density,
-)
+from cavity_ramsey.fock import TruncationConfig, poisson_cutoff
 from cavity_ramsey.jc import DEFAULT_OMEGA_CHI, doublet_unitary, jc_evolve, stark_phase
 from cavity_ramsey.open_system import (
     evolve_master,
@@ -28,6 +23,7 @@ from cavity_ramsey.open_system import (
     zero_temp_visibility_derived,
     zero_temp_wait,
 )
+from dense_reference import assert_physical_density, pure_density
 
 T_GRID = (0.001, 0.008, 0.1, 0.4, 1.0)
 

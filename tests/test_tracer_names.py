@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from dense_reference import pure_density
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -62,10 +63,9 @@ def test_tracer_takes_array_densities():
     # joint densities are plain arrays: the tracer's jc_evolve hook probes
     # its first argument for `.mat`, which an array lacks, so both traced
     # calls go through, count no density batch and leave no wrapper behind
-    fock = importlib.import_module(f"{tracer.PACKAGE}.fock")
     jc = importlib.import_module(f"{tracer.PACKAGE}.jc")
     open_system = importlib.import_module(f"{tracer.PACKAGE}.open_system")
-    rho = fock.pure_density(open_system.split_vacuum_state(0.3))
+    rho = pure_density(open_system.split_vacuum_state(0.3))
     t = tracer.Tracer()
     t.install()
     try:
