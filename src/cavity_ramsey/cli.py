@@ -18,17 +18,14 @@ from dataclasses import replace
 from .config import CONFIG_KEYS, PhysicalConfig, load_config
 from .errors import CavityRamseyError
 from .experiments import (
+    MAX_POINTS,
+    _check_phi_points,
     run_fig4,
     run_selftest,
     run_setup1,
     run_setup2,
     run_velocity_scan,
 )
-
-# most points a grid flag may ask for, a 1e-4 step over [0, 1]: fig4 holds
-# two (waits x ladder <= thermal.J_MAX) float arrays, 20 MB each at this
-# size, so a grid without a bound exhausts memory instead of failing
-MAX_POINTS = 10_001
 
 
 class _Parser(argparse.ArgumentParser):
@@ -70,11 +67,13 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", metavar="PATH",
                         help="write the report here instead of stdout")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
-    common.add_argument("--phi-points", type=int, default=65,
-                        help="fringe sampling density (default 65)")
     common.add_argument("--variant", choices=("A", "B", "auto"),
                         help="thermal-series transcription variant "
                              "(auto = arbitrate against the integrator)")
+    # the subcommands that sample a fringe
+    fringe = _Parser(add_help=False)
+    fringe.add_argument("--phi-points", type=int, default=65,
+                        help="fringe sampling density (default 65)")
 
     parser = _Parser(
         prog="cavity-ramsey",
@@ -82,12 +81,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p1 = sub.add_parser("setup1", parents=[common],
+    p1 = sub.add_parser("setup1", parents=[common, fringe],
                         help="single quantized-zone scan over mean photon number")
     p1.add_argument("--n-values", metavar="LIST",
                     help="comma-separated mean photon numbers")
 
-    sub.add_parser("setup2", parents=[common],
+    sub.add_parser("setup2", parents=[common, fringe],
                    help="shared-mode fringe and thermal visibility")
 
     p4 = sub.add_parser("fig4", parents=[common],
@@ -130,8 +129,8 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         cfg = _load(args)
-        if args.phi_points > MAX_POINTS:
-            raise ValueError(f"--phi-points must be <= {MAX_POINTS}, got {args.phi_points}")
+        if args.command in ("setup1", "setup2"):
+            _check_phi_points(args.phi_points)
         if args.command == "setup1":
             n_values = (_parse_float_list(args.n_values, "--n-values")
                         if args.n_values else None)

@@ -50,6 +50,10 @@ DEFAULT_VELOCITIES = (500.0, 200.0, 50.0, 10.0)
 # peak memory alone (a 1601-N scan in one block raised a setup1 call's peak
 # RSS from 58.8 to 64.8 MB; in blocks of 128 it stays within 0.2 MB)
 SETUP1_BLOCK = 128
+# most points a grid may ask for, a 1e-4 step over [0, 1]: fig4 holds two
+# (waits x ladder <= thermal.J_MAX) float arrays, 20 MB each at this size,
+# so a grid without a bound exhausts memory instead of failing
+MAX_POINTS = 10_001
 
 
 def _fmt(x) -> str:
@@ -107,6 +111,12 @@ class ScanReport:
         return [row[i] for row in self.rows]
 
 
+def _check_phi_points(phi_points: int) -> None:
+    """Refuse a fringe grid of fewer than 16 or more than MAX_POINTS points."""
+    if not 16 <= phi_points <= MAX_POINTS:
+        raise ValueError(f"phi_points must be in [16, {MAX_POINTS}], got {phi_points}")
+
+
 def _provenance(cfg: PhysicalConfig, series_variant: str) -> dict:
     return {
         "config": config_to_dict(cfg),
@@ -161,8 +171,9 @@ def run_setup1(n_values=None, config: PhysicalConfig | None = None,
     pulse solver's evaluations of <alpha_e|alpha_e> - 1/2, the largest
     |<alpha_e|alpha_e> - 1/2| at a solved area, and the Poisson tail the
     cutoff discards at the largest N. N must be >= 0; NaN is refused with
-    the negative values.
+    the negative values, and phi_points must be in [16, MAX_POINTS].
     """
+    _check_phi_points(phi_points)
     cfg = config or PhysicalConfig()
     if n_values is None:
         n_values = DEFAULT_N_VALUES
@@ -183,7 +194,7 @@ def run_setup1(n_values=None, config: PhysicalConfig | None = None,
     if n_values:
         pattern = fringe_scan_setup1(
             math.sqrt(max_n), trunc,
-            np.linspace(0.0, 2.0 * math.pi, max(8, phi_points)))
+            np.linspace(0.0, 2.0 * math.pi, phi_points))
         meta["fringe"] = {
             "n_mean": max_n,
             "phi": pattern.phis.tolist(),
@@ -207,11 +218,10 @@ def run_setup2(config: PhysicalConfig | None = None,
     Rows carry the phi-fringe from the nbar = 0 integrator chain at the
     configured T; the meta block carries the visibilities (fringe-extracted,
     closed-form, and the thermal series at the configured (T, nbar)), each
-    both raw and eta-scaled.
+    both raw and eta-scaled. phi_points must be in [16, MAX_POINTS].
     """
+    _check_phi_points(phi_points)
     cfg = config or PhysicalConfig()
-    if phi_points < 16:
-        raise ValueError(f"phi_points must be >= 16, got {phi_points}")
     series = cfg.resolved_series()
     grid = np.linspace(0.0, 2.0 * math.pi, phi_points)
     pattern = master_fringe(cfg.T, 0.0, phi_grid=grid)

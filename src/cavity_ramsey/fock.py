@@ -48,8 +48,10 @@ class TruncationConfig:
     def __post_init__(self):
         if self.n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {self.n_max}")
-        if not 0.0 < self.tail_tol < 1.0:
-            raise ValueError(f"tail_tol must be in (0, 1), got {self.tail_tol}")
+        # below the smallest normal float a tail's terms keep only a few bits,
+        # and `poisson_cutoff`'s walk and `poisson_tail` part ways
+        if not sys.float_info.min <= self.tail_tol < 1.0:
+            raise ValueError(f"tail_tol must be a normal float below 1, got {self.tail_tol}")
 
     @property
     def n_levels(self) -> int:
@@ -85,8 +87,8 @@ def widened_truncation(mean: float, trunc: TruncationConfig) -> TruncationConfig
 def poisson_cutoff(mean: float, tol: float, lo: int = 0) -> int:
     """Smallest n >= lo whose Poisson(mean) tail above n is below tol.
 
-    The tail falls with n, so the cutoff is found by bisection. Raises
-    TailTooLarge when even MAX_WIDENED_N_MAX would discard tol or more.
+    Found by `tail_cutoff`'s walk. Raises TailTooLarge when even
+    max(lo, MAX_WIDENED_N_MAX) would discard tol or more.
     """
     hi = max(lo, MAX_WIDENED_N_MAX)
     if poisson_tail(mean, hi) >= tol:
@@ -94,13 +96,11 @@ def poisson_cutoff(mean: float, tol: float, lo: int = 0) -> int:
             f"Poisson mean {mean:.4g} needs a cutoff above {hi} to discard "
             f"less than {tol:.3e}"
         )
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if poisson_tail(mean, mid) < tol:
-            hi = mid
-        else:
-            lo = mid + 1
-    return hi
+    if mean == 0.0:
+        return lo
+    # the tail is below tol where it is at most the float just below tol
+    return tail_cutoff(lambda k: _poisson_log_pmf(k, mean), 0.0, mean, lo,
+                       math.nextafter(tol, 0.0), hi)
 
 
 # --- Poisson tails ------------------------------------------------------------
@@ -158,17 +158,23 @@ def rounding_bound(size: float, steps: int) -> float:
     return 8.0 * sys.float_info.epsilon * (size + steps)
 
 
-def upper_tail_sum(first: float, x: int, a: float, b: float) -> tuple[float, int]:
-    """sum_{i >= x} t_i for t_x = first and t_{i+1} = t_i (a i + b) / (i + 1).
+def upper_tail(log_pmf, x: int, a: float, b: float) -> tuple[float, float]:
+    """Upper bounds on sum_{i >= x} p_i and on p_x, for ln p_i = log_pmf(i)[0].
 
-    The ratio (a i + b) / (i + 1) must be below 1 at i = x and fall from
-    there, as it does past the mode of a Poisson (a = 0, b = mean) or a
-    negative binomial (a = q, b = q * successes). The terms are added until
-    the geometric bound on the rest, which every later ratio keeps, is at
-    most TAIL_SUM_TOL of the sum; the bound is added too, so up to rounding
-    the result is never below the exact tail. Returns it and the number of
-    terms added.
+    log_pmf(i) returns ln p_i and the size of its inputs for `rounding_bound`.
+    The terms follow p_{i+1} = p_i (a i + b) / (i + 1), whose ratio must be
+    below 1 at i = x and fall from there, as it does past the mode of a
+    Poisson (a = 0, b = mean) or a negative binomial (a = q, b = q *
+    successes). From p_x, in whatever saddle-point form log_pmf uses, the
+    terms are added until the geometric bound on the rest, which every later
+    ratio keeps, is at most TAIL_SUM_TOL of the sum; the bound is added too,
+    and both results are raised by their `rounding_bound`, so neither is
+    below the exact value. A tail whose first term underflows comes back as 0.
     """
+    y, size = log_pmf(x)
+    first = math.exp(y)
+    if first == 0.0:  # the tail underflows
+        return 0.0, 0.0
     term, total, i = first, 0.0, x
     while True:
         total += term
@@ -177,19 +183,52 @@ def upper_tail_sum(first: float, x: int, a: float, b: float) -> tuple[float, int
         term *= ratio
         rest = term / (1.0 - ratio)
         if not rest > TAIL_SUM_TOL * total:  # NaN stops too
-            return total + rest, i - x
+            up = 1.0 + rounding_bound(size, i - x)
+            return (total + rest) * up, first * up
+
+
+def tail_cutoff(log_pmf, a: float, b: float, start: int, tol: float, cap: int) -> int:
+    """Smallest K >= start whose certified tail sum_{x > K} p_x is at most tol.
+
+    p, log_pmf, a and b are as for `upper_tail`; a < 1, and the ratio
+    (a x + b) / (x + 1) is below 1 past the mode floor((b - a) / (1 - a)).
+    The search walks up from past the mode, term by term, to the first x
+    whose one-term geometric bound already holds the tail below tol / 2, or
+    to x = cap + 1; there `upper_tail` gives the tail itself, which then
+    grows by one term per step back down, tail(K - 1) = tail(K) + p_K, to
+    the smallest K that still holds it. Every tail compared is an upper
+    bound, so the cutoff is certified, except that a K >= cap left where
+    the walk stopped may not hold tol: callers refuse it or have checked
+    the tail at cap first.
+    """
+    x = max(start, math.floor((b - a) / (1.0 - a))) + 1
+    term = math.exp(log_pmf(x)[0])
+    while x <= cap:
+        ratio = (a * x + b) / (x + 1)
+        if term / (1.0 - ratio) <= 0.5 * tol:  # bounds the tail above x - 1
+            break
+        term *= ratio
+        x += 1
+    K = x - 1
+    tail, term = upper_tail(log_pmf, x, a, b)
+    slack = 1.0 + rounding_bound(0.0, K - start)
+    while K > start and term > 0.0:  # an underflowed p_{K+1} gives no p_K
+        term *= (K + 1) / (a * K + b)  # p_K from p_{K+1}
+        if (tail + term) * slack > tol:
+            break
+        tail += term
+        K -= 1
+    return K
 
 
 def poisson_tail(mean: float, n_max: int) -> float:
     """Probability mass of a Poisson(mean) above n_max, as a certified upper bound.
 
-    Past the mode (n_max + 1 > mean) the discarded terms are summed directly
-    by `upper_tail_sum`, from a first term in the saddle-point form of
-    `bd0`, and the sum is raised by its `rounding_bound`, so it never falls
-    below the exact tail. Below the mode the tail is at least about 1/2 and
-    is 1 - head, the head summed downward from n_max and lowered by its
-    rounding bound. A tail whose first term underflows comes back as 0.
-    Raises ValueError for a NaN, infinite or negative mean.
+    Past the mode (n_max + 1 > mean) it is the `upper_tail` of the
+    discarded terms, from a first term in the saddle-point form of `bd0`.
+    Below the mode the tail is at least about 1/2 and is 1 - head, the head
+    summed downward from n_max and lowered by its rounding bound. Raises
+    ValueError for a NaN, infinite or negative mean.
     """
     if not 0.0 <= mean < math.inf:
         raise ValueError(f"Poisson mean must be finite and >= 0, got {mean}")
@@ -208,12 +247,7 @@ def poisson_tail(mean: float, n_max: int) -> float:
             term *= k / mean
             k -= 1
         return 1.0 - head * (1.0 - rounding_bound(size, n_max - k))
-    y, size = _poisson_log_pmf(n_max + 1, mean)
-    first = math.exp(y)
-    if first == 0.0:  # the tail underflows
-        return 0.0
-    tail, steps = upper_tail_sum(first, n_max + 1, 0.0, mean)
-    return tail * (1.0 + rounding_bound(size, steps))
+    return upper_tail(lambda k: _poisson_log_pmf(k, mean), n_max + 1, 0.0, mean)[0]
 
 
 # --- state constructors -------------------------------------------------------
@@ -256,8 +290,12 @@ def coherent_amplitudes(alphas: np.ndarray, trunc: TruncationConfig) -> np.ndarr
     log_mag = -0.5 * mean[:, None] + n * log_abs[:, None] - 0.5 * np.array(
         [math.lgamma(k + 1) for k in range(trunc.n_levels)]
     )
-    phase = np.exp(1j * n * np.angle(alphas)[:, None])
-    amps = np.exp(log_mag) * phase
+    # the phases, then the magnitudes multiplied in, both in place; the
+    # magnitudes stay the left operand, which fixes the sign of each zero
+    # that underflows
+    amps = 1j * n * np.angle(alphas)[:, None]
+    np.exp(amps, out=amps)
+    np.multiply(np.exp(log_mag, out=log_mag), amps, out=amps)
     vacuum = np.array(mags) == 0
     amps[vacuum] = 0.0
     amps[vacuum, 0] = 1.0

@@ -158,7 +158,14 @@ def _pi_half_areas(alphas: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, int, 
     sq = np.sqrt(n1)
     c2 = np.abs(c)
     c2 *= c2
-    half_excess = 0.5 * np.sum(c2, axis=1) - 0.5
+    norm2 = np.sum(c2, axis=1)
+    # <alpha_e|alpha_e> <= norm2, so a row with f(0) = norm2 - 1/2 < 0 has
+    # no root, and its first step would take the square root of a negative
+    short = norm2 - 0.5 < -PI_HALF_RESIDUAL_TOL
+    if short.any():
+        raise NoRootFound(f"no pi/2 crossing for alpha={alphas[np.argmax(short)]}: "
+                          f"its truncated state holds {norm2[short][0]:.6g} < 1/2")
+    half_excess = 0.5 * norm2 - 0.5
     bound = 2.0 * np.sum(c2 * n1, axis=1)
     t_end = 4.0 * math.pi
     areas = np.empty(len(alphas))

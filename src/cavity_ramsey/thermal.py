@@ -17,7 +17,7 @@ nbar and serves a whole array of waits. The inner m-sums depend only on
 support whose negative-binomial tail certifies the discarded mass below
 term_tol. That tail is a direct sum of the discarded probabilities plus a
 geometric bound on the rest, raised by a bound on its own rounding, so it is
-never below the exact tail (see `_support`). The ladder stops after 3
+never below the exact tail (see `fock.tail_cutoff`). The ladder stops after 3
 consecutive coefficients below term_tol.
 
 Two transcription ambiguities in the oscillatory series are handled
@@ -47,7 +47,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConvergenceFailure, InconclusiveSelection
-from .fock import bd0, rounding_bound, stirlerr, upper_tail_sum
+from .fock import bd0, stirlerr, tail_cutoff
 from .jc import DEFAULT_OMEGA_CHI
 from .summation import exact_sum
 
@@ -81,8 +81,8 @@ def _waits(T, nbar: float, omega_chi: float) -> np.ndarray:
     """The waits as a flat float array, after checking the domain of T, nbar
     and the pulse area omega_chi."""
     ts = np.asarray(T, dtype=float).reshape(-1)
-    if not np.all(ts >= 0):  # also refuses NaN
-        raise ValueError(f"T must be >= 0, got {T}")
+    if not np.all((ts >= 0) & (ts < math.inf)):  # also refuses NaN
+        raise ValueError(f"T must be finite and >= 0, got {T}")
     if not 0.0 < nbar < 1.0:
         raise ValueError(f"nbar must lie in (0, 1) for convergence, got {nbar}")
     if not math.isfinite(omega_chi):
@@ -123,11 +123,6 @@ def _binomial_weights(ms: np.ndarray, l: int, nbar: float,
     return np.exp((ms - l) * math.log(nbar) - ms * math.log(1.0 + nbar) + log_comb)
 
 
-def _check_tail_nbar(nbar: float) -> None:
-    if not 0.0 < nbar < math.inf:
-        raise ValueError(f"negative-binomial nbar must be finite and > 0, got {nbar}")
-
-
 def _negbin_log_pmf(x: int, successes: int, nbar: float) -> tuple[float, float]:
     """ln P[NegBinom(successes, 1/(1+nbar)) = x], and the size of its inputs.
 
@@ -145,26 +140,6 @@ def _negbin_log_pmf(x: int, successes: int, nbar: float) -> tuple[float, float]:
     return y, 2.0 * n + abs(y) + 16.0
 
 
-def _negbin_tail(successes: int, nbar: float, k: int) -> tuple[float, float]:
-    """Upper bounds on P[NegBinom(successes, 1/(1+nbar)) > k] and on its first term.
-
-    k + 1 must lie past the mode, k > (successes - 1) nbar - 2, so that the
-    term ratio q (x + successes) / (x + 1), q = nbar/(1+nbar), is below 1
-    and falls from x = k + 1 on. The terms are summed by `fock.upper_tail_sum`
-    and both results are raised by their `fock.rounding_bound`. Raises
-    ValueError unless nbar is finite and > 0.
-    """
-    _check_tail_nbar(nbar)
-    q = nbar / (1.0 + nbar)
-    y, size = _negbin_log_pmf(k + 1, successes, nbar)
-    first = math.exp(y)
-    if first == 0.0:  # the tail underflows
-        return 0.0, 0.0
-    tail, steps = upper_tail_sum(first, k + 1, q, q * successes)
-    up = 1.0 + rounding_bound(size, steps)
-    return tail * up, first * up
-
-
 def _support(successes: int, scale: float, nbar: float, start: int,
              cfg: SeriesConfig) -> int:
     """Smallest K >= start with scale * P[NegBinom(successes, 1/(1+nbar)) > K] <= tol.
@@ -172,38 +147,17 @@ def _support(successes: int, scale: float, nbar: float, start: int,
     tol is cfg.term_tol. An inner sum whose terms at m = l + k are bounded by
     scale times that mass at k discards at most tol when it stops at m = l + K.
     The tail grows with the successes, so the support of l is a valid start
-    for l + 1, which is seldom more than a few terms further.
-
-    The search walks up from past the mode, term by term, to the first point
-    whose one-term geometric bound already holds the tail below tol / 2; there
-    `_negbin_tail` gives the tail itself, which then grows by one term per
-    step back down, tail(K - 1) = tail(K) + P[= K], to the smallest K that
-    still holds it. Every tail compared is an upper bound, so the support is
-    certified; it is K < M_MAX or ConvergenceFailure. Raises ValueError
-    unless nbar is finite and > 0.
+    for l + 1, which is seldom more than a few terms further. K is
+    `fock.tail_cutoff`'s certified cutoff, with the term ratio
+    q (x + successes) / (x + 1), q = nbar/(1+nbar); it is K < M_MAX or
+    ConvergenceFailure. Raises ValueError unless nbar is finite and > 0.
     """
-    _check_tail_nbar(nbar)
+    if not 0.0 < nbar < math.inf:
+        raise ValueError(f"negative-binomial nbar must be finite and > 0, got {nbar}")
     q = nbar / (1.0 + nbar)
-    limit = cfg.term_tol / scale
-    # past the mode: the term ratio q (x + successes) / (x + 1) is below 1
-    x = max(start, math.floor((successes - 1) * nbar)) + 1
-    term = math.exp(_negbin_log_pmf(x, successes, nbar)[0])
-    while x <= M_MAX:
-        ratio = q * (x + successes) / (x + 1)
-        if term / (1.0 - ratio) <= 0.5 * limit:  # bounds P[> x - 1]
-            break
-        term *= ratio
-        x += 1
-    K = x - 1
-    tail, term = _negbin_tail(successes, nbar, K)
-    slack = 1.0 + rounding_bound(0.0, K - start)
-    while K > start:
-        term *= (K + 1) / (q * (K + successes))  # P[= K] from P[= K + 1]
-        if (tail + term) * slack > limit:
-            break
-        tail += term
-        K -= 1
-    if K >= M_MAX or tail > limit:
+    K = tail_cutoff(lambda x: _negbin_log_pmf(x, successes, nbar), q, q * successes,
+                    start, cfg.term_tol / scale, M_MAX)
+    if K >= M_MAX:
         raise ConvergenceFailure(f"inner sum needs more than M_MAX={M_MAX} terms "
                                  f"to reach {cfg.term_tol:.1e}")
     return K

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -115,6 +116,16 @@ class TestSubcommands:
         assert out == ""
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("velocities", ["1e-310", "50,1e-310"])
+    def test_overflowing_velocity_wait_is_a_usage_error(self, capsys, velocities):
+        # T = T_ref v_ref / v overflows to inf, which used to reach the series
+        # and write Infinity and NaN into the report
+        code, out, err = run_cli(capsys, "velocity-scan", "--velocities", velocities,
+                                 "--format", "json")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "T must be finite" in err
+
     @pytest.mark.parametrize("command", ["setup2", "selftest", "velocity-scan"])
     def test_non_finite_wait_is_a_usage_error(self, capsys, tmp_path, command):
         # both inputs are finite, but T = tau / (2 t_cav) overflows to inf
@@ -124,6 +135,54 @@ class TestSubcommands:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and "T = tau_s" in err
+
+    def test_setup1_at_the_widening_cap(self, capsys, tmp_path):
+        # a floor at MAX_WIDENED_N_MAX is a cutoff the widening keeps
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n_max": 100000}))
+        code, out, err = run_cli(capsys, "setup1", "--n-values", "1", "--format", "json",
+                                 "--config", str(path))
+        assert code == 0, err
+        assert json.loads(out)["meta"]["n_max"] == 100000
+
+    def test_setup1_short_truncated_state_has_no_pulse_root(self, capsys, tmp_path):
+        # a tail_tol above 1/2 leaves the truncated state with squared norm
+        # 0.41 < 1/2, so no pulse splits it evenly: refused by its alpha
+        # before any step takes the square root of a negative number
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"tail_tol": 0.6, "n_max": 1}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "setup1", "--n-values", "100",
+                                     "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "alpha=10.0" in err
+
+    @pytest.mark.parametrize("command", ["setup1", "setup2"])
+    @pytest.mark.parametrize("points", ["-5", "3", "15"])
+    def test_short_fringe_grid_is_a_usage_error(self, capsys, command, points):
+        # setup1 used to attach an 8-point fringe instead
+        code, out, err = run_cli(capsys, command, "--phi-points", points)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "phi_points must be in [16, 10001]" in err
+
+    def test_setup1_fringe_has_the_grid_asked_for(self, capsys):
+        code, out, _ = run_cli(capsys, "setup1", "--n-values", "1", "--phi-points", "16",
+                               "--format", "json")
+        assert code == 0
+        assert len(json.loads(out)["meta"]["fringe"]["phi"]) == 16
+
+    @pytest.mark.parametrize("argv", [("selftest", "--phi-points", "3"),
+                                      ("fig4", "--phi-points", "-5"),
+                                      ("velocity-scan", "--phi-points", "65")])
+    def test_phi_points_only_where_a_fringe_is_sampled(self, capsys, argv):
+        # these ignored the flag, whatever its value
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --phi-points" in capsys.readouterr().err
 
     def test_selftest_passes(self, capsys):
         code, out, err = run_cli(capsys, "selftest")

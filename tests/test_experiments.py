@@ -114,7 +114,7 @@ class TestSetup1:
     def test_meta_reports_the_cutoff_used(self, setup1_report):
         assert setup1_report.meta["n_max"] == CFG.trunc.n_max
         # the configured n_max=60 discards 1.9e-10 of a mean of 24 photons
-        report = run_setup1([24.0], CFG, phi_points=8)
+        report = run_setup1([24.0], CFG, phi_points=16)
         assert report.meta["n_max"] == widened_truncation(24.0, CFG.trunc).n_max > 60
 
     def test_rejects_negative_n(self):
@@ -129,7 +129,7 @@ class TestSetup1:
         # two full blocks and a partial one, with a repeat across a block edge
         n_values = np.linspace(0.0, 20.0, 2 * SETUP1_BLOCK + 3).tolist()
         n_values[SETUP1_BLOCK] = n_values[SETUP1_BLOCK - 1]
-        report = run_setup1(n_values, CFG, phi_points=8)
+        report = run_setup1(n_values, CFG, phi_points=16)
         expected = setup1_rows_one_n_at_a_time(n_values, CFG)
         assert len(report.rows) == len(expected)
         for row, ref in zip(report.rows, expected):
@@ -177,6 +177,14 @@ class TestSetup2:
     def test_phi_points_floor(self):
         with pytest.raises(ValueError):
             run_setup2(CFG, phi_points=8)
+
+    @pytest.mark.parametrize("phi_points", [8, 15, 10_002])
+    def test_both_fringe_runners_bound_the_grid(self, phi_points):
+        # setup1 used to attach an 8-point fringe for any smaller request
+        for run in (lambda: run_setup1([1.0], CFG, phi_points=phi_points),
+                    lambda: run_setup2(CFG, phi_points=phi_points)):
+            with pytest.raises(ValueError, match="phi_points must be in"):
+                run()
 
 
 class TestFig4:

@@ -1,4 +1,6 @@
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,6 +45,13 @@ class TestTruncationConfig:
             TruncationConfig(tail_tol=0.0)
         with pytest.raises(ValueError):
             TruncationConfig(tail_tol=1.0)
+
+    def test_rejects_a_subnormal_tail_tol(self):
+        # there poisson_tail sums thousands of terms rounded up to 5e-324, and
+        # the cutoff walk and the tail it is checked against part ways
+        with pytest.raises(ValueError, match="normal float"):
+            TruncationConfig(tail_tol=1e-320)
+        assert TruncationConfig(tail_tol=sys.float_info.min).tail_tol == sys.float_info.min
 
     def test_default_truncation_widens_with_warning(self):
         with pytest.warns(UserWarning):
@@ -122,6 +131,21 @@ class TestCoherentState:
             coherent_state(alpha, TruncationConfig())
         with pytest.raises(ValueError):
             widened_truncation(abs(alpha) ** 2, TruncationConfig())
+
+    def test_rows_hold_few_temporaries(self):
+        # the phases are written into the result and the magnitudes into
+        # their log array, so the peak holds the result and one float block
+        trunc = TruncationConfig(n_max=4095)
+        alphas = np.sqrt(np.linspace(0.0, 1000.0, 16)) * np.exp(1j * np.linspace(0.0, 3.0, 16))
+        tracemalloc.start()
+        try:
+            rows = coherent_amplitudes(alphas, trunc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.6 * rows.nbytes
+        for alpha, row in zip(alphas, rows):
+            assert row.tobytes() == coherent_state(alpha, trunc).tobytes()
 
     def test_rows_take_a_1d_array(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ optional: without them these tests skip.
 
 import importlib.util
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,9 +17,15 @@ from hypothesis import strategies as st
 
 from cavity_ramsey import cli, open_system, thermal
 from cavity_ramsey.config import PhysicalConfig
-from cavity_ramsey.errors import ConvergenceFailure
-from cavity_ramsey.fock import poisson_tail, widened_truncation
-from cavity_ramsey.thermal import SeriesConfig, _negbin_tail, _support
+from cavity_ramsey.errors import ConvergenceFailure, TailTooLarge
+from cavity_ramsey.fock import (
+    MAX_WIDENED_N_MAX,
+    poisson_cutoff,
+    poisson_tail,
+    upper_tail,
+    widened_truncation,
+)
+from cavity_ramsey.thermal import SeriesConfig, _negbin_log_pmf, _support
 
 # tails in the normal float range; smaller ones lose relative accuracy as
 # their terms turn subnormal
@@ -76,12 +83,14 @@ def test_poisson_tail_refuses_bad_means(mean):
 @example(successes=1, nbar=0.01, spread=0.0)
 @settings(max_examples=150, deadline=None)
 def test_negbin_tail_is_an_accurate_upper_bound(successes, nbar, spread):
-    # k + 1 past the mode, as `_negbin_tail` requires
+    # k + 1 past the mode, as `upper_tail` requires
     k = math.floor((successes - 1) * nbar) + int(
         spread * (12.0 * math.sqrt(successes * nbar * (1 + nbar)) + 40.0))
     exact = negbin_tail_exact(successes, nbar, k)
     assume(SMALLEST_TAIL < exact < 0.5)
-    tail, _ = _negbin_tail(successes, nbar, k)
+    q = nbar / (1 + nbar)
+    tail, _ = upper_tail(lambda x: _negbin_log_pmf(x, successes, nbar), k + 1,
+                         q, q * successes)
     assert tail == pytest.approx(exact, rel=1e-11, abs=0.0)
     assert tail >= exact * (1.0 - 1e-14)
 
@@ -104,9 +113,94 @@ def test_support_is_the_smallest_certified_cutoff(successes, nbar, squared, star
 @pytest.mark.parametrize("nbar", [math.nan, math.inf, -0.5, 0.0])
 def test_negbin_tail_refuses_bad_nbar(nbar):
     with pytest.raises(ValueError):
-        _negbin_tail(5, nbar, 10)
-    with pytest.raises(ValueError):
         _support(5, 1.5, nbar, 0, SeriesConfig())
+
+
+@given(mean=st.floats(min_value=0.0, max_value=400.0),
+       exponent=st.floats(min_value=-290.0, max_value=math.log10(0.99)),
+       lo=st.integers(min_value=0, max_value=40))
+@example(mean=30.0, exponent=math.log10(0.99), lo=0)
+@example(mean=400.0, exponent=-290.0, lo=0)
+@settings(max_examples=60, deadline=None)
+def test_poisson_cutoff_is_the_smallest_certified_cutoff(mean, exponent, lo):
+    tol = 10.0 ** exponent
+    K = poisson_cutoff(mean, tol, lo)
+    assert K >= lo
+    assert poisson_tail_exact(mean, K) < tol
+    if K > lo:
+        assert poisson_tail_exact(mean, K - 1) > tol * (1 - 1e-11)
+
+
+def poisson_cutoff_bisected(mean, tol, lo=0):
+    """The smallest n >= lo with poisson_tail(mean, n) < tol, by bisection.
+
+    A search independent of `fock.tail_cutoff`'s walk, and the reference
+    `poisson_cutoff` is checked against; None where even
+    max(lo, MAX_WIDENED_N_MAX) leaves a tail of tol or more.
+    """
+    hi = max(lo, MAX_WIDENED_N_MAX)
+    if poisson_tail(mean, hi) >= tol:
+        return None
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if poisson_tail(mean, mid) < tol:
+            hi = mid
+        else:
+            lo = mid + 1
+    return hi
+
+
+def _cutoff_cases(count, seed=16):
+    rng = np.random.default_rng(seed)
+    near_cap = MAX_WIDENED_N_MAX * rng.uniform(0.99, 1.01, count)
+    spread = 10.0 ** rng.uniform(-6.0, math.log10(8e4), count)
+    corners = np.array([0.0, 5e-324, 1.0, MAX_WIDENED_N_MAX - 1.0,
+                        MAX_WIDENED_N_MAX, MAX_WIDENED_N_MAX + 1.0])
+    means = np.where(rng.random(count) < 0.3, near_cap, spread)
+    means[:count // 10] = rng.choice(corners, count // 10)
+    tols = np.where(rng.random(count) < 0.7, 10.0 ** rng.uniform(-290.0, -0.01, count),
+                    rng.uniform(0.01, 0.99, count))
+    # down to the smallest normal float, which TruncationConfig takes
+    tols[-count // 20:] = rng.choice([1e-300, 1e-307, sys.float_info.min], count // 20)
+    los = np.where(rng.random(count) < 0.8, rng.integers(0, 200, count),
+                   rng.integers(MAX_WIDENED_N_MAX - 1000, MAX_WIDENED_N_MAX + 1000, count))
+    return list(zip(means.tolist(), tols.tolist(), los.tolist()))
+
+
+def test_poisson_cutoff_matches_the_bisection():
+    cases = _cutoff_cases(2000)
+    refused = 0
+    for mean, tol, lo in cases:
+        expected = poisson_cutoff_bisected(mean, tol, lo)
+        if expected is None:
+            refused += 1
+            with pytest.raises(TailTooLarge):
+                poisson_cutoff(mean, tol, lo)
+        else:
+            assert poisson_cutoff(mean, tol, lo) == expected, (mean, tol, lo)
+    # the sample reaches both sides of the refusal
+    assert 0 < refused < len(cases) // 2
+
+
+def test_poisson_cutoff_below_the_mode_past_its_cap():
+    # the mean lies past MAX_WIDENED_N_MAX, so the walk starts above the cap
+    # and the cutoff lies below the mode
+    mean, tol = 100498.82533516805, 0.9733318503604204
+    assert poisson_cutoff(mean, tol, 60) == 99887 == poisson_cutoff_bisected(mean, tol, 60)
+
+
+def test_poisson_cutoff_of_a_tiny_mean():
+    # p_1 = 1e-200 is above tol, and p_2 underflows to 0: a walk that stepped
+    # down from that zero would find the tail above 0 to be 0 as well
+    assert poisson_cutoff(1e-200, 1e-250) == 1 == poisson_cutoff_bisected(1e-200, 1e-250)
+
+
+def test_support_grows_as_the_tolerance_falls():
+    # down to the smallest float: a walk that stepped down from a term that
+    # had underflowed to 0 would find every tail 0 and return its start
+    supports = [_support(5, 1.5, 0.5, 0, SeriesConfig(term_tol=tol))
+                for tol in (1e-300, 1e-310, 1e-320, 5e-324)]
+    assert supports == sorted(supports) and supports[0] > 0
 
 
 def test_support_refuses_past_m_max(monkeypatch):

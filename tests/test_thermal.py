@@ -67,6 +67,14 @@ class TestDomain:
         with pytest.raises(ValueError, match="T must be"):
             thermal_visibility(np.array([0.1, math.nan]), 0.5)
 
+    def test_infinite_wait(self):
+        # +inf passed the T >= 0 check, and e^{-2jT} at j = 0 made inf * 0 = NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for series in (thermal_visibility, pg_constant, pg_oscillatory):
+                with pytest.raises(ValueError, match="T must be finite"):
+                    series(np.array([0.1, math.inf]), 0.5)
+
     @pytest.mark.parametrize("omega_chi", [math.nan, math.inf, -math.inf])
     def test_non_finite_pulse_area(self, omega_chi):
         # a ValueError (exit 1), not a ladder that never converges (exit 2),
