@@ -39,9 +39,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_float_list(text: str, flag: str) -> list[float]:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        values = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise ValueError(f"{flag} expects a comma-separated list of numbers: {exc}")
+    if not values:
+        raise ValueError(f"{flag} expects at least one number, got {text!r}")
+    return values
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -133,7 +136,7 @@ def main(argv=None) -> int:
             _check_phi_points(args.phi_points)
         if args.command == "setup1":
             n_values = (_parse_float_list(args.n_values, "--n-values")
-                        if args.n_values else None)
+                        if args.n_values is not None else None)
             report = run_setup1(n_values, cfg, phi_points=args.phi_points)
         elif args.command == "setup2":
             report = run_setup2(cfg, phi_points=args.phi_points)
@@ -141,7 +144,7 @@ def main(argv=None) -> int:
             report = run_fig4(_parse_grid(args.t_grid), cfg)
         elif args.command == "velocity-scan":
             velocities = (_parse_float_list(args.velocities, "--velocities")
-                          if args.velocities else None)
+                          if args.velocities is not None else None)
             report = run_velocity_scan(velocities, cfg)
         else:
             report = run_selftest(cfg)

@@ -46,8 +46,9 @@ class TruncationConfig:
     tail_tol: float = DEFAULT_TAIL_TOL
 
     def __post_init__(self):
-        if self.n_max < 1:
-            raise ValueError(f"n_max must be >= 1, got {self.n_max}")
+        # a larger cutoff is never widened to, and its rows would fill memory
+        if not 1 <= self.n_max <= MAX_WIDENED_N_MAX:
+            raise ValueError(f"n_max must be in [1, {MAX_WIDENED_N_MAX}], got {self.n_max}")
         # below the smallest normal float a tail's terms keep only a few bits,
         # and `poisson_cutoff`'s walk and `poisson_tail` part ways
         if not sys.float_info.min <= self.tail_tol < 1.0:

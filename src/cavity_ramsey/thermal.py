@@ -41,6 +41,7 @@ well-conditioned. nbar < 1 is required for convergence.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, replace
 
@@ -71,8 +72,10 @@ class SeriesConfig:
     printed_osc_sign: bool = False
 
     def __post_init__(self):
-        if not 0.0 < self.term_tol <= 1e-6:
-            raise ValueError(f"term_tol must be in (0, 1e-6], got {self.term_tol}")
+        # below the smallest normal float the tails lose their tightness, and
+        # the ladder cannot reach term_tol
+        if not sys.float_info.min <= self.term_tol <= 1e-6:
+            raise ValueError(f"term_tol must be a normal float <= 1e-6, got {self.term_tol}")
         if self.variant not in ("A", "B"):
             raise ValueError(f"variant must be 'A' or 'B', got {self.variant!r}")
 
@@ -96,31 +99,27 @@ def _shaped(values: np.ndarray, T):
 
 
 def gammaln(x: np.ndarray, log_fact: np.ndarray) -> np.ndarray:
-    """ln Gamma(x) = ln (x-1)! at integers x >= 1, read from log_fact[k] = ln k!."""
+    """ln Gamma(x) = ln (x-1)! at integers x >= 1, read from log_fact[k] = ln k!.
+
+    No package code calls it: the series weights come from their own ratio
+    (`_binomial_weights`). It is kept because the benchmark's per-layer
+    counters (`perfbench/tracer.py`) look it up.
+    """
     return log_fact[x - 1]
 
 
-def _log_factorials(log_fact: np.ndarray, size: int) -> np.ndarray:
-    """log_fact (ln k! from math.lgamma) extended, if need be, to hold k < size.
+def _binomial_weights(l: int, nbar: float, size: int) -> np.ndarray:
+    """C(m, l) nbar^{m-l} / (1+nbar)^m = (1+nbar) NegBinom(m-l; l+1, 1/(1+nbar))
+    for m = l, ..., l + size - 1.
 
-    Each series call starts from an empty table and doubles it as its
-    ladder climbs, so every ln k! is computed about once per call.
+    One cumulative product: the first weight is (1+nbar)^{-l} and each next
+    one is the last times m/(m-l) * nbar/(1+nbar). For l < J_MAX the first is
+    at least 2^-256 and the weights sum to 1+nbar, so no partial product
+    under- or overflows before the tail.
     """
-    if size <= log_fact.size:
-        return log_fact
-    more = [math.lgamma(k + 1.0) for k in range(log_fact.size, 2 * size)]
-    return np.append(log_fact, more)
-
-
-def _binomial_weights(ms: np.ndarray, l: int, nbar: float,
-                      log_fact: np.ndarray) -> np.ndarray:
-    """C(m, l) nbar^{m-l} / (1+nbar)^m = (1+nbar) NegBinom(m-l; l+1, 1/(1+nbar)).
-
-    `ms` are integers; log_fact holds ln k! for every k <= ms.max().
-    """
-    log_comb = (gammaln(ms + 1, log_fact) - gammaln(l + 1, log_fact)
-                - gammaln(ms - l + 1, log_fact))
-    return np.exp((ms - l) * math.log(nbar) - ms * math.log(1.0 + nbar) + log_comb)
+    k = np.arange(1, size)
+    ratios = (l + k) / k * (nbar / (1.0 + nbar))
+    return np.cumprod(np.concatenate(([(1.0 + nbar) ** -l], ratios)))
 
 
 def _negbin_log_pmf(x: int, successes: int, nbar: float) -> tuple[float, float]:
@@ -202,15 +201,14 @@ def pg_constant(T, nbar: float, omega_chi: float = DEFAULT_OMEGA_CHI,
     """
     ts = _waits(T, nbar, omega_chi)
     cfg = cfg or SeriesConfig()
-    c3, c4, support, log_fact = [], [], 0, np.empty(0)
+    c3, c4, support = [], [], 0
 
     def coefficient(j: int) -> float:
-        nonlocal support, log_fact
+        nonlocal support
         # inner sums for l = j; each term is <= (1+nbar) NegBinom(m-l; l+1)
         support = _support(j + 1, 1.0 + nbar, nbar, support, cfg)
         ms = np.arange(j, j + support + 2)
-        log_fact = _log_factorials(log_fact, ms[-1] + 1)
-        w = _binomial_weights(ms, j, nbar, log_fact)
+        w = _binomial_weights(j, nbar, ms.size)
         angle = omega_chi * np.sqrt(ms[:-1] + 1.0)
         c3.append(exact_sum(w[:-1] * np.sin(angle) ** 2))
         c4.append(exact_sum(w[1:] * np.cos(angle) ** 2))
@@ -241,17 +239,16 @@ def pg_oscillatory(T, nbar: float, omega_chi: float = DEFAULT_OMEGA_CHI,
     # the printed reading's inner sum is nbar^l times the folded one, and it
     # carries (-nbar)^l outside in place of (-1)^l
     sign = -nbar * nbar if cfg.printed_osc_sign else -1.0
-    inner, support, log_fact = [], 0, np.empty(0)
+    inner, support = [], 0
 
     def coefficient(j: int) -> float:
-        nonlocal support, log_fact
+        nonlocal support
         # inner sum for l = j; as sqrt(m+1) <= m+1 and (m+1) C(m,l) = (l+1)
         # C(m+1,l+1), each term is <= (1+nbar)^2 NegBinom(m-l; l+2)
         support = _support(j + 2, (1.0 + nbar) ** 2, nbar, support, cfg)
         ms = np.arange(j, j + support + 1)
         root = np.sqrt(ms + 1.0)
-        log_fact = _log_factorials(log_fact, ms[-1] + 1)
-        inner.append(exact_sum(_binomial_weights(ms, j, nbar, log_fact) * root / (j + 1)
+        inner.append(exact_sum(_binomial_weights(j, nbar, ms.size) * root / (j + 1)
                                * np.sin(2.0 * omega_chi * root)))
 
         h = nbar ** j / (1.0 + nbar) ** (j + 2)

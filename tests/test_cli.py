@@ -145,6 +145,37 @@ class TestSubcommands:
         assert code == 0, err
         assert json.loads(out)["meta"]["n_max"] == 100000
 
+    def test_setup1_past_the_widening_cap_is_a_usage_error(self, capsys, tmp_path):
+        # a configured n_max skipped the cap the widening keeps: 100001 ran,
+        # and a typo such as 1e9 asked for a 16 GB row
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n_max": 100001}))
+        code, out, err = run_cli(capsys, "setup1", "--n-values", "1", "--config", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "n_max must be in [1, 100000]" in err
+
+    def test_subnormal_term_tol_is_a_usage_error(self, capsys, tmp_path):
+        # there the tails lose their tightness: fig4 ran all 256 ladder
+        # terms and exited 2
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"term_tol": 5e-324}))
+        code, out, err = run_cli(capsys, "fig4", "--t-grid", "0:0.2:0.1",
+                                 "--config", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "term_tol must be a normal float" in err
+
+    @pytest.mark.parametrize("flag, command", [("--n-values", "setup1"),
+                                               ("--velocities", "velocity-scan")])
+    @pytest.mark.parametrize("text", ["", ",", " "])
+    def test_list_with_no_number_is_a_usage_error(self, capsys, flag, command, text):
+        # an empty list ran the defaults, and "," or " " wrote a header-only report
+        code, out, err = run_cli(capsys, command, flag, text)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and f"{flag} expects at least one number" in err
+
     def test_setup1_short_truncated_state_has_no_pulse_root(self, capsys, tmp_path):
         # a tail_tol above 1/2 leaves the truncated state with squared norm
         # 0.41 < 1/2, so no pulse splits it evenly: refused by its alpha
@@ -356,6 +387,17 @@ def test_import_leaves_scipy_out():
     out = subprocess.run([sys.executable, "-c", code], env=_package_env(), check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_package_binds_only_its_submodules():
+    # the API is the modules; the package namespace re-exports nothing
+    import cavity_ramsey
+    import cavity_ramsey.cli  # noqa: F401  (loads every package module)
+    public = {name: value for name, value in vars(cavity_ramsey).items()
+              if not (name.startswith("__") and name.endswith("__"))}
+    assert public
+    for name, value in public.items():
+        assert getattr(value, "__name__", None) == f"cavity_ramsey.{name}", name
 
 
 def test_run_all_scenarios_script(tmp_path):

@@ -53,6 +53,14 @@ class TestTruncationConfig:
             TruncationConfig(tail_tol=1e-320)
         assert TruncationConfig(tail_tol=sys.float_info.min).tail_tol == sys.float_info.min
 
+    def test_rejects_an_n_max_past_the_widening_cap(self):
+        # no widening goes past MAX_WIDENED_N_MAX, and a configured n_max of
+        # 1e9 would ask for a 16 GB row
+        assert TruncationConfig(n_max=MAX_WIDENED_N_MAX).n_max == MAX_WIDENED_N_MAX
+        for n_max in (MAX_WIDENED_N_MAX + 1, 10 ** 9):
+            with pytest.raises(ValueError, match="n_max must be in"):
+                TruncationConfig(n_max=n_max)
+
     def test_default_truncation_widens_with_warning(self):
         with pytest.warns(UserWarning):
             trunc = default_truncation(math.sqrt(40.0))

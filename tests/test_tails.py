@@ -22,6 +22,7 @@ from cavity_ramsey.fock import (
     MAX_WIDENED_N_MAX,
     poisson_cutoff,
     poisson_tail,
+    tail_cutoff,
     upper_tail,
     widened_truncation,
 )
@@ -197,8 +198,12 @@ def test_poisson_cutoff_of_a_tiny_mean():
 
 def test_support_grows_as_the_tolerance_falls():
     # down to the smallest float: a walk that stepped down from a term that
-    # had underflowed to 0 would find every tail 0 and return its start
-    supports = [_support(5, 1.5, 0.5, 0, SeriesConfig(term_tol=tol))
+    # had underflowed to 0 would find every tail 0 and return its start.
+    # SeriesConfig refuses a subnormal term_tol, so this is `_support(5, 1.5,
+    # 0.5, 0, cfg)`'s own walk, called with the same arguments
+    q, scale = 0.5 / 1.5, 1.5
+    supports = [tail_cutoff(lambda x: _negbin_log_pmf(x, 5, 0.5), q, q * 5, 0,
+                            tol / scale, thermal.M_MAX)
                 for tol in (1e-300, 1e-310, 1e-320, 5e-324)]
     assert supports == sorted(supports) and supports[0] > 0
 

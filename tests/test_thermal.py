@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -13,7 +14,6 @@ from cavity_ramsey.thermal import (
     SELECTION_GRID,
     SeriesConfig,
     _binomial_weights,
-    _log_factorials,
     _support,
     pg_constant,
     pg_oscillatory,
@@ -44,6 +44,14 @@ class TestSeriesConfig:
             SeriesConfig(term_tol=1e-5)
         with pytest.raises(ValueError):
             SeriesConfig(term_tol=0.0)
+
+    def test_rejects_a_subnormal_term_tol(self):
+        # there the tails lose their tightness and the ladder cannot get
+        # below its error floor: fig4 ran all J_MAX terms, then exited 2
+        for tol in (1e-310, 5e-324):
+            with pytest.raises(ValueError, match="normal float"):
+                SeriesConfig(term_tol=tol)
+        assert SeriesConfig(term_tol=sys.float_info.min).term_tol == sys.float_info.min
 
     def test_rejects_bad_variant(self):
         with pytest.raises(ValueError):
@@ -158,9 +166,24 @@ class TestWaitGrids:
         # and returned 3.4e-14
         nbar, l = 0.7, 70
         k = _support(l + 1, 1.0 + nbar, nbar, 0, SeriesConfig())
-        log_fact = _log_factorials(np.empty(0), l + k + 1)
-        total = math.fsum(_binomial_weights(np.arange(l, l + k + 1), l, nbar, log_fact))
+        total = math.fsum(_binomial_weights(l, nbar, k + 1))
         assert total == pytest.approx(1.0 + nbar, abs=1e-12)
+
+    @pytest.mark.parametrize("nbar", [0.05, 0.3, 0.7, 0.95])
+    def test_binomial_weights_match_mpmath(self, nbar):
+        # the cumulative product of the weights' ratio, on rungs up to the
+        # last below J_MAX, against C(m, l) nbar^{m-l} / (1+nbar)^m at 40 digits
+        mpmath = pytest.importorskip("mpmath")
+        size = 151
+        with mpmath.workdps(40):
+            x = mpmath.mpf(nbar)
+            for l in (0, 1, 5, 16, 30, 60, 100, 200, thermal.J_MAX - 1):
+                weights = _binomial_weights(l, nbar, size)
+                assert weights.shape == (size,)
+                exact = [mpmath.binomial(m, l) * x ** (m - l) / (1 + x) ** m
+                         for m in range(l, l + size)]
+                worst = max(abs(w / e - 1) for w, e in zip(weights.tolist(), exact))
+                assert worst <= 5e-14, (l, float(worst))
 
     @given(nbar=st.floats(min_value=0.01, max_value=0.95),
            waits=st.lists(st.floats(min_value=0.0, max_value=1.0),
