@@ -29,7 +29,6 @@ from .interferometry import (
 )
 from .jc import _pi_half_areas, branch_amplitudes, branch_states, solve_pi_half_time
 from .open_system import (
-    _chain,
     _chain_spectrum,
     _wait_chain,
     master_fringe,
@@ -289,7 +288,9 @@ def run_velocity_scan(velocities=None, config: PhysicalConfig | None = None
     frozen, so T(v) = T_ref * v_ref / v and the prediction is
     r * thermal_visibility(T(v), nbar) with the single renormalization factor
     r = V_observed / thermal_visibility(T_ref, nbar). At v = v_ref the
-    prediction is the observed reference exactly, by construction.
+    prediction is the observed reference exactly, by construction. A
+    thermal_visibility(T_ref, nbar) so small that r is not finite (it
+    underflows at long waits) raises ValueError.
     """
     cfg = config or PhysicalConfig()
     if velocities is None:
@@ -303,7 +304,10 @@ def run_velocity_scan(velocities=None, config: PhysicalConfig | None = None
     v_model_ref, *v_models = thermal_visibility(
         np.array([t_ref, *waits]), cfg.nbar, series,
         omega_chi=cfg.omega_chi_rad).tolist()
-    r = OBSERVED_REFERENCE_VISIBILITY / v_model_ref
+    r = OBSERVED_REFERENCE_VISIBILITY / v_model_ref if v_model_ref else math.inf
+    if not math.isfinite(r):
+        raise ValueError(f"the model visibility {v_model_ref:.3g} at T_ref = {t_ref:g} "
+                         "is too small to renormalize by")
     rows = []
     for v, T, v_model in zip(velocities, waits, v_models):
         if v == cfg.v_ref_mps:
@@ -335,6 +339,9 @@ def run_selftest(config: PhysicalConfig | None = None) -> ScanReport:
     """
     cfg = config or PhysicalConfig()
     series = cfg.resolved_series()
+    # before any oracle row, so the series refuses an nbar outside its domain
+    # before the oracle waits at it
+    v_series = thermal_visibility(cfg.T, cfg.nbar, series, omega_chi=cfg.omega_chi_rad)
     rows = []
 
     def check(name, value, reference, tol):
@@ -343,10 +350,10 @@ def run_selftest(config: PhysicalConfig | None = None) -> ScanReport:
                      "pass" if ok else "FAIL"))
 
     # closed-form wait state vs integrator, entrywise
-    start = _chain(zero_temp_wait(0.7, 0.0))
+    start = zero_temp_wait(0.7, 0.0)
     [waited] = _wait_chain(start, 0.0, [0.1])
     check("wait_state_entrywise",
-          float(np.max(np.abs(waited - _chain(zero_temp_wait(0.7, 0.1))))), 0.0, 1e-8)
+          float(np.max(np.abs(waited - zero_temp_wait(0.7, 0.1)))), 0.0, 1e-8)
 
     # physicality of a thermal evolution: Hermitian, trace within 1e-9 of 1
     # and no eigenvalue below -1e-8
@@ -365,8 +372,7 @@ def run_selftest(config: PhysicalConfig | None = None) -> ScanReport:
           zero_temp_visibility_derived(cfg.T), 1e-6)
 
     # thermal series vs integrator at the configured point and second pulse
-    check("thermal_series_vs_oracle",
-          thermal_visibility(cfg.T, cfg.nbar, series, omega_chi=cfg.omega_chi_rad),
+    check("thermal_series_vs_oracle", v_series,
           master_fringe(cfg.T, cfg.nbar, omega_chi=cfg.omega_chi_rad).visibility,
           0.01)
 

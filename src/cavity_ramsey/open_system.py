@@ -189,29 +189,24 @@ def split_vacuum_state(phi: float,
     return stark_phase(np.stack([a_g, a_e]), phi + math.pi / 2.0)
 
 
-def zero_temp_wait(phi: float, T: float,
-                   trunc: TruncationConfig | None = None) -> np.ndarray:
-    """Closed-form joint state after a wait T = k*tau over a zero-temperature bath.
+def zero_temp_wait(phi: float, T: float) -> np.ndarray:
+    """Closed-form `_chain` of the joint state after a wait T = k*tau at nbar = 0.
 
     With the bath at nbar = 0 the system only loses excitations, so starting
     from the split vacuum state everything stays inside {|g,0>, |g,1>, |e,0>}:
     populations (1 - e^{-2T})/2, e^{-2T}/2, 1/2, with a |g,1><e,0| coherence of
-    magnitude e^{-T}/2 and phase phi. Returns the (2L, 2L) joint density.
+    magnitude e^{-T}/2 and phase phi. Returns the 3L + 1 entries of the chain
+    at `split_vacuum_state`'s default L = 9, all but those four zero.
     """
     _check_wait(T)
-    if trunc is None:
-        trunc = TruncationConfig(n_max=8)
-    L = trunc.n_levels
-    mat = np.zeros((2 * L, 2 * L), dtype=complex)
-    ig0, ig1, ie0 = 0, 1, L
+    L = TruncationConfig(n_max=8).n_levels
+    chain = np.zeros(3 * L + 1, dtype=complex)
     decay2 = math.exp(-2.0 * T)
-    mat[ig0, ig0] = 0.5 * (1.0 - decay2)
-    mat[ig1, ig1] = 0.5 * decay2
-    mat[ie0, ie0] = 0.5
-    coh = 0.5 * math.exp(-T) * np.exp(1j * phi)
-    mat[ig1, ie0] = coh
-    mat[ie0, ig1] = np.conj(coh)
-    return mat
+    chain[0] = 0.5 * (1.0 - decay2)
+    chain[1] = 0.5 * decay2
+    chain[L] = 0.5
+    chain[2 * L + 1] = 0.5 * math.exp(-T) * np.exp(1j * phi)
+    return chain
 
 
 def _fringe_coefficients(chain: np.ndarray, area: float) -> tuple[float, complex]:
@@ -253,30 +248,17 @@ def _chain_spectrum(chain: np.ndarray) -> tuple[float, float]:
     return float(chain[:2 * L].real.sum()), float(min(gg[0], ee[-1], low.min()))
 
 
-def _setup2_coefficients(T: float) -> tuple[float, complex]:
-    """(c0, c1) of the zero-temperature fringe after a wait T."""
-    return _fringe_coefficients(_chain(zero_temp_wait(-math.pi / 2.0, T)),
-                                DEFAULT_OMEGA_CHI)
-
-
 def setup2_pg(phi: float, T: float) -> float:
     """Ground-state detection probability for the shared-mode interferometer.
 
-    Applies the vacuum pi/2 pulse (area Omega*chi = pi/4) to the decayed wait
-    state and sums the ground-level channels. The pulse phase convention is
-    fixed so the undamped pattern is exactly cos^2(phi/2):
+    The vacuum pi/2 pulse (area Omega*chi = pi/4) applied to the decayed wait
+    state, summed over the ground-level channels. The pulse phase convention
+    is fixed so the undamped pattern is exactly cos^2(phi/2):
 
         P_g(phi, T) = 3/4 - e^{-2T}/4 + (e^{-T}/2) cos(phi)
     """
-    c0, c1 = _setup2_coefficients(T)
-    return float(c0 + (c1 * np.exp(1j * phi)).real)
-
-
-def setup2_fringe(T: float, phi_grid=None) -> FringePattern:
-    """Zero-temperature fringe from the closed-form wait state."""
-    if phi_grid is None:
-        phi_grid = np.linspace(0.0, 2.0 * np.pi, 65)
-    return sinusoid_fringe(phi_grid, *_setup2_coefficients(T))
+    _check_wait(T)
+    return 0.75 - 0.25 * math.exp(-2.0 * T) + 0.5 * math.exp(-T) * math.cos(phi)
 
 
 def zero_temp_visibility_closed_form(T: float) -> float:

@@ -2,9 +2,9 @@
 
 The package propagates and reads only the chain of entries the second pulse
 reads (`open_system._chain`). This module keeps the brute-force view the
-tests check it against: a whole density built from joint amplitudes, and
-Hermiticity, trace and spectrum read from the full matrix, sharing no code
-with the chain's closed forms.
+tests check it against: a whole density built from joint amplitudes or
+from a chain, and Hermiticity, trace and spectrum read from the full matrix,
+sharing no code with the chain's closed forms.
 """
 
 import numpy as np
@@ -17,6 +17,19 @@ def pure_density(amps):
         raise ValueError("joint amplitudes must have shape (2, n_levels)")
     v = amps.reshape(-1)
     return np.outer(v, v.conj())
+
+
+def density_from_chain(chain):
+    """The Hermitian (2L, 2L) density whose `open_system._chain` this is.
+
+    The chain's first 2L entries are its diagonal and the last L + 1 its
+    (L-1)-th superdiagonal; the lower triangle is their conjugate and every
+    other entry is zero.
+    """
+    chain = np.asarray(chain, dtype=complex)
+    L = (chain.size - 1) // 3
+    mat = np.diag(chain[:2 * L]) + np.diag(chain[2 * L:], L - 1)
+    return mat + np.triu(mat, 1).conj().T
 
 
 def hermiticity_defect(mat):

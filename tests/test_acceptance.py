@@ -40,7 +40,7 @@ from cavity_ramsey.thermal import (
     select_variant,
     thermal_visibility,
 )
-from dense_reference import assert_physical_density, pure_density
+from dense_reference import assert_physical_density, density_from_chain, pure_density
 
 CFG = PhysicalConfig()
 ETA = 0.75
@@ -63,7 +63,7 @@ def test_criterion_2_oracle_vs_analytic():
     for T in (0.001, 0.008, 0.1, 0.4, 1.0):
         phi = 0.7
         rho = evolve_master(pure_density(split_vacuum_state(phi)), T, 0.0)
-        diff = float(np.max(np.abs(rho - zero_temp_wait(phi, T))))
+        diff = float(np.max(np.abs(rho - density_from_chain(zero_temp_wait(phi, T)))))
         worst = max(worst, diff)
     v_fringe = master_fringe(0.008, 0.0).visibility
     v_closed = zero_temp_visibility_closed_form(0.008)

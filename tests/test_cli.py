@@ -126,6 +126,33 @@ class TestSubcommands:
         assert out == ""
         assert err.startswith("error: ") and "T must be finite" in err
 
+    @pytest.mark.parametrize("tau_s", [2, 1.45])
+    def test_underflowing_reference_visibility_is_a_usage_error(self, capsys, tmp_path,
+                                                                tau_s):
+        # at T_ref = 1000 the model visibility is 0.0 (a ZeroDivisionError
+        # escaped); at T_ref = 725 it is subnormal, r was inf and the report
+        # held NaN
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"tau_s": tau_s}))
+        code, out, err = run_cli(capsys, "velocity-scan", "--config", str(path),
+                                 "--format", "json")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "T_ref" in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("variant", [[], ["--variant", "auto"]])
+    def test_selftest_nbar_past_the_series_domain_is_a_usage_error(self, capsys, tmp_path,
+                                                                   variant):
+        # the series refuses nbar >= 1 before the oracle waits at it, however
+        # large nbar is (at 1e6 the oracle's Poisson cutoff failed first)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"nbar": 1e6}))
+        code, out, err = run_cli(capsys, "selftest", "--config", str(path), *variant)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "nbar must lie in (0, 1)" in err
+
     @pytest.mark.parametrize("command", ["setup2", "selftest", "velocity-scan"])
     def test_non_finite_wait_is_a_usage_error(self, capsys, tmp_path, command):
         # both inputs are finite, but T = tau / (2 t_cav) overflows to inf

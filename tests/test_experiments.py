@@ -31,7 +31,12 @@ from cavity_ramsey.open_system import (
     zero_temp_wait,
 )
 from cavity_ramsey.thermal import thermal_visibility
-from dense_reference import assert_physical_density, hermiticity_defect, min_eigenvalue
+from dense_reference import (
+    assert_physical_density,
+    density_from_chain,
+    hermiticity_defect,
+    min_eigenvalue,
+)
 
 CFG = PhysicalConfig()
 
@@ -256,13 +261,13 @@ def test_chain_check_is_the_dense_check(T, nbar):
     # the selftest's start state waited densely: nothing leaves the chain,
     # so the block-form trace and spectrum are the whole matrix's
     start = zero_temp_wait(0.7, 0.0)
-    dense = evolve_master(start, T, nbar)
+    dense = evolve_master(density_from_chain(start), T, nbar)
     L = dense.shape[0] // 2
     on_chain = np.eye(2 * L) + np.eye(2 * L, k=L - 1) + np.eye(2 * L, k=1 - L)
     assert not np.any(dense[on_chain == 0])
     assert hermiticity_defect(dense) == 0.0
     assert_physical_density(dense)
-    [chain] = _wait_chain(_chain(start), nbar, [T])
+    [chain] = _wait_chain(start, nbar, [T])
     assert np.array_equal(chain, _chain(dense))
     assert chain[2 * L] == chain[3 * L] == 0.0
     trace, low = _chain_spectrum(chain)

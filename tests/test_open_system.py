@@ -15,7 +15,6 @@ from cavity_ramsey.open_system import (
     evolve_master,
     master_fringe,
     master_visibility,
-    setup2_fringe,
     setup2_pg,
     setup2_pg_printed_form,
     split_vacuum_state,
@@ -23,7 +22,7 @@ from cavity_ramsey.open_system import (
     zero_temp_visibility_derived,
     zero_temp_wait,
 )
-from dense_reference import assert_physical_density, pure_density
+from dense_reference import assert_physical_density, density_from_chain, pure_density
 
 T_GRID = (0.001, 0.008, 0.1, 0.4, 1.0)
 
@@ -102,7 +101,7 @@ class TestEvolveMaster:
         phi = 0.7
         rho0 = pure_density(split_vacuum_state(phi))
         out = evolve_master(rho0, T, 0.0)
-        ref = zero_temp_wait(phi, T)
+        ref = density_from_chain(zero_temp_wait(phi, T))
         assert np.max(np.abs(out - ref)) < 1e-8
 
     @pytest.mark.parametrize("T", T_GRID)
@@ -110,7 +109,7 @@ class TestEvolveMaster:
         phi = 0.7
         rho0 = pure_density(split_vacuum_state(phi))
         out = evolve_master(rho0, T, 0.0)
-        ref = zero_temp_wait(phi, T)
+        ref = density_from_chain(zero_temp_wait(phi, T))
         assert np.max(np.abs(out - ref)) <= 1e-13
 
     def test_matches_dense_rk4(self, rng):
@@ -230,6 +229,19 @@ def test_closed_forms_refuse_bad_wait(closed_form, T):
         closed_form(T)
 
 
+@pytest.mark.parametrize("T", T_GRID)
+def test_zero_temp_wait_is_a_chain(T):
+    # four nonzero entries of the 3L + 1, read back unchanged from the dense
+    # density they stand for
+    chain = zero_temp_wait(0.7, T)
+    L = TruncationConfig(n_max=8).n_levels
+    assert chain.shape == (3 * L + 1,)
+    assert np.flatnonzero(chain).tolist() == [0, 1, L, 2 * L + 1]
+    dense = density_from_chain(chain)
+    assert np.array_equal(open_system._chain(dense), chain)
+    assert_physical_density(dense)
+
+
 class TestSplitVacuumState:
     def test_structure(self):
         phi = 0.9
@@ -269,21 +281,23 @@ class TestSetup2:
         assert residual < 1e-9
 
     def test_fringe_visibility_matches_derived_formula(self):
+        grid = np.linspace(0.0, 2.0 * math.pi, 65)
         for T in (0.008, 0.2, 0.7):
-            pattern = setup2_fringe(T)
+            pattern = master_fringe(T, 0.0, phi_grid=grid)
             assert abs(pattern.visibility - zero_temp_visibility_derived(T)) < 1e-9
 
     @pytest.mark.parametrize("T", (0.0,) + T_GRID)
     def test_matches_pulse_per_phi(self, T):
-        # the chain per phi: closed-form wait state, second pulse, trace
+        # per phi: closed-form wait state, dense second pulse, trace; the
+        # closed-form fringe and the nbar = 0 oracle fringe both match it
         grid = np.linspace(0.0, 2.0 * math.pi, 65)
         L = TruncationConfig(n_max=8).n_levels
         ref = np.array([
-            np.trace(jc_evolve(zero_temp_wait(phi - math.pi / 2.0, T),
+            np.trace(jc_evolve(density_from_chain(zero_temp_wait(phi - math.pi / 2.0, T)),
                                DEFAULT_OMEGA_CHI)[:L, :L]).real
             for phi in grid])
         assert np.max(np.abs([setup2_pg(phi, T) for phi in grid] - ref)) <= 1e-14
-        pattern = setup2_fringe(T)
+        pattern = master_fringe(T, 0.0, phi_grid=grid)
         assert np.array_equal(pattern.phis, grid)
         assert np.max(np.abs(pattern.p_g - np.clip(ref, 0.0, 1.0))) <= 1e-14
 
