@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,6 +75,27 @@ def _round12(obj):
     return obj
 
 
+def _json_cell(x) -> str:
+    """json.dumps(_round12(x)), without the encoder for the common floats.
+
+    A zero or normal float below 1e11 in magnitude prints as its %.12g text
+    with ".0" added where that has no "." and no "e": for these the text is
+    repr(float(f"{x:.12g}")). Anything else (strings, NaN, infinities,
+    subnormals, whose repr is shorter, and |x| >= 1e11, where %.12g switches
+    to an exponent before repr does) goes through json.
+    """
+    if type(x) is float and (x == 0.0 or sys.float_info.min <= abs(x) < 1e11):
+        text = f"{x:.12g}"
+        return text if "." in text or "e" in text else text + ".0"
+    return json.dumps(_round12(x))
+
+
+def _json_row(row) -> str:
+    if not row:
+        return "[]"
+    return "[\n      " + ",\n      ".join(map(_json_cell, row)) + "\n    ]"
+
+
 @dataclass(frozen=True)
 class ScanReport:
     """Tabular scenario output plus a provenance block."""
@@ -90,13 +112,19 @@ class ScanReport:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        payload = {
-            "scenario": self.scenario,
-            "columns": list(self.columns),
-            "rows": _round12([list(r) for r in self.rows]),
-            "meta": _round12(self.meta),
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        """json.dumps of the report with indent 2 and sorted keys, floats
+        rounded to 12 significant digits; the rows are written cell by cell
+        (`_json_cell`), the other keys by json one level deeper."""
+        def nested(value) -> str:
+            return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
+
+        rows = "[]"
+        if self.rows:
+            rows = "[\n    " + ",\n    ".join(map(_json_row, self.rows)) + "\n  ]"
+        return (f'{{\n  "columns": {nested(list(self.columns))},\n'
+                f'  "meta": {nested(_round12(self.meta))},\n'
+                f'  "rows": {rows},\n'
+                f'  "scenario": {json.dumps(self.scenario)}\n}}\n')
 
     def render(self, fmt: str) -> str:
         if fmt == "csv":
@@ -129,7 +157,8 @@ def _provenance(cfg: PhysicalConfig, series_variant: str) -> dict:
 def _setup1_block(n_values: list, trunc: TruncationConfig, eta: float,
                   diagnostics: dict) -> list:
     """run_setup1's rows for one block of N; the pulse solver adds its work
-    to `diagnostics`.
+    to `diagnostics`. eta is not checked here: run_setup1's fringe checks it
+    once per call (`apply_detection`), and PhysicalConfig bounds it.
 
     The block's coherent matrix is built once and serves both the pulse
     solver and the branches. A block's matrices are freed when this returns,
@@ -144,10 +173,9 @@ def _setup1_block(n_values: list, trunc: TruncationConfig, eta: float,
     a_e, a_g = branch_amplitudes(c, areas)
     vs = 2.0 * np.abs(branch_overlap(a_e, a_g))
     n_plus, n_minus = plus_minus_decomposition(a_e, a_g)
-    return [(n_mean, t, v, apply_detection(min(v, 1.0), eta), n_p, n_m)
-            for n_mean, t, v, n_p, n_m in zip(
-                n_values, areas.tolist(), vs.tolist(), n_plus.tolist(),
-                n_minus.tolist())]
+    return list(zip(n_values, areas.tolist(), vs.tolist(),
+                    (eta * np.minimum(vs, 1.0)).tolist(), n_plus.tolist(),
+                    n_minus.tolist()))
 
 
 def run_setup1(n_values=None, config: PhysicalConfig | None = None,
@@ -288,9 +316,11 @@ def run_velocity_scan(velocities=None, config: PhysicalConfig | None = None
     frozen, so T(v) = T_ref * v_ref / v and the prediction is
     r * thermal_visibility(T(v), nbar) with the single renormalization factor
     r = V_observed / thermal_visibility(T_ref, nbar). At v = v_ref the
-    prediction is the observed reference exactly, by construction. A
-    thermal_visibility(T_ref, nbar) so small that r is not finite (it
-    underflows at long waits) raises ValueError.
+    prediction is the observed reference exactly, by construction. r is the
+    loss factor of the error sources the model leaves out, so a
+    thermal_visibility(T_ref, nbar) below V_observed (r > 1, a gain no
+    imperfection supplies) raises ValueError; this covers one that
+    underflows at long waits.
     """
     cfg = config or PhysicalConfig()
     if velocities is None:
@@ -304,10 +334,13 @@ def run_velocity_scan(velocities=None, config: PhysicalConfig | None = None
     v_model_ref, *v_models = thermal_visibility(
         np.array([t_ref, *waits]), cfg.nbar, series,
         omega_chi=cfg.omega_chi_rad).tolist()
-    r = OBSERVED_REFERENCE_VISIBILITY / v_model_ref if v_model_ref else math.inf
-    if not math.isfinite(r):
+    # r is the loss factor of every error source the model leaves out, so it
+    # cannot exceed 1; this also refuses a model visibility that underflows
+    if not v_model_ref >= OBSERVED_REFERENCE_VISIBILITY:
         raise ValueError(f"the model visibility {v_model_ref:.3g} at T_ref = {t_ref:g} "
-                         "is too small to renormalize by")
+                         f"is below the observed {OBSERVED_REFERENCE_VISIBILITY}: "
+                         "no renormalization r <= 1 reaches it")
+    r = OBSERVED_REFERENCE_VISIBILITY / v_model_ref
     rows = []
     for v, T, v_model in zip(velocities, waits, v_models):
         if v == cfg.v_ref_mps:

@@ -291,12 +291,19 @@ def coherent_amplitudes(alphas: np.ndarray, trunc: TruncationConfig) -> np.ndarr
     log_mag = -0.5 * mean[:, None] + n * log_abs[:, None] - 0.5 * np.array(
         [math.lgamma(k + 1) for k in range(trunc.n_levels)]
     )
-    # the phases, then the magnitudes multiplied in, both in place; the
-    # magnitudes stay the left operand, which fixes the sign of each zero
-    # that underflows
-    amps = 1j * n * np.angle(alphas)[:, None]
-    np.exp(amps, out=amps)
-    np.multiply(np.exp(log_mag, out=log_mag), amps, out=amps)
+    phases = np.angle(alphas)
+    if phases.any():
+        # the phases, then the magnitudes multiplied in, both in place; the
+        # magnitudes stay the left operand, which fixes the sign of each
+        # zero that underflows
+        amps = 1j * n * phases[:, None]
+        np.exp(amps, out=amps)
+        np.multiply(np.exp(log_mag, out=log_mag), amps, out=amps)
+    else:
+        # every phase zero (setup 1's real alphas): the product above is the
+        # magnitude + 0j bit for bit, signed zeros included, so the complex
+        # exponential is skipped
+        amps = np.exp(log_mag, out=log_mag).astype(complex)
     vacuum = np.array(mags) == 0
     amps[vacuum] = 0.0
     amps[vacuum, 0] = 1.0

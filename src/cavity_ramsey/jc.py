@@ -171,11 +171,32 @@ def _pi_half_areas(alphas: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, int, 
     areas = np.empty(len(alphas))
     rows = np.arange(len(alphas))
     t = np.zeros(len(alphas))
+    # at t = 0 every cosine is 1 and every sine 0, exactly, so f(0) is
+    # norm2 / 2 + half_excess to the bit and f'(0) = 0: the first evaluation
+    # needs no angle array x
+    f = 0.5 * norm2 + half_excess
+    x = None
     evaluations = 0
     residual = 0.0
     for _ in range(100):
         if not rows.size:
             break
+        evaluations += rows.size
+        done = np.abs(f) < PI_HALF_RESIDUAL_TOL
+        if done.any():
+            areas[rows[done]] = t[done]
+            residual = max(residual, float(np.abs(f[done]).max()))
+            keep = ~done
+            rows, t, f, c2, half_excess, bound = (
+                a[keep] for a in (rows, t, f, c2, half_excess, bound))
+            x = None if x is None else x[keep]
+        df = 0.0
+        if x is not None:
+            np.sin(x, out=x)
+            x *= c2
+            x *= sq
+            df = -np.sum(x, axis=1)
+        t += 2.0 * f / (np.sqrt(df * df + 2.0 * bound * f) - df)
         # written so that a NaN area (from a NaN alpha) also stops the loop
         late = ~(t <= t_end)
         if late.any():
@@ -188,19 +209,6 @@ def _pi_half_areas(alphas: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, int, 
         # freed before x is copied or overwritten, so an evaluation never
         # holds more than two (rows, n_levels) temporaries
         del cos_x
-        evaluations += rows.size
-        done = np.abs(f) < PI_HALF_RESIDUAL_TOL
-        if done.any():
-            areas[rows[done]] = t[done]
-            residual = max(residual, float(np.abs(f[done]).max()))
-            keep = ~done
-            rows, t, f, x, c2, half_excess, bound = (
-                a[keep] for a in (rows, t, f, x, c2, half_excess, bound))
-        np.sin(x, out=x)
-        x *= c2
-        x *= sq
-        df = -np.sum(x, axis=1)
-        t += 2.0 * f / (np.sqrt(df * df + 2.0 * bound * f) - df)
     if rows.size:  # pragma: no cover
         raise NoRootFound(f"pi/2 area did not converge for alpha={alphas[rows[0]]}")
     return areas, evaluations, residual

@@ -141,6 +141,19 @@ class TestSubcommands:
         assert err.startswith("error: ") and "T_ref" in err
         assert len(err.splitlines()) == 1
 
+    def test_reference_visibility_below_the_observed_is_a_usage_error(self, capsys,
+                                                                       tmp_path):
+        # at T_ref = 1 the model visibility is 0.156 < 0.69, so r = 4.4 was a
+        # gain, and the faster beams were predicted contrasts of 3.23 and 4.26
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"tau_s": 0.002}))
+        code, out, err = run_cli(capsys, "velocity-scan", "--config", str(path),
+                                 "--velocities", "500,5000,50000")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "T_ref = 1 " in err
+        assert len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("variant", [[], ["--variant", "auto"]])
     def test_selftest_nbar_past_the_series_domain_is_a_usage_error(self, capsys, tmp_path,
                                                                    variant):
@@ -438,3 +451,15 @@ def test_run_all_scenarios_script(tmp_path):
         "config.json", "fig4.csv", "selftest.csv", "setup1.csv", "setup2.json",
         "velocity_scan.csv"]
     assert "selftest: all checks passed" in done.stdout.splitlines()
+
+
+def test_layer_times_script():
+    # one timed run of every call the script times
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "layer_times.py"), "--repeats", "1"],
+        env=_package_env(), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 14
+    assert all(float(line.split()[0]) >= 0.0 for line in lines)
+    assert any(line.endswith("to_json(1601 N)") for line in lines)

@@ -1,8 +1,12 @@
 import json
 import math
+import random
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavity_ramsey import experiments
 from cavity_ramsey.config import PhysicalConfig
@@ -69,6 +73,57 @@ def setup2_report():
 @pytest.fixture(scope="module")
 def velocity_report():
     return run_velocity_scan(config=CFG)
+
+
+def json_via_encoder(report):
+    """The renderer to_json replaced: json's indented encoder over _round12."""
+    payload = {"scenario": report.scenario, "columns": list(report.columns),
+               "rows": [list(r) for r in report.rows], "meta": report.meta}
+    return json.dumps(experiments._round12(payload), indent=2, sort_keys=True) + "\n"
+
+
+# row cells of every kind to_json writes itself or hands to json
+ROW_CELLS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324,
+                     sys.float_info.min, 1e11, 1e12, 1e16, 1e17]),
+    st.floats(min_value=-sys.float_info.min, max_value=sys.float_info.min),
+    st.integers(min_value=-10 ** 15, max_value=10 ** 15).map(float),
+    st.floats(min_value=1e11, max_value=1e17),
+    st.floats(min_value=-1e17, max_value=-1e11),
+    st.text(max_size=8),
+    st.integers(),
+    st.booleans(),
+)
+
+
+def setup1_scan_report():
+    """run_setup1 over the benchmark's setup1-scan input for seed 1."""
+    rng = random.Random(1)
+    return run_setup1(sorted(rng.uniform(0.0, 20.0) for _ in range(1601)))
+
+
+class TestJsonRenderer:
+    @pytest.mark.parametrize("build", [
+        lambda: run_setup1(config=CFG),
+        setup1_scan_report,
+        lambda: run_setup2(CFG),
+        lambda: run_fig4([0.02 * i for i in range(51)], CFG),
+        lambda: run_velocity_scan(config=CFG),
+        lambda: run_selftest(CFG),
+        lambda: run_setup1([], CFG),
+        lambda: ScanReport("demo", ("a",), ()),
+    ], ids=["setup1", "setup1-scan", "setup2", "fig4", "velocity-scan", "selftest",
+            "setup1-empty", "no-rows"])
+    def test_reports_match_the_encoder(self, build):
+        report = build()
+        assert report.to_json() == json_via_encoder(report)
+
+    @given(st.lists(st.lists(ROW_CELLS, max_size=4).map(tuple), max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_cells_match_the_encoder(self, rows):
+        report = ScanReport("demo", ("a", "b"), tuple(rows), {"k": 1.5, "s": "x"})
+        assert report.to_json() == json_via_encoder(report)
 
 
 class TestScanReport:
@@ -241,6 +296,18 @@ class TestVelocityScan:
         r = report.meta["renormalization_r"]
         assert r == pytest.approx(
             OBSERVED_REFERENCE_VISIBILITY / report.rows[0][2], abs=1e-12)
+
+    def test_predictions_never_exceed_one(self):
+        # r = 0.69 / V_model(T_ref) <= 1 is a loss, so no beam, however
+        # fast, is predicted a contrast above 1
+        report = run_velocity_scan([500.0, 5000.0, 50000.0], CFG)
+        assert report.meta["renormalization_r"] <= 1.0
+        assert all(0.0 <= v_pred <= 1.0 for v_pred in report.column("v_predicted"))
+
+    def test_rejects_a_model_visibility_below_the_observed(self):
+        # at T_ref = 1 the model visibility is 0.156 < 0.69: r would be 4.4
+        with pytest.raises(ValueError, match="T_ref = 1 "):
+            run_velocity_scan([500.0, 5000.0], PhysicalConfig(tau_s=0.002))
 
     def test_rejects_nonpositive_velocity(self):
         with pytest.raises(ValueError):

@@ -127,6 +127,20 @@ class TestCoherentState:
             assert np.array_equal(row, coherent_state(alpha, trunc))
         assert rows[0, 0] == 1.0 and np.all(rows[0, 1:] == 0.0)
 
+    def test_zero_phase_rows_equal_the_phase_path(self):
+        # a block of real alphas skips the complex exponential; built beside
+        # a complex alpha the same rows take it, and must match bit for bit,
+        # signed zeros included (1e-100's high levels underflow to zero)
+        trunc = TruncationConfig(n_max=60)
+        reals = [0.0, 1e-100, 0.3, 1.0, math.sqrt(2.0), math.sqrt(20.0), 4.0]
+        fast = coherent_amplitudes(np.array(reals), trunc)
+        slow = coherent_amplitudes(np.array([*reals, 0.5 + 0.5j]), trunc)[:len(reals)]
+        assert fast[1, 10] == 0.0
+        assert np.array_equal(fast, slow)
+        for part in ("real", "imag"):
+            assert np.array_equal(np.signbit(getattr(fast, part)),
+                                  np.signbit(getattr(slow, part)))
+
     def test_rows_refuse_a_large_tail(self):
         # only the third row's tail is too large at n_max = 8
         with pytest.raises(TailTooLarge, match="alpha\\|\\^2=9"):
@@ -154,6 +168,19 @@ class TestCoherentState:
         assert peak <= 2.6 * rows.nbytes
         for alpha, row in zip(alphas, rows):
             assert row.tobytes() == coherent_state(alpha, trunc).tobytes()
+
+    def test_real_rows_hold_few_temporaries(self):
+        # real alphas: the result is a complex copy of the magnitudes, so the
+        # peak holds the result and their float block
+        trunc = TruncationConfig(n_max=4095)
+        alphas = np.sqrt(np.linspace(0.0, 1000.0, 16))
+        tracemalloc.start()
+        try:
+            rows = coherent_amplitudes(alphas, trunc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.6 * rows.nbytes
 
     def test_rows_take_a_1d_array(self):
         with pytest.raises(ValueError):

@@ -36,6 +36,21 @@ PHOTON_NUMBERS = st.lists(
 ).map(lambda ns: sorted([0.0, ns[0], *ns]))
 
 
+# solve_pi_half_time(sqrt(N)) at the default truncation, as float.hex: the
+# areas are pinned to their bits, so a change to the solver's arithmetic that
+# moves any of them fails here
+PI_HALF_AREAS_HEX = {
+    0.01: "0x1.90943b3196ab2p-1",
+    0.5: "0x1.51d038a791601p-1",
+    1.0: "0x1.25dfddbadea1cp-1",
+    2.0: "0x1.de37150cca595p-2",
+    5.0: "0x1.4e51cd9b048a1p-2",
+    10.0: "0x1.ea23befa7d70dp-3",
+    20.0: "0x1.610658f15bb0ap-3",
+    200.0: "0x1.c61972481dd62p-5",
+}
+
+
 def pi_half_area_one_alpha(alpha, trunc):
     """(area, evaluations, |f| at the area) from a scalar curvature-step loop
     over one alpha.
@@ -298,6 +313,18 @@ class TestPiHalfTime:
         diagnostics = report.meta["diagnostics"]
         assert diagnostics["pulse_solver_evaluations"] == evaluations
         assert diagnostics["max_pi_half_residual"] == residual
+
+    @pytest.mark.parametrize("n_mean", sorted(PI_HALF_AREAS_HEX))
+    def test_areas_keep_their_bits(self, n_mean):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # N = 200 widens n_max
+            area = solve_pi_half_time(math.sqrt(n_mean))
+        assert area.hex() == PI_HALF_AREAS_HEX[n_mean]
+
+    def test_default_scan_keeps_its_evaluation_count(self):
+        # the first evaluation, at t = 0, is counted although it needs no
+        # trigonometry, so the report's count does not move with that
+        assert run_setup1().meta["diagnostics"]["pulse_solver_evaluations"] == 42
 
     def test_scalar_returns_float_and_empty_array_empty(self):
         trunc = TruncationConfig(n_max=20)
