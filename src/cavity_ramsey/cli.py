@@ -3,8 +3,8 @@
 Subcommands: setup1 | setup2 | fig4 | velocity-scan | selftest.
 Exit codes: 0 success, 1 validation/usage error, 2 convergence or oracle
 failure (any `errors.CavityRamseyError`: series cap hit, no pulse root,
-truncation leak or tail, degenerate fringe, inconclusive variant selection)
-or a failing selftest.
+truncation leak or tail, inconclusive variant selection) or a failing
+selftest.
 """
 
 from __future__ import annotations

@@ -17,10 +17,6 @@ class NoRootFound(CavityRamseyError):
     """Root bracketing failed inside the allotted search window."""
 
 
-class DegeneratePattern(CavityRamseyError):
-    """A fringe pattern carries no usable signal (max + min ~ 0)."""
-
-
 class ConvergenceFailure(CavityRamseyError):
     """A series hit its term caps before reaching the requested tolerance."""
 

@@ -133,10 +133,6 @@ class ScanReport:
             return self.to_json()
         raise ValueError(f"unknown format {fmt!r}; expected 'csv' or 'json'")
 
-    def column(self, name: str) -> list:
-        i = self.columns.index(name)
-        return [row[i] for row in self.rows]
-
 
 def _check_phi_points(phi_points: int) -> None:
     """Refuse a fringe grid of fewer than 16 or more than MAX_POINTS points."""

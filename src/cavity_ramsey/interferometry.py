@@ -13,31 +13,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePattern
 from .fock import TruncationConfig, squared_norms
 from .jc import branch_states, solve_pi_half_time
 
 
 @dataclass(frozen=True)
 class FringePattern:
-    """Sampled (phi, P_g) fringe plus its extracted visibility."""
+    """Sampled (phi, P_g) fringe plus its visibility (`sinusoid_fringe`)."""
 
     phis: np.ndarray
     p_g: np.ndarray
     visibility: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "phis", np.asarray(self.phis, dtype=float))
-        object.__setattr__(self, "p_g", np.asarray(self.p_g, dtype=float))
-        if self.phis.shape != self.p_g.shape:
-            raise ValueError("phi and P_g grids must have matching shapes")
-        if np.any(self.p_g < -1e-12) or np.any(self.p_g > 1.0 + 1e-12):
-            raise ValueError("P_g samples outside [0, 1]")
-        if not 0.0 <= self.visibility <= 1.0 + 1e-12:
-            raise ValueError(f"visibility {self.visibility} outside [0, 1]")
-
-    def samples(self):
-        return list(zip(self.phis.tolist(), self.p_g.tolist()))
 
 
 def branch_overlap(alpha_e: np.ndarray, alpha_g: np.ndarray) -> complex | np.ndarray:
@@ -67,11 +53,13 @@ def plus_minus_decomposition(alpha_e: np.ndarray, alpha_g: np.ndarray
 
 
 def visibility_from_pattern(phis, p_g) -> float:
-    """(max - min) / (max + min) of the underlying sinusoid.
+    """(max - min) / (max + min) of the sinusoid through sampled (phi, P_g).
 
-    A least-squares fit of a + b*cos(phi - phi0) makes the extraction robust
-    to grid placement; the result is |b| / a. Requires at least 8 samples
-    covering a full period.
+    A least-squares fit of a + b*cos(phi - phi0); the result is |b| / a. No
+    package path calls it: a fringe's own visibility is |c1| / c0
+    (`sinusoid_fringe`), and this fit is the independent reading of a
+    sampled one. Requires at least 8 samples covering a full period, and
+    raises ValueError on a fringe with no mean level.
     """
     phis = np.asarray(phis, dtype=float)
     p_g = np.asarray(p_g, dtype=float)
@@ -83,7 +71,7 @@ def visibility_from_pattern(phis, p_g) -> float:
     a, p, q = np.linalg.lstsq(design, p_g, rcond=None)[0]
     amp = float(np.hypot(p, q))
     if 2.0 * a < 1e-12:  # max + min ~ 2a for a sinusoid
-        raise DegeneratePattern("fringe pattern has no usable mean level")
+        raise ValueError("fringe pattern has no usable mean level")
     return amp / float(a)
 
 
@@ -100,13 +88,13 @@ def sinusoid_fringe(phi_grid, c0: float, c1: complex) -> FringePattern:
     """The fringe P_g(phi) = c0 + Re(c1 e^{i phi}), sampled on phi_grid.
 
     P_g is linear in the state and only the g/e coherence carries phi, so
-    every fringe is fixed by these two numbers. The samples are clipped to
-    [0, 1]; the visibility is fitted to the unclipped ones.
+    every fringe is fixed by these two numbers, and its visibility
+    (max - min) / (max + min) is |c1| / c0 on any grid. The samples are
+    clipped to [0, 1]; the visibility is not.
     """
     phis = np.asarray(phi_grid, dtype=float)
     p_g = c0 + (c1 * np.exp(1j * phis)).real
-    return FringePattern(phis, np.clip(p_g, 0.0, 1.0),
-                         visibility_from_pattern(phis, p_g))
+    return FringePattern(phis, np.clip(p_g, 0.0, 1.0), abs(c1) / c0)
 
 
 def fringe_scan_setup1(alpha: complex,

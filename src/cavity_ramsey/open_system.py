@@ -279,27 +279,14 @@ def zero_temp_visibility_derived(T: float) -> float:
     return 2.0 * math.exp(-T) / (3.0 - math.exp(-2.0 * T))
 
 
-def setup2_pg_printed_form(phi: float, T: float) -> float:
-    """Documentation-only transcription of the compact fringe formula.
-
-    Reads 1/4 - e^{-2T}/4 + (e^{-T}/2) sin(phi). It is inconsistent with the
-    recombined state's diagonal (it goes negative at T = 0 for phi < 0) and is
-    therefore excluded from every oracle chain; setup2_pg is the trusted form.
-    """
-    return 0.25 - 0.25 * math.exp(-2.0 * T) + 0.5 * math.exp(-T) * math.sin(phi)
-
-
 # --- master-equation oracle chain ---------------------------------------------
 
-def _fringes(ts, nbar: float, phi_grid=None,
-             trunc: TruncationConfig | None = None,
-             omega_chi: float = DEFAULT_OMEGA_CHI) -> list[FringePattern]:
-    """`master_fringe` at every wait in ts, all from one sweep (`_evolve`)."""
+def _coefficients(ts, nbar: float, trunc: TruncationConfig | None = None,
+                  omega_chi: float = DEFAULT_OMEGA_CHI) -> list[tuple[float, complex]]:
+    """`master_fringe`'s (c0, c1) at every wait in ts, all from one sweep (`_evolve`)."""
     for T in ts:
         _check_wait(T)
     _check_nbar(nbar)
-    if phi_grid is None:
-        phi_grid = np.linspace(0.0, 2.0 * np.pi, 9)
     if trunc is None:
         # thermal feeding dies off geometrically in nbar/(1+nbar); keep enough
         # levels that the top excited level stays below the pulse's leak guard
@@ -315,8 +302,7 @@ def _fringes(ts, nbar: float, phi_grid=None,
     v = split_vacuum_state(-math.pi / 2.0, trunc).reshape(-1)
     L = trunc.n_levels
     chain = np.concatenate([v * v.conj(), v[:L + 1] * v[L - 1:].conj()])
-    return [sinusoid_fringe(phi_grid, *_fringe_coefficients(c, omega_chi))
-            for c in _wait_chain(chain, nbar, ts)]
+    return [_fringe_coefficients(c, omega_chi) for c in _wait_chain(chain, nbar, ts)]
 
 
 def master_fringe(T: float, nbar: float, phi_grid=None,
@@ -334,21 +320,26 @@ def master_fringe(T: float, nbar: float, phi_grid=None,
     never mixes entries of different offsets or blocks, so only that
     `_chain` of 3L + 1 entries is propagated (bit for bit the same entries
     as `evolve_master`'s), and (c0, c1) are read from it
-    (`_fringe_coefficients`) for the whole phi grid. Without an explicit
-    trunc, n_max is chosen from the thermal feeding rate; the second pulse
-    raises TruncationLeak if that choice let the top level fill. A negative,
-    NaN or infinite T or nbar raises ValueError.
+    (`_fringe_coefficients`) for the whole phi grid, by default 9 points
+    over [0, 2 pi]. Without an explicit trunc, n_max is chosen from the
+    thermal feeding rate; the second pulse raises TruncationLeak if that
+    choice let the top level fill. A negative, NaN or infinite T or nbar
+    raises ValueError.
     """
-    return _fringes([T], nbar, phi_grid, trunc, omega_chi)[0]
+    [(c0, c1)] = _coefficients([T], nbar, trunc, omega_chi)
+    if phi_grid is None:
+        phi_grid = np.linspace(0.0, 2.0 * np.pi, 9)
+    return sinusoid_fringe(phi_grid, c0, c1)
 
 
-def master_visibility(T, nbar: float, **kwargs):
-    """Oracle visibility at (T, nbar) from the brute-force fringe.
+def master_visibility(T, nbar: float, trunc: TruncationConfig | None = None,
+                      omega_chi: float = DEFAULT_OMEGA_CHI):
+    """Oracle visibility |c1| / c0 at (T, nbar), with no phi grid sampled.
 
     T may be a scalar or an array of waits, all served by one sweep; the
     result has T's shape (a float for a scalar, the `master_fringe` value).
-    kwargs are `master_fringe`'s.
+    trunc and omega_chi are `master_fringe`'s.
     """
     ts = np.asarray(T, dtype=float).reshape(-1).tolist()
-    v = np.array([f.visibility for f in _fringes(ts, nbar, **kwargs)])
+    v = np.array([abs(c1) / c0 for c0, c1 in _coefficients(ts, nbar, trunc, omega_chi)])
     return float(v[0]) if np.ndim(T) == 0 else v.reshape(np.shape(T))

@@ -264,10 +264,11 @@ def thermal_visibility(T, nbar: float, cfg: SeriesConfig | None = None,
                        omega_chi: float = DEFAULT_OMEGA_CHI):
     """Fringe visibility |P_o| / P_c at wait T and bath occupation nbar.
 
-    A negative P_o is a pi-shifted fringe, whose contrast is still |P_o| / P_c
-    (as `visibility_from_pattern` reads it off a sampled fringe). T may be a
-    scalar or an array of waits, all served by one series build; the result
-    has T's shape (a float for a scalar).
+    The fringe is P_c + P_o sin(phi), so this is the |c1| / c0 of every
+    fringe (`interferometry.sinusoid_fringe`); a negative P_o is a
+    pi-shifted fringe of the same contrast. T may be a scalar or an array of
+    waits, all served by one series build; the result has T's shape (a
+    float for a scalar).
     """
     cfg = cfg or SeriesConfig()
     pc = pg_constant(T, nbar, omega_chi, cfg)

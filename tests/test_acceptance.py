@@ -40,6 +40,7 @@ from cavity_ramsey.thermal import (
     select_variant,
     thermal_visibility,
 )
+from conftest import column
 from dense_reference import assert_physical_density, density_from_chain, pure_density
 
 CFG = PhysicalConfig()
@@ -186,9 +187,9 @@ def test_criterion_7_physicality_suite():
 def test_criterion_8_fig4_reproduction():
     grid = [0.0] + list(np.linspace(0.02, 1.0, 50))
     rep = run_fig4(grid, CFG)
-    t = rep.column("T")
-    v_zero = rep.column("v_zero_temp")
-    v_thermal = rep.column("v_thermal")
+    t = column(rep, "T")
+    v_zero = column(rep, "v_zero_temp")
+    v_thermal = column(rep, "v_thermal")
     above = all(z > th for T, z, th in zip(t[1:], v_zero[1:], v_thermal[1:]))
     dec_zero = all(a > b for a, b in zip(v_zero[1:], v_zero[2:]))
     dec_thermal = all(a > b for a, b in zip(v_thermal[1:], v_thermal[2:]))

@@ -35,6 +35,7 @@ from cavity_ramsey.open_system import (
     zero_temp_wait,
 )
 from cavity_ramsey.thermal import thermal_visibility
+from conftest import column
 from dense_reference import (
     assert_physical_density,
     density_from_chain,
@@ -146,7 +147,7 @@ class TestScanReport:
 
     def test_column_accessor(self):
         report = ScanReport("demo", ("a", "b"), ((1.0, 2.0), (3.0, 4.0)))
-        assert report.column("b") == [2.0, 4.0]
+        assert column(report, "b") == [2.0, 4.0]
 
 
 class TestSetup1:
@@ -157,7 +158,7 @@ class TestSetup1:
 
     def test_visibility_non_decreasing(self, setup1_report):
         report = setup1_report
-        vs = report.column("visibility")
+        vs = column(report, "visibility")
         assert vs == sorted(vs)
 
     def test_eta_column_is_scaled_raw(self, setup1_report):
@@ -170,6 +171,18 @@ class TestSetup1:
         fringe = report.meta["fringe"]
         assert fringe["n_mean"] == 20.0
         assert abs(fringe["visibility"] - report.rows[-1][2]) < 1e-8
+
+    def test_fringe_visibility_is_the_largest_n_row(self):
+        # both are 2|<alpha_e|alpha_g>| at the same area, the fringe's as
+        # |c1| / c0 with c0 = 1/2: equal to the bit
+        scans = [[20000.0, 20050.0, 20127.0], [0.0, 1e-200, 3.7], None]
+        for seed in range(1, 6):
+            rng = random.Random(seed)
+            scans.append(sorted(rng.uniform(0.0, 20.0) for _ in range(1601)))
+        for n_values in scans:
+            report = run_setup1(n_values, CFG, phi_points=16)
+            largest = max(report.rows, key=lambda row: row[0])
+            assert report.meta["fringe"]["visibility"] == largest[2]
 
     def test_meta_reports_the_cutoff_used(self, setup1_report):
         assert setup1_report.meta["n_max"] == CFG.trunc.n_max
@@ -195,7 +208,7 @@ class TestSetup1:
         for row, ref in zip(report.rows, expected):
             assert np.max(np.abs(np.subtract(row, ref))) <= 1e-13
         # each area is its own scalar solve, whatever block it sits in
-        assert report.column("pulse_time") == [ref[1] for ref in expected]
+        assert column(report, "pulse_time") == [ref[1] for ref in expected]
 
     def test_diagnostics(self, setup1_report):
         diag = setup1_report.meta["diagnostics"]
@@ -225,7 +238,7 @@ class TestSetup2:
 
     def test_fringe_probabilities_physical(self, setup2_report):
         report = setup2_report
-        p = report.column("p_g")
+        p = column(report, "p_g")
         assert min(p) >= 0.0 and max(p) <= 1.0
 
     def test_undamped_limit_is_cos_squared(self):
@@ -261,7 +274,7 @@ class TestFig4:
         series = CFG.resolved_series()
         expected = [thermal_visibility(T, CFG.nbar, series,
                                        omega_chi=CFG.omega_chi_rad) for T in grid]
-        assert run_fig4(grid, CFG).column("v_thermal") == expected
+        assert column(run_fig4(grid, CFG), "v_thermal") == expected
 
     def test_zero_temp_above_thermal(self):
         report = run_fig4([0.1, 0.5, 1.0], CFG)
@@ -302,7 +315,7 @@ class TestVelocityScan:
         # fast, is predicted a contrast above 1
         report = run_velocity_scan([500.0, 5000.0, 50000.0], CFG)
         assert report.meta["renormalization_r"] <= 1.0
-        assert all(0.0 <= v_pred <= 1.0 for v_pred in report.column("v_predicted"))
+        assert all(0.0 <= v_pred <= 1.0 for v_pred in column(report, "v_predicted"))
 
     def test_rejects_a_model_visibility_below_the_observed(self):
         # at T_ref = 1 the model visibility is 0.156 < 0.69: r would be 4.4

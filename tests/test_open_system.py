@@ -16,7 +16,6 @@ from cavity_ramsey.open_system import (
     master_fringe,
     master_visibility,
     setup2_pg,
-    setup2_pg_printed_form,
     split_vacuum_state,
     zero_temp_visibility_closed_form,
     zero_temp_visibility_derived,
@@ -302,8 +301,10 @@ class TestSetup2:
         assert np.max(np.abs(pattern.p_g - np.clip(ref, 0.0, 1.0))) <= 1e-14
 
     def test_printed_form_is_defective(self):
-        # documents why the transcribed compact fringe is excluded from oracles
-        assert setup2_pg_printed_form(-0.5, 0.0) < 0.0
+        # the compact fringe as printed, 1/4 - e^{-2T}/4 + (e^{-T}/2) sin(phi),
+        # goes negative at T = 0 for phi < 0, so no oracle uses it
+        phi, T = -0.5, 0.0
+        assert 0.25 - 0.25 * math.exp(-2.0 * T) + 0.5 * math.exp(-T) * math.sin(phi) < 0.0
 
 
 class TestVisibilityFormulas:
@@ -440,9 +441,13 @@ def test_visibility_sweep_matches_each_wait(waits, nbar):
 
 @pytest.mark.parametrize("T, nbar", [(0.0, 0.3), (0.04, 0.7), (1.0, 0.95)])
 def test_scalar_visibility_is_the_fringes(T, nbar):
+    # |c1| / c0 whatever grid the fringe is sampled on, down to one point
     v = master_visibility(T, nbar)
     assert type(v) is float
     assert v == master_fringe(T, nbar).visibility
+    for grid in ([0.3], np.linspace(0.0, 2.0 * math.pi, 5), np.linspace(0.0, math.pi, 9),
+                 np.linspace(0.0, 2.0 * math.pi, 9), np.linspace(0.0, 2.0 * math.pi, 65)):
+        assert master_fringe(T, nbar, phi_grid=grid).visibility == v
 
 
 def per_phi_fringe(T, nbar, phi_grid, omega_chi=DEFAULT_OMEGA_CHI):
