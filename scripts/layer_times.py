@@ -11,7 +11,11 @@ prints one `median_ms  what` row per timed call:
   [0, 20] (the benchmark's seed-1 draw): `run_setup1`, then `to_json` and
   `to_csv` of its report;
 * `master_visibility` and `thermal_visibility` at (T, nbar) = (0.008, 0.3),
-  (0.4, 0.7) and (1.0, 0.95).
+  (0.4, 0.7) and (1.0, 0.95);
+* the benchmark's own series builds, each one `thermal_visibility` call:
+  `fig4`'s seed-1 grid of 6 waits at nbar 0.7, and `velocity-scan`'s 5 waits
+  at its defaults (T_ref and the 4 default velocities' waits) at nbar 0.2,
+  0.5 and 0.8, the centres of the `nbar-sweep` draws.
 
 Each call runs once untimed (imports, first-call costs), then N times
 (default 7). The numbers depend on the host; quote them with it.
@@ -25,7 +29,11 @@ import statistics
 import sys
 import time
 
+import numpy as np
+
+from cavity_ramsey.config import PhysicalConfig
 from cavity_ramsey.experiments import (
+    DEFAULT_VELOCITIES,
     run_fig4,
     run_selftest,
     run_setup1,
@@ -40,6 +48,9 @@ SETUP1_COUNT = 1601
 SETUP1_N_MAX = 20.0
 POINTS = ((0.008, 0.3), (0.4, 0.7), (1.0, 0.95))
 FIG4_GRID = [i * 0.02 for i in range(51)]
+# the fig4 workload's grid: 6 waits 0.2 apart from a seeded start in [0, 0.02]
+FIG4_SEED, FIG4_WAITS, FIG4_STEP, FIG4_OFFSET, FIG4_NBAR = 1, 6, 0.2, 0.02, 0.7
+SWEEP_NBARS = (0.2, 0.5, 0.8)
 
 
 def median_ms(call, repeats: int) -> float:
@@ -79,6 +90,15 @@ def main(argv: list[str]) -> int:
                       lambda T=T, nbar=nbar: master_visibility(T, nbar)))
         calls.append((f"thermal_visibility({T}, {nbar})",
                       lambda T=T, nbar=nbar: thermal_visibility(T, nbar)))
+    start = random.Random(FIG4_SEED).uniform(0.0, FIG4_OFFSET)
+    fig4_waits = np.array([start + i * FIG4_STEP for i in range(FIG4_WAITS)])
+    calls.append((f"thermal_visibility(fig4 seed {FIG4_SEED}, {FIG4_NBAR})",
+                  lambda: thermal_visibility(fig4_waits, FIG4_NBAR)))
+    cfg = PhysicalConfig()
+    scan_waits = np.array([cfg.T, *(cfg.T * cfg.v_ref_mps / v for v in DEFAULT_VELOCITIES)])
+    for nbar in SWEEP_NBARS:
+        calls.append((f"thermal_visibility(velocity-scan, {nbar})",
+                      lambda nbar=nbar: thermal_visibility(scan_waits, nbar)))
     for name, call in calls:
         print(f"{median_ms(call, args.repeats):10.3f}  {name}", flush=True)
     return 0

@@ -39,17 +39,18 @@ from cavity_ramsey.cli import main as cli_main  # noqa: E402
 CONFIGS = {"tau": {"tau_s": 8e-5}, "nbar": {"nbar": 0.95},
            "omega": {"omega_chi_rad": 0.6}}
 # (argv, config name or None): each subcommand at its defaults, the arbitrated
-# variant, an odd fringe grid, setup 1 at large, tiny and fractional N, and
-# setup 1, setup 2 and selftest under each of CONFIGS
+# variant, the series' variant B, an odd fringe grid, setup 1 at large, tiny
+# and fractional N, and every subcommand under each of CONFIGS
 CALLS = [
     (["setup1"], None), (["setup2"], None), (["fig4"], None),
     (["velocity-scan"], None), (["selftest"], None),
     (["selftest", "--variant", "auto"], None),
+    (["fig4", "--variant", "B"], None), (["velocity-scan", "--variant", "B"], None),
     (["setup2", "--phi-points", "17"], None),
     (["setup1", "--n-values", "20000,20050,20127"], None),
     (["setup1", "--n-values", "0,1e-200,3.7"], None),
     *[([command], name) for name in CONFIGS
-      for command in ("setup1", "setup2", "selftest")],
+      for command in ("setup1", "setup2", "fig4", "velocity-scan", "selftest")],
 ]
 
 

@@ -25,8 +25,8 @@ from .fock import (
 from .interferometry import (
     apply_detection,
     branch_overlap,
-    fringe_scan_setup1,
     plus_minus_decomposition,
+    sinusoid_fringe,
 )
 from .jc import _pi_half_areas, branch_amplitudes, branch_states, solve_pi_half_time
 from .open_system import (
@@ -151,10 +151,11 @@ def _provenance(cfg: PhysicalConfig, series_variant: str) -> dict:
 
 
 def _setup1_block(n_values: list, trunc: TruncationConfig, eta: float,
-                  diagnostics: dict) -> list:
-    """run_setup1's rows for one block of N; the pulse solver adds its work
-    to `diagnostics`. eta is not checked here: run_setup1's fringe checks it
-    once per call (`apply_detection`), and PhysicalConfig bounds it.
+                  diagnostics: dict) -> tuple[list, np.ndarray]:
+    """run_setup1's rows for one block of N, and each row's complex overlap
+    <alpha_e|alpha_g>; the pulse solver adds its work to `diagnostics`. eta
+    is not checked here: run_setup1's fringe checks it once per call
+    (`apply_detection`), and PhysicalConfig bounds it.
 
     The block's coherent matrix is built once and serves both the pulse
     solver and the branches. A block's matrices are freed when this returns,
@@ -167,11 +168,12 @@ def _setup1_block(n_values: list, trunc: TruncationConfig, eta: float,
     diagnostics["max_pi_half_residual"] = max(diagnostics["max_pi_half_residual"],
                                               residual)
     a_e, a_g = branch_amplitudes(c, areas)
-    vs = 2.0 * np.abs(branch_overlap(a_e, a_g))
+    overlaps = branch_overlap(a_e, a_g)
+    vs = 2.0 * np.abs(overlaps)
     n_plus, n_minus = plus_minus_decomposition(a_e, a_g)
     return list(zip(n_values, areas.tolist(), vs.tolist(),
                     (eta * np.minimum(vs, 1.0)).tolist(), n_plus.tolist(),
-                    n_minus.tolist()))
+                    n_minus.tolist())), overlaps
 
 
 def run_setup1(n_values=None, config: PhysicalConfig | None = None,
@@ -183,7 +185,9 @@ def run_setup1(n_values=None, config: PhysicalConfig | None = None,
     pass it (`solve_pi_half_time`), the visibility is 2|<alpha_e|alpha_g>|,
     and the which-path weights n_+/- come from the gauge-aligned
     decomposition. The full fringe for the largest N is attached to the meta
-    block. One truncation serves every row: the configured one, widened until
+    block, read from that row's overlap (`interferometry.sinusoid_fringe`),
+    as `fringe_scan_setup1` would give it without a second solve. One
+    truncation serves every row: the configured one, widened until
     the largest N's Poisson tail is below tail_tol.
 
     N is taken SETUP1_BLOCK values at a time: one coherent matrix per block
@@ -206,18 +210,21 @@ def run_setup1(n_values=None, config: PhysicalConfig | None = None,
     max_n = max(n_values, default=0.0)
     trunc = widened_truncation(max_n, cfg.trunc)
     diagnostics = {"pulse_solver_evaluations": 0, "max_pi_half_residual": 0.0}
-    rows = []
+    rows, overlaps = [], []
     for start in range(0, len(n_values), SETUP1_BLOCK):
-        rows += _setup1_block(n_values[start:start + SETUP1_BLOCK], trunc, cfg.eta,
-                              diagnostics)
+        block_rows, block_overlaps = _setup1_block(
+            n_values[start:start + SETUP1_BLOCK], trunc, cfg.eta, diagnostics)
+        rows += block_rows
+        overlaps += block_overlaps.tolist()
     diagnostics["coherent_tail"] = poisson_tail(max_n, trunc.n_max)
     meta = _provenance(cfg, cfg.variant)
     meta["n_max"] = trunc.n_max
     meta["diagnostics"] = diagnostics
     if n_values:
-        pattern = fringe_scan_setup1(
-            math.sqrt(max_n), trunc,
-            np.linspace(0.0, 2.0 * math.pi, phi_points))
+        # the largest N's row has solved its pulse and formed its branches:
+        # the fringe is 1/2 + Re(e^{i phi} <alpha_e|alpha_g>) from its overlap
+        pattern = sinusoid_fringe(np.linspace(0.0, 2.0 * math.pi, phi_points), 0.5,
+                                  overlaps[n_values.index(max_n)])
         meta["fringe"] = {
             "n_mean": max_n,
             "phi": pattern.phis.tolist(),

@@ -129,10 +129,11 @@ def bd0(x: float, m: float) -> float:
     """
     if abs(x - m) < 0.1 * (x + m):
         v = (x - m) / (x + m)
-        s, term, v2, j = (x - m) * v, 2.0 * x * v, v * v, 1
+        # a float counter, as in `upper_tail`
+        s, term, v2, j = (x - m) * v, 2.0 * x * v, v * v, 1.0
         while True:
             term *= v2
-            j += 2
+            j += 2.0
             nxt = s + term / j
             if nxt == s:
                 return s
@@ -176,11 +177,12 @@ def upper_tail(log_pmf, x: int, a: float, b: float) -> tuple[float, float]:
     first = math.exp(y)
     if first == 0.0:  # the tail underflows
         return 0.0, 0.0
-    term, total, i = first, 0.0, x
+    # a float counter, exact below 2^53: no step of the loop converts an int
+    term, total, i = first, 0.0, float(x)
     while True:
         total += term
-        ratio = (a * i + b) / (i + 1)  # above every later ratio
-        i += 1
+        ratio = (a * i + b) / (i + 1.0)  # above every later ratio
+        i += 1.0
         term *= ratio
         rest = term / (1.0 - ratio)
         if not rest > TAIL_SUM_TOL * total:  # NaN stops too
@@ -204,22 +206,24 @@ def tail_cutoff(log_pmf, a: float, b: float, start: int, tol: float, cap: int) -
     """
     x = max(start, math.floor((b - a) / (1.0 - a))) + 1
     term = math.exp(log_pmf(x)[0])
+    # float counters, as in `upper_tail`; the cutoff goes back as an int
+    x, start, cap = float(x), float(start), float(cap)
     while x <= cap:
-        ratio = (a * x + b) / (x + 1)
+        ratio = (a * x + b) / (x + 1.0)
         if term / (1.0 - ratio) <= 0.5 * tol:  # bounds the tail above x - 1
             break
         term *= ratio
-        x += 1
-    K = x - 1
-    tail, term = upper_tail(log_pmf, x, a, b)
+        x += 1.0
+    K = x - 1.0
+    tail, term = upper_tail(log_pmf, int(x), a, b)
     slack = 1.0 + rounding_bound(0.0, K - start)
     while K > start and term > 0.0:  # an underflowed p_{K+1} gives no p_K
-        term *= (K + 1) / (a * K + b)  # p_K from p_{K+1}
+        term *= (K + 1.0) / (a * K + b)  # p_K from p_{K+1}
         if (tail + term) * slack > tol:
             break
         tail += term
-        K -= 1
-    return K
+        K -= 1.0
+    return int(K)
 
 
 def poisson_tail(mean: float, n_max: int) -> float:

@@ -12,13 +12,16 @@ oracle are compared at the same pulse.
 
 T enters only through e^{-2jT} on the j-th ladder term (and e^{-T} on P_o),
 so each call builds the ladder coefficients (the terms at T = 0) once for its
-nbar and serves a whole array of waits. The inner m-sums depend only on
-(nbar, l) and are computed once per build, each stopped at the smallest
-support whose negative-binomial tail certifies the discarded mass below
-term_tol. That tail is a direct sum of the discarded probabilities plus a
-geometric bound on the rest, raised by a bound on its own rounding, so it is
-never below the exact tail (see `fock.tail_cutoff`). The ladder stops after 3
-consecutive coefficients below term_tol.
+nbar and serves a whole array of waits; one loop builds both parts'
+coefficients (`_ladders`). The inner m-sums depend only on (nbar, l) and are
+computed once per build, each stopped at the smallest support whose
+negative-binomial tail certifies the discarded mass below term_tol. That tail
+is a direct sum of the discarded probabilities plus a geometric bound on the
+rest, raised by a bound on its own rounding, so it is never below the exact
+tail (see `fock.tail_cutoff`). Each ladder stops after 3 consecutive
+coefficients below term_tol. Every sum is an exactly rounded `math.fsum` (or
+`summation.exact_sum`) of a plain list, so no sum makes a numpy scalar per
+term.
 
 Two transcription ambiguities in the oscillatory series are handled
 explicitly rather than guessed:
@@ -162,33 +165,87 @@ def _support(successes: int, scale: float, nbar: float, start: int,
     return K
 
 
-def _ladder(coefficient, cfg: SeriesConfig, label: str) -> np.ndarray:
-    """coefficient(0), coefficient(1), ... until 3 in a row fall below term_tol.
-
-    The coefficients are the ladder terms at T = 0; e^{-2jT} <= 1 only shrinks
-    them, so this is the longest ladder any wait needs.
-    """
-    out, below = [], 0
-    for j in range(J_MAX):
-        out.append(coefficient(j))
-        below = below + 1 if abs(out[-1]) < cfg.term_tol else 0
-        if below == 3:
-            return np.array(out)
-    raise ConvergenceFailure(f"{label} ladder hit its cap before reaching "
-                             f"{cfg.term_tol:.1e}")
-
-
 def _over_waits(coefficients: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """sum_j e^{-2jT} coefficients[j] for every T, each sum exactly rounded."""
     decay = np.exp(np.multiply.outer(ts, -2.0 * np.arange(coefficients.size)))
-    return np.array([exact_sum(row) for row in decay * coefficients])
+    return np.array([exact_sum(row) for row in (decay * coefficients).tolist()])
 
 
-def _ladder_weight(j: int, nbar: float) -> float:
-    """(nbar^j - j nbar^{j-1}) / (1+nbar)^{j+1}, with the j=0 derivative term zero."""
-    lead = nbar ** j
-    deriv = j * nbar ** (j - 1) if j > 0 else 0.0
-    return (lead - deriv) / (1.0 + nbar) ** (j + 1)
+def _ladders(nbar: float, omega_chi: float, cfg: SeriesConfig, constant: bool = True,
+             oscillatory: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """The coefficients a_j of P_c and b_j of P_o, built in one loop over j.
+
+    They are the ladder terms at T = 0; e^{-2jT} <= 1 only shrinks them, so
+    these are the longest ladders any wait needs. Each ladder runs until 3 of
+    its coefficients in a row fall below term_tol, and raises
+    ConvergenceFailure, naming itself, when J_MAX are not enough. At each j
+    every running ladder stops its inner sums over m at its own `_support`,
+    the constant ladder's first, and one weights array of the longer length
+    serves both: a cumulative product's prefix has the same bits at any
+    length. sqrt(m+1) and its trigonometry come from arrays built once per
+    call, grown as j moves up. The ambiguous per-term factor of b_j follows
+    cfg.variant and its inner sign cfg.printed_osc_sign (see the module
+    docstring). A part turned off comes back empty, as a ladder that has
+    already stopped.
+    """
+    # the printed reading's inner sum is nbar^l times the folded one, and it
+    # carries (-nbar)^l outside in place of (-1)^l
+    sign = -nbar * nbar if cfg.printed_osc_sign else -1.0
+    a, b, c3, c4, inner = [], [], [], [], []
+    # per i: (-(1+nbar))^{-i} and cos^2(omega_chi sqrt(i)); per l: sign^l
+    mixer_powers, mixer_cos2, sign_powers = [], [], []
+    below_a, below_b = (0 if constant else 3), (0 if oscillatory else 3)
+    binom, roots, support_a, support_b = [], np.empty(0), 0, 0
+    for j in range(J_MAX):
+        if below_a == 3 and below_b == 3:
+            break
+        binom = [1, *[x + y for x, y in zip(binom, binom[1:])], 1] if j else [1]
+        row = [float(c) for c in binom]  # C(j, l), each rounded once
+        signed = [-c if l & 1 else c for l, c in enumerate(row)]  # (-1)^l C(j, l)
+        if below_a < 3:
+            # inner sums for l = j; each term is <= (1+nbar) NegBinom(m-l; l+1)
+            support_a = _support(j + 1, 1.0 + nbar, nbar, support_a, cfg)
+        if below_b < 3:
+            # inner sum for l = j; as sqrt(m+1) <= m+1 and (m+1) C(m,l) =
+            # (l+1) C(m+1,l+1), each term is <= (1+nbar)^2 NegBinom(m-l; l+2)
+            support_b = _support(j + 2, (1.0 + nbar) ** 2, nbar, support_b, cfg)
+        size = max(support_a + 2, support_b + 1)
+        w = _binomial_weights(j, nbar, size)
+        if roots.size < j + size:
+            roots = np.sqrt(np.arange(1.0, 2.0 * (j + size) + 1.0))  # sqrt(m+1)
+            sin2, cos2 = np.sin(omega_chi * roots) ** 2, np.cos(omega_chi * roots) ** 2
+            sin_twice = np.sin(2.0 * omega_chi * roots)
+
+        if below_a < 3:
+            n = support_a + 1
+            c3.append(math.fsum((w[:n] * sin2[j:j + n]).tolist()))
+            c4.append(math.fsum((w[1:n + 1] * cos2[j:j + n]).tolist()))
+            mixer_powers.append((-(1.0 + nbar)) ** (-j))
+            mixer_cos2.append(math.cos(omega_chi * math.sqrt(j)) ** 2)
+            # (nbar^j - j nbar^{j-1}) / (1+nbar)^{j+1}, the j = 0 derivative zero
+            g = (nbar ** j - (j * nbar ** (j - 1) if j else 0.0)) / (1.0 + nbar) ** (j + 1)
+            h = nbar ** j / (1.0 + nbar) ** (j + 1)
+            mixers = math.fsum([p * c * m for p, c, m in zip(
+                mixer_powers[1:], row[1:], mixer_cos2[1:])])  # i = 1, ..., j
+            alt3 = math.fsum([s * c for s, c in zip(signed, c3)])
+            alt4 = math.fsum([s * c for s, c in zip(signed, c4)])
+            a.append(math.fsum((0.5 * g, 0.5 * g * mixers, 0.5 * h * alt3,
+                                0.5 * g * alt4)))
+            below_a = below_a + 1 if abs(a[-1]) < cfg.term_tol else 0
+
+        if below_b < 3:
+            n = support_b + 1
+            inner.append(math.fsum((w[:n] * roots[j:j + n] / (j + 1)
+                                    * sin_twice[j:j + n]).tolist()))
+            sign_powers.append(sign ** j)
+            h = nbar ** j / (1.0 + nbar) ** (j + 2)
+            alt = math.fsum([p * c * x for p, c, x in zip(sign_powers, row, inner)])
+            b.append(0.5 * h * (j + 1 if cfg.variant == "A" else math.sqrt(j + 1)) * alt)
+            below_b = below_b + 1 if abs(b[-1]) < cfg.term_tol else 0
+    if below_a < 3 or below_b < 3:
+        raise ConvergenceFailure(f"{'constant' if below_a < 3 else 'oscillatory'} ladder "
+                                 f"hit its cap before reaching {cfg.term_tol:.1e}")
+    return np.array(a), np.array(b)
 
 
 def pg_constant(T, nbar: float, omega_chi: float = DEFAULT_OMEGA_CHI,
@@ -196,68 +253,25 @@ def pg_constant(T, nbar: float, omega_chi: float = DEFAULT_OMEGA_CHI,
     """Constant (phi-independent) part of the detection probability.
 
     Sum of four nested series over the doublet ladder, built once as
-    coefficients a_j with P_c(T) = sum_j e^{-2jT} a_j. T may be a scalar or
-    an array; the result has T's shape (a float for a scalar).
+    coefficients a_j with P_c(T) = sum_j e^{-2jT} a_j (`_ladders`). T may
+    be a scalar or an array; the result has T's shape (a float for a
+    scalar).
     """
     ts = _waits(T, nbar, omega_chi)
-    cfg = cfg or SeriesConfig()
-    c3, c4, support = [], [], 0
-
-    def coefficient(j: int) -> float:
-        nonlocal support
-        # inner sums for l = j; each term is <= (1+nbar) NegBinom(m-l; l+1)
-        support = _support(j + 1, 1.0 + nbar, nbar, support, cfg)
-        ms = np.arange(j, j + support + 2)
-        w = _binomial_weights(j, nbar, ms.size)
-        angle = omega_chi * np.sqrt(ms[:-1] + 1.0)
-        c3.append(exact_sum(w[:-1] * np.sin(angle) ** 2))
-        c4.append(exact_sum(w[1:] * np.cos(angle) ** 2))
-
-        g = _ladder_weight(j, nbar)
-        h = nbar ** j / (1.0 + nbar) ** (j + 1)
-        mixers = exact_sum((-(1.0 + nbar)) ** (-i) * math.comb(j, i)
-                           * math.cos(omega_chi * math.sqrt(i)) ** 2
-                           for i in range(1, j + 1))
-        alt3 = exact_sum((-1.0) ** l * math.comb(j, l) * c3[l] for l in range(j + 1))
-        alt4 = exact_sum((-1.0) ** l * math.comb(j, l) * c4[l] for l in range(j + 1))
-        return exact_sum((0.5 * g, 0.5 * g * mixers, 0.5 * h * alt3, 0.5 * g * alt4))
-
-    return _shaped(_over_waits(_ladder(coefficient, cfg, "constant"), ts), T)
+    a = _ladders(nbar, omega_chi, cfg or SeriesConfig(), oscillatory=False)[0]
+    return _shaped(_over_waits(a, ts), T)
 
 
 def pg_oscillatory(T, nbar: float, omega_chi: float = DEFAULT_OMEGA_CHI,
                    cfg: SeriesConfig | None = None):
     """Oscillatory amplitude of the detection probability.
 
-    Built once as coefficients b_j with P_o(T) = e^{-T} sum_j e^{-2jT} b_j;
-    T may be a scalar or an array, as for `pg_constant`. The ambiguous
-    per-term factor follows cfg.variant; the inner sign exponent follows
-    cfg.printed_osc_sign (see the module docstring).
+    Built once as coefficients b_j with P_o(T) = e^{-T} sum_j e^{-2jT} b_j
+    (`_ladders`); T may be a scalar or an array, as for `pg_constant`.
     """
     ts = _waits(T, nbar, omega_chi)
-    cfg = cfg or SeriesConfig()
-    # the printed reading's inner sum is nbar^l times the folded one, and it
-    # carries (-nbar)^l outside in place of (-1)^l
-    sign = -nbar * nbar if cfg.printed_osc_sign else -1.0
-    inner, support = [], 0
-
-    def coefficient(j: int) -> float:
-        nonlocal support
-        # inner sum for l = j; as sqrt(m+1) <= m+1 and (m+1) C(m,l) = (l+1)
-        # C(m+1,l+1), each term is <= (1+nbar)^2 NegBinom(m-l; l+2)
-        support = _support(j + 2, (1.0 + nbar) ** 2, nbar, support, cfg)
-        ms = np.arange(j, j + support + 1)
-        root = np.sqrt(ms + 1.0)
-        inner.append(exact_sum(_binomial_weights(j, nbar, ms.size) * root / (j + 1)
-                               * np.sin(2.0 * omega_chi * root)))
-
-        h = nbar ** j / (1.0 + nbar) ** (j + 2)
-        factor = j + 1 if cfg.variant == "A" else math.sqrt(j + 1)
-        alt = exact_sum(sign ** l * math.comb(j, l) * inner[l] for l in range(j + 1))
-        return 0.5 * h * factor * alt
-
-    coefficients = _ladder(coefficient, cfg, "oscillatory")
-    return _shaped(np.exp(-ts) * _over_waits(coefficients, ts), T)
+    b = _ladders(nbar, omega_chi, cfg or SeriesConfig(), constant=False)[1]
+    return _shaped(np.exp(-ts) * _over_waits(b, ts), T)
 
 
 def thermal_visibility(T, nbar: float, cfg: SeriesConfig | None = None,
@@ -267,16 +281,16 @@ def thermal_visibility(T, nbar: float, cfg: SeriesConfig | None = None,
     The fringe is P_c + P_o sin(phi), so this is the |c1| / c0 of every
     fringe (`interferometry.sinusoid_fringe`); a negative P_o is a
     pi-shifted fringe of the same contrast. T may be a scalar or an array of
-    waits, all served by one series build; the result has T's shape (a
-    float for a scalar).
+    waits, all served by one series build of both parts; the result has T's
+    shape (a float for a scalar).
     """
-    cfg = cfg or SeriesConfig()
-    pc = pg_constant(T, nbar, omega_chi, cfg)
-    v = np.abs(np.asarray(pg_oscillatory(T, nbar, omega_chi, cfg) / pc))
+    ts = _waits(T, nbar, omega_chi)
+    a, b = _ladders(nbar, omega_chi, cfg or SeriesConfig())
+    v = np.abs(np.exp(-ts) * _over_waits(b, ts) / _over_waits(a, ts))
     above = v[v > 1.0 + 1e-6]
     if above.size:
         warnings.warn(f"visibility {above[0]:.6g} clipped to 1", stacklevel=2)
-    return _shaped(np.minimum(v, 1.0).reshape(-1), T)
+    return _shaped(np.minimum(v, 1.0), T)
 
 
 @dataclass(frozen=True)

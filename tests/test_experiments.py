@@ -24,6 +24,7 @@ from cavity_ramsey.fock import poisson_tail, widened_truncation
 from cavity_ramsey.interferometry import (
     apply_detection,
     branch_overlap,
+    fringe_scan_setup1,
     plus_minus_decomposition,
 )
 from cavity_ramsey.jc import PI_HALF_RESIDUAL_TOL, branch_states, solve_pi_half_time
@@ -183,6 +184,24 @@ class TestSetup1:
             report = run_setup1(n_values, CFG, phi_points=16)
             largest = max(report.rows, key=lambda row: row[0])
             assert report.meta["fringe"]["visibility"] == largest[2]
+
+    def test_fringe_is_the_separate_solves(self):
+        # the max-N row's overlap gives the fringe fringe_scan_setup1 gives
+        # after solving the pulse and forming the branches again
+        rng = random.Random(1)
+        scans = [None, sorted(rng.uniform(0.0, 20.0) for _ in range(1601)),
+                 [float(n) for n in range(20000, 20128)], [0.0, 1e-200, 3.7],
+                 [3.0, 12.5, 0.4, 7.0]]
+        for n_values in scans:
+            for phi_points in (16, 65):
+                fringe = run_setup1(n_values, CFG, phi_points).meta["fringe"]
+                max_n = fringe["n_mean"]
+                pattern = fringe_scan_setup1(
+                    math.sqrt(max_n), widened_truncation(max_n, CFG.trunc),
+                    np.linspace(0.0, 2.0 * math.pi, phi_points))
+                assert fringe["phi"] == pattern.phis.tolist()
+                assert fringe["p_g"] == pattern.p_g.tolist()
+                assert fringe["visibility"] == pattern.visibility
 
     def test_meta_reports_the_cutoff_used(self, setup1_report):
         assert setup1_report.meta["n_max"] == CFG.trunc.n_max

@@ -228,8 +228,8 @@ class TestVariants:
     def test_select_variant_waits_once_per_nbar(self, monkeypatch):
         # one oracle sweep per nbar of the grid, and one series build per
         # variant there, each serving all of that nbar's waits
-        counts = {"_evolve": 0, "pg_constant": 0}
-        for module, name in ((open_system, "_evolve"), (thermal, "pg_constant")):
+        counts = {"_evolve": 0, "_ladders": 0}
+        for module, name in ((open_system, "_evolve"), (thermal, "_ladders")):
             original = getattr(module, name)
 
             def counted(*args, _original=original, _name=name, **kwargs):
@@ -238,7 +238,7 @@ class TestVariants:
 
             monkeypatch.setattr(module, name, counted)
         assert select_variant().winner == "A"
-        assert counts == {"_evolve": 2, "pg_constant": 4}
+        assert counts == {"_evolve": 2, "_ladders": 4}
 
 
 def test_series_matches_oracle_grid():
