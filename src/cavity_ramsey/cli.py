@@ -19,7 +19,6 @@ from .config import CONFIG_KEYS, PhysicalConfig, load_config
 from .errors import CavityRamseyError
 from .experiments import (
     MAX_POINTS,
-    _check_phi_points,
     run_fig4,
     run_selftest,
     run_setup1,
@@ -132,8 +131,6 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         cfg = _load(args)
-        if args.command in ("setup1", "setup2"):
-            _check_phi_points(args.phi_points)
         if args.command == "setup1":
             n_values = (_parse_float_list(args.n_values, "--n-values")
                         if args.n_values is not None else None)

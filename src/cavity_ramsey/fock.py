@@ -27,8 +27,6 @@ import numpy as np
 
 from .errors import TailTooLarge
 
-G, E = 0, 1
-
 DEFAULT_N_MAX = 60
 DEFAULT_TAIL_TOL = 1e-10
 # widening never goes past this cutoff; a mean that needs more is refused
@@ -88,10 +86,11 @@ def widened_truncation(mean: float, trunc: TruncationConfig) -> TruncationConfig
 def poisson_cutoff(mean: float, tol: float, lo: int = 0) -> int:
     """Smallest n >= lo whose Poisson(mean) tail above n is below tol.
 
+    lo is at most MAX_WIDENED_N_MAX, as every `TruncationConfig.n_max` is.
     Found by `tail_cutoff`'s walk. Raises TailTooLarge when even
-    max(lo, MAX_WIDENED_N_MAX) would discard tol or more.
+    MAX_WIDENED_N_MAX would discard tol or more.
     """
-    hi = max(lo, MAX_WIDENED_N_MAX)
+    hi = MAX_WIDENED_N_MAX
     if poisson_tail(mean, hi) >= tol:
         raise TailTooLarge(
             f"Poisson mean {mean:.4g} needs a cutoff above {hi} to discard "

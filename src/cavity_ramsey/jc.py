@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import NoRootFound, TruncationLeak
 from .fock import (
-    G,
     TruncationConfig,
     _joint_density,
     coherent_amplitudes,
@@ -235,14 +234,3 @@ def solve_pi_half_time(alpha: complex | np.ndarray,
     areas = _pi_half_areas(flat, coherent_amplitudes(flat, trunc))[0]
     return float(areas[0]) if alphas.ndim == 0 else areas
 
-
-def stark_phase(amps: np.ndarray, phi: float) -> np.ndarray:
-    """Multiply every |g, n> amplitude of a (2, n_levels) joint state by e^{i phi}.
-
-    Models the phase accumulated while the transition is Stark-shifted out of
-    resonance; the global phase is irrelevant, only the g/e relative phase
-    matters. Returns a new array.
-    """
-    amps = np.array(amps, dtype=complex)
-    amps[G] *= np.exp(1j * phi)
-    return amps

@@ -11,6 +11,10 @@ dissipates. The coherent part -i[H_f, rho] is dropped (rotating frame): it
 commutes with photon loss, and its sole observable effect is a fringe
 translation already parametrized by phi.
 
+Every oracle wait starts from the split vacuum state, whose chain
+`zero_temp_wait` writes in closed form (its T = 0 case); the tests check it
+against the pulse and Stark-phase pipeline that makes the state.
+
 The wait is one three-point stencil (`_stencil`, `_apply`, `_evolve`): it
 keeps the photon-number offset m - n and the atom block fixed, so an entry
 only meets its (m+1, n+1) and (m-1, n-1) neighbours. The oracle fringe and
@@ -30,7 +34,7 @@ import numpy as np
 
 from .fock import TruncationConfig, _joint_density, _poisson_log_pmf, poisson_cutoff
 from .interferometry import FringePattern, sinusoid_fringe
-from .jc import DEFAULT_OMEGA_CHI, branch_amplitudes, check_pulse, stark_phase
+from .jc import DEFAULT_OMEGA_CHI, check_pulse
 
 
 # Poisson mass of the uniformization terms a wait drops
@@ -173,39 +177,25 @@ def evolve_master(rho: np.ndarray, T: float, nbar: float) -> np.ndarray:
 
 # --- zero-temperature closed forms --------------------------------------------
 
-def split_vacuum_state(phi: float,
-                       trunc: TruncationConfig | None = None) -> np.ndarray:
-    """(|e,0> + e^{i phi} |g,1>)/sqrt(2) as (2, n_levels) joint amplitudes.
-
-    Built through the actual pulse + Stark-phase pipeline: the pulse is
-    `branch_amplitudes` on the vacuum row, as in setup 1 (the bare pulse
-    leaves a factor -i on |g,1>, absorbed here into the phase argument).
-    """
-    if trunc is None:
-        trunc = TruncationConfig(n_max=8)
-    vacuum = np.zeros(trunc.n_levels, dtype=complex)
-    vacuum[0] = 1.0
-    a_e, a_g = branch_amplitudes(vacuum, DEFAULT_OMEGA_CHI)
-    return stark_phase(np.stack([a_g, a_e]), phi + math.pi / 2.0)
-
-
-def zero_temp_wait(phi: float, T: float) -> np.ndarray:
+def zero_temp_wait(phi: float, T: float, n_levels: int = 9) -> np.ndarray:
     """Closed-form `_chain` of the joint state after a wait T = k*tau at nbar = 0.
 
-    With the bath at nbar = 0 the system only loses excitations, so starting
-    from the split vacuum state everything stays inside {|g,0>, |g,1>, |e,0>}:
-    populations (1 - e^{-2T})/2, e^{-2T}/2, 1/2, with a |g,1><e,0| coherence of
-    magnitude e^{-T}/2 and phase phi. Returns the 3L + 1 entries of the chain
-    at `split_vacuum_state`'s default L = 9, all but those four zero.
+    The wait starts from the split vacuum state
+    (|e,0> + e^{i phi} |g,1>)/sqrt(2) that the vacuum pi/2 pulse and a Stark
+    phase leave. With the bath at nbar = 0 the system only loses
+    excitations, so everything stays inside {|g,0>, |g,1>, |e,0>}:
+    populations (1 - e^{-2T})/2, e^{-2T}/2, 1/2, with a |g,1><e,0| coherence
+    of magnitude e^{-T}/2 and phase phi. Returns the 3L + 1 entries of the
+    chain at L = n_levels, all but those four zero; at T = 0 it is the
+    oracle's start chain.
     """
     _check_wait(T)
-    L = TruncationConfig(n_max=8).n_levels
-    chain = np.zeros(3 * L + 1, dtype=complex)
+    chain = np.zeros(3 * n_levels + 1, dtype=complex)
     decay2 = math.exp(-2.0 * T)
     chain[0] = 0.5 * (1.0 - decay2)
     chain[1] = 0.5 * decay2
-    chain[L] = 0.5
-    chain[2 * L + 1] = 0.5 * math.exp(-T) * np.exp(1j * phi)
+    chain[n_levels] = 0.5
+    chain[2 * n_levels + 1] = 0.5 * math.exp(-T) * np.exp(1j * phi)
     return chain
 
 
@@ -283,7 +273,11 @@ def zero_temp_visibility_derived(T: float) -> float:
 
 def _coefficients(ts, nbar: float, trunc: TruncationConfig | None = None,
                   omega_chi: float = DEFAULT_OMEGA_CHI) -> list[tuple[float, complex]]:
-    """`master_fringe`'s (c0, c1) at every wait in ts, all from one sweep (`_evolve`)."""
+    """`master_fringe`'s (c0, c1) at every wait in ts, all from one sweep (`_evolve`).
+
+    The sweep starts from the split vacuum chain, `zero_temp_wait` at T = 0
+    on trunc's levels.
+    """
     for T in ts:
         _check_wait(T)
     _check_nbar(nbar)
@@ -297,11 +291,8 @@ def _coefficients(ts, nbar: float, trunc: TruncationConfig | None = None,
         trunc = TruncationConfig(n_max=n_max)
 
     # same phase convention as setup2_pg: at the default omega_chi the
-    # undamped fringe is cos^2(phi/2); the chain of |v><v| is its diagonal
-    # v v* and its (L-1)-th superdiagonal v[i] v*[i+L-1]
-    v = split_vacuum_state(-math.pi / 2.0, trunc).reshape(-1)
-    L = trunc.n_levels
-    chain = np.concatenate([v * v.conj(), v[:L + 1] * v[L - 1:].conj()])
+    # undamped fringe is cos^2(phi/2)
+    chain = zero_temp_wait(-math.pi / 2.0, 0.0, trunc.n_levels)
     return [_fringe_coefficients(c, omega_chi) for c in _wait_chain(chain, nbar, ts)]
 
 

@@ -31,10 +31,11 @@ explicitly rather than guessed:
   extends; both are implemented and `select_variant` picks the one agreeing
   with the master-equation oracle;
 * the inner sign factor is transcribed as (-nbar)^{+l}, whereas the constant
-  parts carry (-nbar)^{-l}. Both readings are available (`printed_osc_sign`);
-  the default follows the constant parts' convention, which the oracle
-  confirms to machine precision (variant A with that sign reproduces the
-  integrator to ~1e-12, so the +l exponent is a transcription slip).
+  parts carry (-nbar)^{-l}. The package follows the constant parts'
+  convention, which the oracle confirms to machine precision (variant A with
+  that sign reproduces the integrator to ~1e-12, so the +l exponent is a
+  transcription slip); the tests keep the printed reading, to show that it
+  misses the oracle.
 
 All inner sums are folded so nbar^{-l} never appears on its own: the m-sum
 starts at m = l and nbar^{m-l} stays bounded, which keeps small nbar
@@ -68,11 +69,10 @@ M_MAX = 4096
 
 @dataclass(frozen=True)
 class SeriesConfig:
-    """Truncation threshold and the transcription choices."""
+    """Truncation threshold and the oscillatory-factor variant."""
 
     term_tol: float = 1e-12
     variant: str = "A"
-    printed_osc_sign: bool = False
 
     def __post_init__(self):
         # below the smallest normal float the tails lose their tightness, and
@@ -184,16 +184,13 @@ def _ladders(nbar: float, omega_chi: float, cfg: SeriesConfig, constant: bool = 
     serves both: a cumulative product's prefix has the same bits at any
     length. sqrt(m+1) and its trigonometry come from arrays built once per
     call, grown as j moves up. The ambiguous per-term factor of b_j follows
-    cfg.variant and its inner sign cfg.printed_osc_sign (see the module
-    docstring). A part turned off comes back empty, as a ladder that has
-    already stopped.
+    cfg.variant, and its alternating sum carries the constant parts' (-1)^l
+    (see the module docstring). A part turned off comes back empty, as a
+    ladder that has already stopped.
     """
-    # the printed reading's inner sum is nbar^l times the folded one, and it
-    # carries (-nbar)^l outside in place of (-1)^l
-    sign = -nbar * nbar if cfg.printed_osc_sign else -1.0
     a, b, c3, c4, inner = [], [], [], [], []
-    # per i: (-(1+nbar))^{-i} and cos^2(omega_chi sqrt(i)); per l: sign^l
-    mixer_powers, mixer_cos2, sign_powers = [], [], []
+    # per i: (-(1+nbar))^{-i} and cos^2(omega_chi sqrt(i))
+    mixer_powers, mixer_cos2 = [], []
     below_a, below_b = (0 if constant else 3), (0 if oscillatory else 3)
     binom, roots, support_a, support_b = [], np.empty(0), 0, 0
     for j in range(J_MAX):
@@ -237,9 +234,8 @@ def _ladders(nbar: float, omega_chi: float, cfg: SeriesConfig, constant: bool = 
             n = support_b + 1
             inner.append(math.fsum((w[:n] * roots[j:j + n] / (j + 1)
                                     * sin_twice[j:j + n]).tolist()))
-            sign_powers.append(sign ** j)
             h = nbar ** j / (1.0 + nbar) ** (j + 2)
-            alt = math.fsum([p * c * x for p, c, x in zip(sign_powers, row, inner)])
+            alt = math.fsum([s * x for s, x in zip(signed, inner)])
             b.append(0.5 * h * (j + 1 if cfg.variant == "A" else math.sqrt(j + 1)) * alt)
             below_b = below_b + 1 if abs(b[-1]) < cfg.term_tol else 0
     if below_a < 3 or below_b < 3:

@@ -1,13 +1,50 @@
 """Dense (2L, 2L) joint densities and their physicality checks, for the tests only.
 
 The package propagates and reads only the chain of entries the second pulse
-reads (`open_system._chain`). This module keeps the brute-force view the
-tests check it against: a whole density built from joint amplitudes or
-from a chain, and Hermiticity, trace and spectrum read from the full matrix,
-sharing no code with the chain's closed forms.
+reads (`open_system._chain`), and starts it from the split vacuum chain that
+`open_system.zero_temp_wait` writes in closed form. This module keeps the
+brute-force view the tests check it against: the split vacuum state built
+through the pulse and Stark-phase pipeline, a whole density built from joint
+amplitudes or from a chain, and Hermiticity, trace and spectrum read from the
+full matrix, sharing no code with the chain's closed forms.
 """
 
+import math
+
 import numpy as np
+
+from cavity_ramsey.fock import TruncationConfig
+from cavity_ramsey.jc import DEFAULT_OMEGA_CHI, branch_amplitudes
+
+# rows of a (2, n_levels) joint amplitude array (atom order (g, e))
+G, E = 0, 1
+
+
+def stark_phase(amps, phi):
+    """Multiply every |g, n> amplitude of a (2, n_levels) joint state by e^{i phi}.
+
+    Models the phase accumulated while the transition is Stark-shifted out of
+    resonance; the global phase is irrelevant, only the g/e relative phase
+    matters. Returns a new array.
+    """
+    amps = np.array(amps, dtype=complex)
+    amps[G] *= np.exp(1j * phi)
+    return amps
+
+
+def split_vacuum_state(phi, trunc=None):
+    """(|e,0> + e^{i phi} |g,1>)/sqrt(2) as (2, n_levels) joint amplitudes.
+
+    Built through the actual pulse + Stark-phase pipeline: the pulse is
+    `jc.branch_amplitudes` on the vacuum row, as in setup 1 (the bare pulse
+    leaves a factor -i on |g,1>, absorbed here into the phase argument).
+    """
+    if trunc is None:
+        trunc = TruncationConfig(n_max=8)
+    vacuum = np.zeros(trunc.n_levels, dtype=complex)
+    vacuum[0] = 1.0
+    a_e, a_g = branch_amplitudes(vacuum, DEFAULT_OMEGA_CHI)
+    return stark_phase(np.stack([a_g, a_e]), phi + math.pi / 2.0)
 
 
 def pure_density(amps):

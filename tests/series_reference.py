@@ -8,6 +8,10 @@ the tests compare the two. `_negbin_log_pmf`, `_poisson_log_pmf`, `_support`,
 `_over_waits` and `_ladder_weight` are copied as well, so that no call below
 reaches the package's tail walks or a helper that has changed since; the
 helpers imported from the package are unchanged.
+
+The oscillatory part also keeps the printed reading of its inner sign,
+(-nbar)^{+l} (`printed=True`), which the package does not offer: the tests
+use it to show that this reading misses the oracle.
 """
 
 import math
@@ -167,12 +171,12 @@ def pg_constant(T, nbar: float, omega_chi: float = DEFAULT_OMEGA_CHI,
 
 
 def pg_oscillatory(T, nbar: float, omega_chi: float = DEFAULT_OMEGA_CHI,
-                   cfg: SeriesConfig | None = None):
+                   cfg: SeriesConfig | None = None, printed: bool = False):
     ts = _waits(T, nbar, omega_chi)
     cfg = cfg or SeriesConfig()
     # the printed reading's inner sum is nbar^l times the folded one, and it
     # carries (-nbar)^l outside in place of (-1)^l
-    sign = -nbar * nbar if cfg.printed_osc_sign else -1.0
+    sign = -nbar * nbar if printed else -1.0
     inner, support = [], 0
 
     def coefficient(j: int) -> float:
@@ -195,10 +199,10 @@ def pg_oscillatory(T, nbar: float, omega_chi: float = DEFAULT_OMEGA_CHI,
 
 
 def thermal_visibility(T, nbar: float, cfg: SeriesConfig | None = None,
-                       omega_chi: float = DEFAULT_OMEGA_CHI):
+                       omega_chi: float = DEFAULT_OMEGA_CHI, printed: bool = False):
     cfg = cfg or SeriesConfig()
     pc = pg_constant(T, nbar, omega_chi, cfg)
-    v = np.abs(np.asarray(pg_oscillatory(T, nbar, omega_chi, cfg) / pc))
+    v = np.abs(np.asarray(pg_oscillatory(T, nbar, omega_chi, cfg, printed) / pc))
     above = v[v > 1.0 + 1e-6]
     if above.size:
         warnings.warn(f"visibility {above[0]:.6g} clipped to 1", stacklevel=2)

@@ -31,7 +31,6 @@ from cavity_ramsey.open_system import (
     evolve_master,
     master_fringe,
     master_visibility,
-    split_vacuum_state,
     zero_temp_visibility_closed_form,
     zero_temp_wait,
 )
@@ -41,7 +40,12 @@ from cavity_ramsey.thermal import (
     thermal_visibility,
 )
 from conftest import column
-from dense_reference import assert_physical_density, density_from_chain, pure_density
+from dense_reference import (
+    assert_physical_density,
+    density_from_chain,
+    pure_density,
+    split_vacuum_state,
+)
 
 CFG = PhysicalConfig()
 ETA = 0.75

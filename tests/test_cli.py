@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from cavity_ramsey import cli, jc, open_system
+from cavity_ramsey import cli, experiments, jc, open_system
 from cavity_ramsey.cli import _parse_grid, main
 from cavity_ramsey.errors import CavityRamseyError
 
@@ -340,12 +340,13 @@ class TestSubcommands:
     ("setup1", "--phi-points", "100000000000"),
 ])
 def test_oversized_grid_is_a_usage_error(capsys, monkeypatch, argv):
-    # refused before any grid is built or any scenario runs
+    # refused before any grid is built or any scenario runs: the t-grid by
+    # the CLI, the phi grids first thing in run_setup1 and run_setup2
     monkeypatch.setattr(cli, "range", lambda *a: pytest.fail("grid built"),
                         raising=False)
     monkeypatch.setattr(cli, "run_fig4", lambda *a, **k: pytest.fail("ran"))
-    monkeypatch.setattr(cli, "run_setup1", lambda *a, **k: pytest.fail("ran"))
-    monkeypatch.setattr(cli, "run_setup2", lambda *a, **k: pytest.fail("ran"))
+    for name in ("widened_truncation", "master_fringe"):
+        monkeypatch.setattr(experiments, name, lambda *a, **k: pytest.fail("ran"))
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert out == ""

@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 from cavity_ramsey.errors import TailTooLarge
 from cavity_ramsey.fock import (
     MAX_WIDENED_N_MAX,
-    E,
-    G,
     TruncationConfig,
     _joint_density,
     coherent_amplitudes,
@@ -21,6 +19,8 @@ from cavity_ramsey.fock import (
     widened_truncation,
 )
 from dense_reference import (
+    E,
+    G,
     assert_physical_density,
     hermiticity_defect,
     min_eigenvalue,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavity_ramsey.fock import G, TruncationConfig
+from cavity_ramsey.fock import TruncationConfig
 from cavity_ramsey.interferometry import (
     apply_detection,
     branch_overlap,
@@ -15,6 +15,7 @@ from cavity_ramsey.interferometry import (
     visibility_from_pattern,
 )
 from cavity_ramsey.jc import branch_states, solve_pi_half_time
+from dense_reference import G
 
 TRUNC = TruncationConfig(n_max=80)
 N_GRID = (0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0)

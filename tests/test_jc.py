@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 from cavity_ramsey.errors import NoRootFound, TailTooLarge, TruncationLeak
 from cavity_ramsey.experiments import SETUP1_BLOCK, run_setup1
 from cavity_ramsey.fock import (
-    E,
-    G,
     TruncationConfig,
     coherent_amplitudes,
     coherent_state,
@@ -26,9 +24,8 @@ from cavity_ramsey.jc import (
     doublet_unitary,
     jc_evolve,
     solve_pi_half_time,
-    stark_phase,
 )
-from dense_reference import pure_density
+from dense_reference import E, G, pure_density, stark_phase
 
 # sorted photon numbers in [0, 20] that always hold the vacuum and a repeat
 PHOTON_NUMBERS = st.lists(

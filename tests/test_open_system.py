@@ -10,18 +10,23 @@ from hypothesis import strategies as st
 from cavity_ramsey import open_system
 from cavity_ramsey.errors import TruncationLeak
 from cavity_ramsey.fock import TruncationConfig, poisson_cutoff
-from cavity_ramsey.jc import DEFAULT_OMEGA_CHI, doublet_unitary, jc_evolve, stark_phase
+from cavity_ramsey.jc import DEFAULT_OMEGA_CHI, doublet_unitary, jc_evolve
 from cavity_ramsey.open_system import (
     evolve_master,
     master_fringe,
     master_visibility,
     setup2_pg,
-    split_vacuum_state,
     zero_temp_visibility_closed_form,
     zero_temp_visibility_derived,
     zero_temp_wait,
 )
-from dense_reference import assert_physical_density, density_from_chain, pure_density
+from dense_reference import (
+    assert_physical_density,
+    density_from_chain,
+    pure_density,
+    split_vacuum_state,
+    stark_phase,
+)
 
 T_GRID = (0.001, 0.008, 0.1, 0.4, 1.0)
 
@@ -262,6 +267,31 @@ class TestSplitVacuumState:
         dense = (doublet_unitary(L, DEFAULT_OMEGA_CHI) @ e0).reshape(2, L)
         s = split_vacuum_state(phi, TruncationConfig(n_max=n_max))
         assert np.array_equal(s, stark_phase(dense, phi + math.pi / 2.0))
+
+    @pytest.mark.parametrize("n_max", [1, 8, 12, 32, 60])
+    def test_closed_form_start_matches_the_pulse_pipeline(self, n_max):
+        # the oracle starts from zero_temp_wait at T = 0; the pulse and
+        # Stark-phase pipeline builds the same chain up to the rounding of
+        # cos(pi/4)^2, sin(pi/4)^2 and e^{-i pi/2}
+        trunc = TruncationConfig(n_max=n_max)
+        pipeline = open_system._chain(
+            pure_density(split_vacuum_state(-math.pi / 2.0, trunc)))
+        closed = zero_temp_wait(-math.pi / 2.0, 0.0, trunc.n_levels)
+        assert closed.shape == pipeline.shape
+        assert np.max(np.abs(closed - pipeline)) <= 2.3e-16
+
+
+def test_zero_temperature_oracle_matches_mpmath():
+    # at nbar = 0 the oracle's visibility is 2 e^{-T} / (3 - e^{-2T}); the
+    # bound is the worst error over [0, 3] of an oracle started from the
+    # pulse pipeline's chain, so the closed-form start is no less accurate
+    ts = np.linspace(0.0, 3.0, 301)
+    v = master_visibility(ts, 0.0)
+    with mpmath.workdps(40):
+        worst = max(abs(mpmath.mpf(x) - 2 * mpmath.exp(-mpmath.mpf(T))
+                        / (3 - mpmath.exp(-2 * mpmath.mpf(T))))
+                    for T, x in zip(ts.tolist(), v.tolist()))
+    assert worst <= 7.8e-16
 
 
 class TestSetup2:

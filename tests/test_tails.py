@@ -136,10 +136,10 @@ def poisson_cutoff_bisected(mean, tol, lo=0):
     """The smallest n >= lo with poisson_tail(mean, n) < tol, by bisection.
 
     A search independent of `fock.tail_cutoff`'s walk, and the reference
-    `poisson_cutoff` is checked against; None where even
-    max(lo, MAX_WIDENED_N_MAX) leaves a tail of tol or more.
+    `poisson_cutoff` is checked against, for lo <= MAX_WIDENED_N_MAX; None
+    where even MAX_WIDENED_N_MAX leaves a tail of tol or more.
     """
-    hi = max(lo, MAX_WIDENED_N_MAX)
+    hi = MAX_WIDENED_N_MAX
     if poisson_tail(mean, hi) >= tol:
         return None
     while lo < hi:
@@ -169,7 +169,8 @@ def _cutoff_cases(count, seed=16):
 
 
 def test_poisson_cutoff_matches_the_bisection():
-    cases = _cutoff_cases(2000)
+    # a lo past the cap is no TruncationConfig.n_max, so no caller passes one
+    cases = [case for case in _cutoff_cases(2000) if case[2] <= MAX_WIDENED_N_MAX]
     refused = 0
     for mean, tol, lo in cases:
         expected = poisson_cutoff_bisected(mean, tol, lo)

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import series_reference
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -37,7 +38,6 @@ class TestSeriesConfig:
     def test_defaults_valid(self):
         cfg = SeriesConfig()
         assert cfg.variant == "A"
-        assert not cfg.printed_osc_sign
 
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
@@ -203,11 +203,12 @@ class TestVariants:
         assert abs(v - po / pc) > 0.05
 
     def test_printed_sign_disagrees_with_oracle_values(self):
-        # both readings of the transcribed sign miss the integrator; the
-        # normalized sign is the package default (see module docstring)
+        # both variants under the printed reading of the transcribed sign,
+        # which only the two-ladder reference keeps, miss the integrator;
+        # the package has the normalized sign (see module docstring)
         for variant in ("A", "B"):
-            cfg = SeriesConfig(variant=variant, printed_osc_sign=True)
-            v = thermal_visibility(0.1, 0.7, cfg)
+            cfg = SeriesConfig(variant=variant)
+            v = series_reference.thermal_visibility(0.1, 0.7, cfg, printed=True)
             pc, po = FROZEN[(0.1, 0.7)]
             assert abs(v - po / pc) > 0.01
 

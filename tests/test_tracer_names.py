@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from dense_reference import pure_density
+from dense_reference import pure_density, split_vacuum_state
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -65,7 +65,7 @@ def test_tracer_takes_array_densities():
     # calls go through, count no density batch and leave no wrapper behind
     jc = importlib.import_module(f"{tracer.PACKAGE}.jc")
     open_system = importlib.import_module(f"{tracer.PACKAGE}.open_system")
-    rho = pure_density(open_system.split_vacuum_state(0.3))
+    rho = pure_density(split_vacuum_state(0.3))
     t = tracer.Tracer()
     t.install()
     try:
