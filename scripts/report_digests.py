@@ -38,13 +38,13 @@ from cavity_ramsey.cli import main as cli_main  # noqa: E402
 
 CONFIGS = {"tau": {"tau_s": 8e-5}, "nbar": {"nbar": 0.95},
            "omega": {"omega_chi_rad": 0.6}}
-# (argv, config name or None): each subcommand at its defaults, the arbitrated
-# variant, the series' variant B, an odd fringe grid, setup 1 at large, tiny
-# and fractional N, and every subcommand under each of CONFIGS
+# (argv, config name or None): each subcommand at its defaults, the series'
+# variant B, an odd fringe grid, setup 1 at large, tiny and fractional N, and
+# every subcommand under each of CONFIGS
 CALLS = [
     (["setup1"], None), (["setup2"], None), (["fig4"], None),
     (["velocity-scan"], None), (["selftest"], None),
-    (["selftest", "--variant", "auto"], None),
+    (["setup2", "--variant", "B"], None),
     (["fig4", "--variant", "B"], None), (["velocity-scan", "--variant", "B"], None),
     (["setup2", "--phi-points", "17"], None),
     (["setup1", "--n-values", "20000,20050,20127"], None),

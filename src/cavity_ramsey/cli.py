@@ -3,8 +3,7 @@
 Subcommands: setup1 | setup2 | fig4 | velocity-scan | selftest.
 Exit codes: 0 success, 1 validation/usage error, 2 convergence or oracle
 failure (any `errors.CavityRamseyError`: series cap hit, no pulse root,
-truncation leak or tail, inconclusive variant selection) or a failing
-selftest.
+truncation leak or tail) or a failing selftest.
 """
 
 from __future__ import annotations
@@ -69,9 +68,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", metavar="PATH",
                         help="write the report here instead of stdout")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
-    common.add_argument("--variant", choices=("A", "B", "auto"),
+    common.add_argument("--variant", choices=("A", "B"),
                         help="thermal-series transcription variant "
-                             "(auto = arbitrate against the integrator)")
+                             "(A, the default, matches the integrator)")
     # the subcommands that sample a fringe
     fringe = _Parser(add_help=False)
     fringe.add_argument("--phi-points", type=int, default=65,

@@ -29,9 +29,8 @@ CONFIG_KEYS = tuple(_FIELDS)
 class PhysicalConfig:
     """Experiment-scale parameters plus numerical policies.
 
-    `variant` may be "A", "B" or "auto"; "auto" defers the choice of the
-    thermal-series transcription to `thermal.select_variant` (arbitrated
-    against the integrator oracle) the first time a series value is needed.
+    `variant` is the thermal-series transcription, "A" (the default, the
+    reading the integrator oracle confirms) or "B" (see `thermal`).
     """
 
     t_cav_s: float = 1e-3
@@ -54,8 +53,8 @@ class PhysicalConfig:
                              f"(tau_s={self.tau_s!r}, t_cav_s={self.t_cav_s!r})")
         if not self.eta <= 1.0:
             raise ValueError(f"eta must be <= 1, got {self.eta}")
-        if self.variant not in ("A", "B", "auto"):
-            raise ValueError(f"variant must be 'A', 'B' or 'auto', got {self.variant!r}")
+        if self.variant not in ("A", "B"):
+            raise ValueError(f"variant must be 'A' or 'B', got {self.variant!r}")
         if self.series.variant not in (SeriesConfig().variant, self.variant):
             raise ValueError(f"series.variant={self.series.variant!r} would be replaced "
                              f"by variant={self.variant!r}; set variant instead")
@@ -66,12 +65,8 @@ class PhysicalConfig:
         return self.tau_s / (2.0 * self.t_cav_s)
 
     def resolved_series(self) -> SeriesConfig:
-        """SeriesConfig with the variant made concrete (running selection if 'auto')."""
-        if self.variant in ("A", "B"):
-            return replace(self.series, variant=self.variant)
-        from .thermal import select_variant
-        winner = select_variant(self.series).winner
-        return replace(self.series, variant=winner)
+        """The series settings with this config's variant."""
+        return replace(self.series, variant=self.variant)
 
 
 def config_to_dict(cfg: PhysicalConfig) -> dict:

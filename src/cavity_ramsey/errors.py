@@ -19,7 +19,3 @@ class NoRootFound(CavityRamseyError):
 
 class ConvergenceFailure(CavityRamseyError):
     """A series hit its term caps before reaching the requested tolerance."""
-
-
-class InconclusiveSelection(CavityRamseyError):
-    """Neither candidate series form is compatible with the integrator oracle."""

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -55,23 +54,6 @@ class TruncationConfig:
     @property
     def n_levels(self) -> int:
         return self.n_max + 1
-
-
-def default_truncation(alpha: complex = 0.0,
-                       tail_tol: float = DEFAULT_TAIL_TOL) -> TruncationConfig:
-    """Default truncation, widened automatically for large coherent amplitudes.
-
-    Where the stock n_max=60 would clip the Poissonian tail of |alpha|^2, the
-    cutoff is raised (with a warning) by `widened_truncation`.
-    """
-    mean = abs(alpha) ** 2
-    trunc = widened_truncation(mean, TruncationConfig(tail_tol=tail_tol))
-    if trunc.n_max > DEFAULT_N_MAX:
-        warnings.warn(
-            f"mean photon number {mean:.3g}: raising n_max to {trunc.n_max}",
-            stacklevel=2,
-        )
-    return trunc
 
 
 def widened_truncation(mean: float, trunc: TruncationConfig) -> TruncationConfig:
@@ -316,7 +298,7 @@ def coherent_amplitudes(alphas: np.ndarray, trunc: TruncationConfig) -> np.ndarr
 def coherent_state(alpha: complex, trunc: TruncationConfig | None = None) -> np.ndarray:
     """Coherent state |alpha>, truncated: the one-row case of coherent_amplitudes."""
     if trunc is None:
-        trunc = default_truncation(alpha)
+        trunc = widened_truncation(abs(alpha) ** 2, TruncationConfig())
     return coherent_amplitudes(np.array([alpha]), trunc)[0]
 
 

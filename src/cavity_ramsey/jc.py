@@ -21,9 +21,9 @@ from .fock import (
     _joint_density,
     coherent_amplitudes,
     coherent_state,
-    default_truncation,
     rounding_bound,
     squared_norms,
+    widened_truncation,
 )
 
 # area of the vacuum pi/2 pulse: cos^2(pi/4) = 1/2 splits |e, 0> evenly
@@ -132,7 +132,7 @@ def branch_states(alpha: complex, area: float,
     unnormalized (their squared norms sum to one).
     """
     if trunc is None:
-        trunc = default_truncation(alpha)
+        trunc = widened_truncation(abs(alpha) ** 2, TruncationConfig())
     return branch_amplitudes(coherent_state(alpha, trunc), area)
 
 
@@ -219,8 +219,8 @@ def solve_pi_half_time(alpha: complex | np.ndarray,
 
     `alpha` is a scalar (the result is a float) or a 1-d array (the result is
     an array of areas, one per entry, each equal to the scalar call's with
-    the same `trunc`). Without `trunc`, the default truncation for the
-    largest |alpha| serves every entry. The entries step together from
+    the same `trunc`). Without `trunc`, the default truncation, widened for
+    the largest |alpha|, serves every entry. The entries step together from
     t = 0 by curvature-bounded steps that cannot pass the first root; see
     `_pi_half_areas`, which also counts the work. Raises NoRootFound naming
     the alpha that has no crossing.
@@ -229,7 +229,7 @@ def solve_pi_half_time(alpha: complex | np.ndarray,
     if alphas.ndim > 1:
         raise ValueError("solve_pi_half_time takes a scalar or a 1-d array")
     if trunc is None:
-        trunc = default_truncation(np.abs(alphas).max(initial=0.0))
+        trunc = widened_truncation(np.abs(alphas).max(initial=0.0) ** 2, TruncationConfig())
     flat = alphas.reshape(-1)
     areas = _pi_half_areas(flat, coherent_amplitudes(flat, trunc))[0]
     return float(areas[0]) if alphas.ndim == 0 else areas

@@ -28,8 +28,8 @@ explicitly rather than guessed:
 
 * the per-term factor is either (j+1)*sqrt(m+1)/(l+1) (variant A) or
   sqrt((j+1)*(m+1))/(l+1) (variant B) depending on how far the square root
-  extends; both are implemented and `select_variant` picks the one agreeing
-  with the master-equation oracle;
+  extends; both are implemented, SeriesConfig.variant picks one, and A is
+  the default because it is the one the master-equation oracle confirms;
 * the inner sign factor is transcribed as (-nbar)^{+l}, whereas the constant
   parts carry (-nbar)^{-l}. The package follows the constant parts'
   convention, which the oracle confirms to machine precision (variant A with
@@ -47,21 +47,15 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, InconclusiveSelection
+from .errors import ConvergenceFailure
 from .fock import bd0, stirlerr, tail_cutoff
 from .jc import DEFAULT_OMEGA_CHI
 from .summation import exact_sum
 
-# (T, nbar) points used to arbitrate the variant against the oracle
-SELECTION_GRID = (
-    (0.008, 0.3), (0.008, 0.7),
-    (0.1, 0.3), (0.1, 0.7),
-    (0.4, 0.3), (0.4, 0.7),
-)
 # caps on the ladder length and on an inner sum's support
 J_MAX = 256
 M_MAX = 4096
@@ -287,50 +281,3 @@ def thermal_visibility(T, nbar: float, cfg: SeriesConfig | None = None,
     if above.size:
         warnings.warn(f"visibility {above[0]:.6g} clipped to 1", stacklevel=2)
     return _shaped(np.minimum(v, 1.0), T)
-
-
-@dataclass(frozen=True)
-class VariantSelection:
-    """Outcome of arbitrating the series variants against the oracle."""
-
-    winner: str
-    deviations: dict  # variant -> tuple of (T, nbar, series_v, oracle_v)
-
-    def total_deviation(self, variant: str) -> float:
-        return sum(abs(s - o) for (_, _, s, o) in self.deviations[variant])
-
-
-def select_variant(cfg: SeriesConfig | None = None,
-                   oracle=None) -> VariantSelection:
-    """Pick the oscillatory-factor variant that tracks the integrator oracle.
-
-    Evaluates the visibility under both variants across SELECTION_GRID and
-    returns the one with the smaller total absolute deviation. Each nbar of
-    the grid costs one oracle call and one series build per variant, each
-    serving all of that nbar's waits; `oracle(ts, nbar)` takes an array of
-    waits, as `open_system.master_visibility` does. Raises
-    InconclusiveSelection when both variants miss by more than 0.05 at every
-    grid point, which would signal a transcription problem deeper than the
-    factor ambiguity. The losing variant stays available through SeriesConfig.
-    """
-    cfg = cfg or SeriesConfig()
-    if oracle is None:
-        from .open_system import master_visibility
-        oracle = master_visibility
-    points = {}
-    for nbar in dict.fromkeys(nb for _, nb in SELECTION_GRID):
-        ts = np.array([T for T, nb in SELECTION_GRID if nb == nbar])
-        oracle_vals = np.asarray(oracle(ts, nbar)).tolist()
-        for variant in ("A", "B"):
-            series = thermal_visibility(ts, nbar, replace(cfg, variant=variant))
-            for T, v, o in zip(ts.tolist(), series.tolist(), oracle_vals):
-                points[variant, T, nbar] = (T, nbar, v, o)
-    deviations = {variant: tuple(points[variant, T, nb] for T, nb in SELECTION_GRID)
-                  for variant in ("A", "B")}
-    if all(abs(s - o) > 0.05 for rows in deviations.values() for (_, _, s, o) in rows):
-        raise InconclusiveSelection(
-            "both oscillatory variants deviate from the oracle by > 0.05 at "
-            "every grid point; check the transcription before trusting either"
-        )
-    winner = min(("A", "B"), key=VariantSelection("", deviations).total_deviation)
-    return VariantSelection(winner=winner, deviations=deviations)

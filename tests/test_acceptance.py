@@ -34,12 +34,8 @@ from cavity_ramsey.open_system import (
     zero_temp_visibility_closed_form,
     zero_temp_wait,
 )
-from cavity_ramsey.thermal import (
-    SELECTION_GRID,
-    select_variant,
-    thermal_visibility,
-)
-from conftest import column
+from cavity_ramsey.thermal import thermal_visibility
+from conftest import ORACLE_GRID, column
 from dense_reference import (
     assert_physical_density,
     density_from_chain,
@@ -86,9 +82,7 @@ def test_criterion_2_oracle_vs_analytic():
            "reach 0.983. The package reports the model-consistent value.",
 )
 def test_criterion_3_thermal_visibility():
-    winner = select_variant().winner
-    cfg = PhysicalConfig(variant=winner)
-    v = thermal_visibility(0.008, 0.7, cfg.resolved_series())
+    v = thermal_visibility(0.008, 0.7, PhysicalConfig(variant="A").resolved_series())
     v_eta = apply_detection(v, ETA)
     r = OBSERVED_REFERENCE_VISIBILITY / v
     ok = (abs(v - 0.983) <= 0.004 and abs(v_eta - 0.737) <= 0.004
@@ -136,14 +130,13 @@ def test_criterion_4_velocity_scan():
 
 
 def test_criterion_5_series_vs_oracle():
-    winner = select_variant().winner
-    series = PhysicalConfig(variant=winner).resolved_series()
+    series = PhysicalConfig(variant="A").resolved_series()
     worst = 0.0
-    for (T, nbar) in SELECTION_GRID:
+    for (T, nbar) in ORACLE_GRID:
         v_series = thermal_visibility(T, nbar, series)
         worst = max(worst, abs(v_series - master_visibility(T, nbar)))
     report(5, worst < 0.01,
-           f"variant {winner}; worst |series - oracle| = {worst:.2e}")
+           f"variant A; worst |series - oracle| = {worst:.2e}")
 
 
 def test_criterion_6_setup1_properties():

@@ -154,7 +154,7 @@ class TestSubcommands:
         assert err.startswith("error: ") and "T_ref = 1 " in err
         assert len(err.splitlines()) == 1
 
-    @pytest.mark.parametrize("variant", [[], ["--variant", "auto"]])
+    @pytest.mark.parametrize("variant", [[], ["--variant", "B"]])
     def test_selftest_nbar_past_the_series_domain_is_a_usage_error(self, capsys, tmp_path,
                                                                    variant):
         # the series refuses nbar >= 1 before the oracle waits at it, however
@@ -279,13 +279,21 @@ class TestSubcommands:
         assert err == "selftest: FAILED\n"
         assert "thermal_series_vs_oracle" in out and ",FAIL" in out
 
-    def test_selftest_auto_variant_arbitrates_to_a(self, capsys, tmp_path):
-        path = tmp_path / "selftest.json"
-        code, _, err = run_cli(capsys, "selftest", "--variant", "auto",
-                               "--format", "json", "--out", str(path))
-        assert code == 0
-        assert "all checks passed" in err
-        assert json.loads(path.read_text())["meta"]["series_variant"] == "A"
+    def test_variant_auto_is_a_usage_error(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["selftest", "--variant", "auto"])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "invalid choice: 'auto'" in errors[0]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"variant": "auto"}))
+        code, out, err = run_cli(capsys, "selftest", "--config", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "variant must be 'A' or 'B'" in err
+        assert len(err.splitlines()) == 1
 
     def test_selftest_oracle_follows_configured_second_pulse(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -355,7 +363,6 @@ def test_oversized_grid_is_a_usage_error(capsys, monkeypatch, argv):
 
 @pytest.mark.parametrize("argv", [
     ("setup1",), ("setup2",), ("fig4",), ("velocity-scan",), ("selftest",),
-    ("selftest", "--variant", "auto"),
 ])
 def test_no_scenario_propagates_a_dense_density(capsys, monkeypatch, argv):
     # the oracle waits and pulses only the chain of entries P_g reads

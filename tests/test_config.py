@@ -34,6 +34,7 @@ class TestPhysicalConfig:
         {"nbar": -0.1},
         {"variant": "Z"},
         {"tau_s": 1e300, "t_cav_s": 1e-300},  # T = tau / (2 t_cav) overflows
+        {"variant": "auto"},
     ])
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
@@ -48,19 +49,7 @@ class TestPhysicalConfig:
         # different one would be dropped without a word
         with pytest.raises(ValueError, match=r"series\.variant='B'.*variant='A'"):
             PhysicalConfig(series=SeriesConfig(variant="B"))
-        with pytest.raises(ValueError, match="series.variant"):
-            PhysicalConfig(variant="auto", series=SeriesConfig(variant="B"))
         cfg = PhysicalConfig(variant="B", series=SeriesConfig(variant="B"))
-        assert cfg.resolved_series().variant == "B"
-
-    def test_resolved_series_auto_runs_selection(self, monkeypatch):
-        import cavity_ramsey.thermal as thermal
-
-        class FakeSelection:
-            winner = "B"
-
-        monkeypatch.setattr(thermal, "select_variant", lambda series: FakeSelection())
-        cfg = PhysicalConfig(variant="auto")
         assert cfg.resolved_series().variant == "B"
 
 

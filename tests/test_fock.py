@@ -14,7 +14,6 @@ from cavity_ramsey.fock import (
     _joint_density,
     coherent_amplitudes,
     coherent_state,
-    default_truncation,
     poisson_tail,
     widened_truncation,
 )
@@ -61,12 +60,12 @@ class TestTruncationConfig:
             with pytest.raises(ValueError, match="n_max must be in"):
                 TruncationConfig(n_max=n_max)
 
-    def test_default_truncation_widens_with_warning(self):
-        with pytest.warns(UserWarning):
-            trunc = default_truncation(math.sqrt(40.0))
-        assert trunc.n_max > 60
+    def test_default_truncation_widens(self):
+        # without a trunc, coherent_state widens the stock n_max=60
+        n_max = coherent_state(math.sqrt(40.0)).size - 1
+        assert n_max > 60
         # the widened cutoff actually holds the tail
-        assert poisson_tail(40.0, trunc.n_max) < trunc.tail_tol
+        assert poisson_tail(40.0, n_max) < TruncationConfig().tail_tol
 
     def test_widened_truncation_is_the_smallest_passing_cutoff(self):
         assert widened_truncation(20.0, TruncationConfig()).n_max == 60
@@ -77,9 +76,7 @@ class TestTruncationConfig:
 
     def test_default_truncation_holds_large_means(self):
         # the stock n_max=60 holds almost none of a mean of 200 photons
-        with pytest.warns(UserWarning):
-            trunc = default_truncation(math.sqrt(200.0))
-        v = coherent_state(math.sqrt(200.0), trunc)
+        v = coherent_state(math.sqrt(200.0))
         assert np.vdot(v, v).real > 1.0 - 1e-10
 
     def test_widening_refuses_past_its_cap(self):

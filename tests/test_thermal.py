@@ -5,20 +5,19 @@ import warnings
 import numpy as np
 import pytest
 import series_reference
+from conftest import ORACLE_GRID, variant_deviations
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cavity_ramsey import open_system, thermal
-from cavity_ramsey.errors import ConvergenceFailure, InconclusiveSelection
+from cavity_ramsey import thermal
+from cavity_ramsey.errors import ConvergenceFailure
 from cavity_ramsey.open_system import master_visibility, zero_temp_visibility_derived
 from cavity_ramsey.thermal import (
-    SELECTION_GRID,
     SeriesConfig,
     _binomial_weights,
     _support,
     pg_constant,
     pg_oscillatory,
-    select_variant,
     thermal_visibility,
 )
 
@@ -212,38 +211,14 @@ class TestVariants:
             pc, po = FROZEN[(0.1, 0.7)]
             assert abs(v - po / pc) > 0.01
 
-    def test_select_variant_picks_a(self):
-        sel = select_variant()
-        assert sel.winner == "A"
-        assert sel.total_deviation("A") < 1e-6
-        assert sel.total_deviation("B") > 0.1
-        assert set(sel.deviations) == {"A", "B"}
-
-    def test_select_variant_inconclusive(self):
-        def hostile_oracle(ts, nbar):
-            return np.full(ts.shape, -10.0)  # nothing can match this
-
-        with pytest.raises(InconclusiveSelection):
-            select_variant(oracle=hostile_oracle)
-
-    def test_select_variant_waits_once_per_nbar(self, monkeypatch):
-        # one oracle sweep per nbar of the grid, and one series build per
-        # variant there, each serving all of that nbar's waits
-        counts = {"_evolve": 0, "_ladders": 0}
-        for module, name in ((open_system, "_evolve"), (thermal, "_ladders")):
-            original = getattr(module, name)
-
-            def counted(*args, _original=original, _name=name, **kwargs):
-                counts[_name] += 1
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, counted)
-        assert select_variant().winner == "A"
-        assert counts == {"_evolve": 2, "_ladders": 4}
+    def test_variant_a_tracks_the_oracle_and_b_misses(self):
+        deviation = variant_deviations()
+        assert deviation["A"] < 1e-6
+        assert deviation["B"] > 0.1
 
 
 def test_series_matches_oracle_grid():
-    for (T, nbar) in SELECTION_GRID:
+    for (T, nbar) in ORACLE_GRID:
         assert abs(thermal_visibility(T, nbar) - master_visibility(T, nbar)) <= 1e-9
 
 

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import variant_deviations
 from dense_reference import pure_density, split_vacuum_state
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -83,15 +84,14 @@ def test_tracer_takes_array_densities():
 
 def test_traced_variant_selection_and_selftest_label_every_fringe():
     # the tracer labels each master_fringe span by formatting its T and nbar
-    # with :g, which a wait array would break; select_variant sweeps arrays of
-    # waits, so they must not reach master_fringe
-    thermal = importlib.import_module(f"{tracer.PACKAGE}.thermal")
+    # with :g, which a wait array would break; the variant comparison sweeps
+    # arrays of waits, so they must not reach master_fringe
     experiments = importlib.import_module(f"{tracer.PACKAGE}.experiments")
     config = importlib.import_module(f"{tracer.PACKAGE}.config")
     t = tracer.Tracer()
     t.install()
     try:
-        assert thermal.select_variant().winner == "A"
+        assert variant_deviations()["A"] < 1e-6
         report = experiments.run_selftest(config.PhysicalConfig(tau_s=80e-6))
     finally:
         t.uninstall()
