@@ -9,7 +9,8 @@ prints one `median_ms  what` row per timed call:
   grid);
 * the `setup1-scan` input, 1601 sorted `random.Random(1)` uniforms in
   [0, 20] (the benchmark's seed-1 draw): `run_setup1`, then `to_json` and
-  `to_csv` of its report;
+  `to_csv` of its report, and `solve_pi_half_time` on its square roots
+  (the pulse solver alone, all 1601 rows in one call);
 * `master_visibility` and `thermal_visibility` at (T, nbar) = (0.008, 0.3),
   (0.4, 0.7) and (1.0, 0.95);
 * the benchmark's own series builds, each one `thermal_visibility` call:
@@ -40,6 +41,7 @@ from cavity_ramsey.experiments import (
     run_setup2,
     run_velocity_scan,
 )
+from cavity_ramsey.jc import solve_pi_half_time
 from cavity_ramsey.open_system import master_visibility
 from cavity_ramsey.thermal import thermal_visibility
 
@@ -75,6 +77,7 @@ def main(argv: list[str]) -> int:
     rng = random.Random(SETUP1_SEED)
     scan_n = sorted(rng.uniform(0.0, SETUP1_N_MAX) for _ in range(SETUP1_COUNT))
     scan = run_setup1(scan_n)
+    scan_alphas = np.sqrt(scan_n)
     calls = [
         ("run_setup1()", run_setup1),
         ("run_setup2()", run_setup2),
@@ -84,6 +87,8 @@ def main(argv: list[str]) -> int:
         (f"run_setup1({SETUP1_COUNT} N)", lambda: run_setup1(scan_n)),
         (f"to_json({SETUP1_COUNT} N)", scan.to_json),
         (f"to_csv({SETUP1_COUNT} N)", scan.to_csv),
+        (f"solve_pi_half_time({SETUP1_COUNT} N)",
+         lambda: solve_pi_half_time(scan_alphas)),
     ]
     for T, nbar in POINTS:
         calls.append((f"master_visibility({T}, {nbar})",

@@ -24,11 +24,10 @@ from .fock import (
 )
 from .interferometry import (
     apply_detection,
-    branch_overlap,
     plus_minus_decomposition,
     sinusoid_fringe,
 )
-from .jc import _pi_half_areas, branch_amplitudes, branch_states, solve_pi_half_time
+from .jc import _pi_half_areas, branch_states, solve_pi_half_time
 from .open_system import (
     _chain_spectrum,
     _wait_chain,
@@ -152,25 +151,29 @@ def _provenance(cfg: PhysicalConfig, series_variant: str) -> dict:
 
 def _setup1_block(n_values: list, trunc: TruncationConfig, eta: float,
                   diagnostics: dict) -> tuple[list, np.ndarray]:
-    """run_setup1's rows for one block of N, and each row's complex overlap
-    <alpha_e|alpha_g>; the pulse solver adds its work to `diagnostics`. eta
-    is not checked here: run_setup1's fringe checks it once per call
-    (`apply_detection`), and PhysicalConfig bounds it.
+    """run_setup1's rows for one block of N, and each row's real overlap
+    <alpha_e|i alpha_g>, which is i <alpha_e|alpha_g>; the pulse solver adds
+    its work to `diagnostics`. eta is not checked here: run_setup1's fringe
+    checks it once per call (`apply_detection`), and PhysicalConfig bounds
+    it.
 
-    The block's coherent matrix is built once and serves both the pulse
-    solver and the branches. A block's matrices are freed when this returns,
-    before the next block's are built, so only one block is ever held.
+    The block's coherent matrix is built once, and its real part (the
+    alphas are real and >= 0) serves the pulse solver, whose accepting
+    evaluations give the branches as real rows alpha_e and i alpha_g. The
+    factor i is a fixed phase on alpha_g, the gauge
+    `plus_minus_decomposition` removes, so n_+/- and |overlap| are those of
+    the complex branches, and no trigonometry runs after the solver. A
+    block's matrices are freed when this returns, before the next block's
+    are built, so only one block is ever held.
     """
     alphas = np.sqrt(n_values)
-    c = coherent_amplitudes(alphas, trunc)
-    areas, evaluations, residual = _pi_half_areas(alphas, c)
+    areas, evaluations, residual, (a_e, a_g) = _pi_half_areas(
+        alphas, coherent_amplitudes(alphas, trunc).real)
     diagnostics["pulse_solver_evaluations"] += evaluations
     diagnostics["max_pi_half_residual"] = max(diagnostics["max_pi_half_residual"],
                                               residual)
-    a_e, a_g = branch_amplitudes(c, areas)
-    overlaps = branch_overlap(a_e, a_g)
+    n_plus, n_minus, overlaps = plus_minus_decomposition(a_e, a_g)
     vs = 2.0 * np.abs(overlaps)
-    n_plus, n_minus = plus_minus_decomposition(a_e, a_g)
     return list(zip(n_values, areas.tolist(), vs.tolist(),
                     (eta * np.minimum(vs, 1.0)).tolist(), n_plus.tolist(),
                     n_minus.tolist())), overlaps
@@ -190,11 +193,12 @@ def run_setup1(n_values=None, config: PhysicalConfig | None = None,
     truncation serves every row: the configured one, widened until
     the largest N's Poisson tail is below tail_tol.
 
-    N is taken SETUP1_BLOCK values at a time: one coherent matrix per block
-    serves the array pulse solver (`jc._pi_half_areas`) and the
-    branch-amplitude matrices, whose squared norms `branch_amplitudes`
-    checks once. The overlaps and n_+/- are then taken row by row over the
-    block's matrices. meta["diagnostics"] records the
+    N is taken SETUP1_BLOCK values at a time: the real part of one
+    coherent matrix per block serves the array pulse solver
+    (`jc._pi_half_areas`), which checks its squared norms and returns the
+    branches as real rows from the evaluation that accepts each area. The
+    overlaps and n_+/- are then taken row by row over those rows, each
+    overlap once (`plus_minus_decomposition`). meta["diagnostics"] records the
     pulse solver's evaluations of <alpha_e|alpha_e> - 1/2, the largest
     |<alpha_e|alpha_e> - 1/2| at a solved area, and the Poisson tail the
     cutoff discards at the largest N. N must be >= 0; NaN is refused with
@@ -224,7 +228,7 @@ def run_setup1(n_values=None, config: PhysicalConfig | None = None,
         # the largest N's row has solved its pulse and formed its branches:
         # the fringe is 1/2 + Re(e^{i phi} <alpha_e|alpha_g>) from its overlap
         pattern = sinusoid_fringe(np.linspace(0.0, 2.0 * math.pi, phi_points), 0.5,
-                                  overlaps[n_values.index(max_n)])
+                                  -1j * overlaps[n_values.index(max_n)])
         meta["fringe"] = {
             "n_mean": max_n,
             "phi": pattern.phis.tolist(),

@@ -303,9 +303,15 @@ def coherent_state(alpha: complex, trunc: TruncationConfig | None = None) -> np.
 
 
 def squared_norms(amps: np.ndarray) -> np.ndarray:
-    """<c|c> of each row of amps, from views of its real and imaginary parts."""
-    return (np.einsum("...n,...n->...", amps.real, amps.real)
-            + np.einsum("...n,...n->...", amps.imag, amps.imag))
+    """<c|c> of each row of amps, from views of its real and imaginary parts.
+
+    Real rows sum their squares alone: `.imag` of a real array is a new
+    array of zeros, and adding its zero sum would not change a bit.
+    """
+    norms = np.einsum("...n,...n->...", amps.real, amps.real)
+    if np.iscomplexobj(amps):
+        norms = norms + np.einsum("...n,...n->...", amps.imag, amps.imag)
+    return norms
 
 
 def _joint_density(rho) -> np.ndarray:

@@ -9,12 +9,13 @@ branch overlap <alpha_e|alpha_g>.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fock import TruncationConfig, squared_norms
-from .jc import branch_states, solve_pi_half_time
+from .jc import _pi_half_solve
 
 
 @dataclass(frozen=True)
@@ -32,15 +33,17 @@ def branch_overlap(alpha_e: np.ndarray, alpha_g: np.ndarray) -> complex | np.nda
 
 
 def plus_minus_decomposition(alpha_e: np.ndarray, alpha_g: np.ndarray
-                             ) -> tuple[np.ndarray, np.ndarray]:
-    """Squared norms n_+/- of alpha_+/- = (alpha_e +- alpha_g) / 2.
+                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Squared norms n_+/- of alpha_+/- = (alpha_e +- alpha_g) / 2, and the
+    overlap <alpha_e|alpha_g> they are aligned by.
 
-    Row by row, like `branch_overlap`. The branch phases are gauge: any
-    fixed phase on alpha_g is a frame choice. We align alpha_g so the
-    overlap is real and nonnegative before combining, which makes n_minus a
-    faithful distinguishability measure (n_minus -> 0 exactly when the
-    branches coincide and the joint state factorizes). alpha_+/- are formed,
-    not inferred from the overlap, so a small n_minus keeps its accuracy.
+    Row by row, like `branch_overlap`; the rows may be real or complex. The
+    branch phases are gauge: any fixed phase on alpha_g is a frame choice.
+    We align alpha_g so the overlap is real and nonnegative before
+    combining, which makes n_minus a faithful distinguishability measure
+    (n_minus -> 0 exactly when the branches coincide and the joint state
+    factorizes). alpha_+/- are formed, not inferred from the overlap, so a
+    small n_minus keeps its accuracy.
     """
     ov = branch_overlap(alpha_e, alpha_g)
     mag = np.abs(ov)
@@ -49,7 +52,7 @@ def plus_minus_decomposition(alpha_e: np.ndarray, alpha_g: np.ndarray
     combined = alpha_e + g
     n_plus = squared_norms(combined) / 4.0
     np.subtract(alpha_e, g, out=combined)
-    return n_plus, squared_norms(combined) / 4.0
+    return n_plus, squared_norms(combined) / 4.0, ov
 
 
 def visibility_from_pattern(phis, p_g) -> float:
@@ -104,10 +107,13 @@ def fringe_scan_setup1(alpha: complex,
 
     The classical pi/2 zone recombines the split atom, whose populations are
     1/2 and whose coherence is e^{i phi} <alpha_e|alpha_g>, into
-    P_g(phi) = 1/2 + Re(e^{i phi} <alpha_e|alpha_g>).
+    P_g(phi) = 1/2 + Re(e^{i phi} <alpha_e|alpha_g>). The overlap is read
+    from the branches of the evaluation that accepts the area
+    (`jc._pi_half_areas`), real rows of |c_n|: with
+    c_n = |c_n| e^{i n arg(alpha)}, it is -i e^{-i arg(alpha)} times theirs.
     """
     if phi_grid is None:
         phi_grid = np.linspace(0.0, 2.0 * np.pi, 65)
-    area = solve_pi_half_time(alpha, trunc)
-    return sinusoid_fringe(phi_grid, 0.5,
-                           complex(branch_overlap(*branch_states(alpha, area, trunc))))
+    a_e, a_g = _pi_half_solve(alpha, trunc)[3]
+    c1 = -1j * cmath.exp(-1j * cmath.phase(alpha)) * float(branch_overlap(a_e, a_g)[0])
+    return sinusoid_fringe(phi_grid, 0.5, c1)

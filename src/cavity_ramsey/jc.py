@@ -22,7 +22,6 @@ from .fock import (
     coherent_amplitudes,
     coherent_state,
     rounding_bound,
-    squared_norms,
     widened_truncation,
 )
 
@@ -87,6 +86,21 @@ def jc_evolve(rho: np.ndarray, area: float) -> np.ndarray:
     return U @ rho @ U.conj().T
 
 
+def _checked_norms(c2: np.ndarray) -> np.ndarray:
+    """Squared norms of the rows (..., n_levels) whose squared magnitudes are c2.
+
+    Raises ValueError for a row above 1 by more than the `rounding_bound` of
+    the largest mean and n_levels: log-domain coherent amplitudes are off by
+    about N eps relative at mean N.
+    """
+    n = np.arange(c2.shape[-1])
+    norm2 = np.sum(c2, axis=-1)
+    over = norm2 > 1.0 + rounding_bound(float(np.max(c2 @ n, initial=0.0)), n.size)
+    if np.any(over):
+        raise ValueError(f"squared norm {np.asarray(norm2)[over][0]} exceeds 1")
+    return norm2
+
+
 def branch_amplitudes(c: np.ndarray, area: float | np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Branch amplitudes for coherent rows c (..., n_levels) after pulses of these areas.
@@ -97,21 +111,16 @@ def branch_amplitudes(c: np.ndarray, area: float | np.ndarray
     The amplitude that would land on level n_max+1 is dropped; it is bounded
     by the coherent tail already certified by the truncation check.
 
-    Raises ValueError for a NaN or infinite area, and for a row of c with
-    squared norm above 1 by more than the `rounding_bound` of the largest
-    mean and n_levels: log-domain coherent amplitudes are off by about N eps
-    relative at mean N.
+    Raises ValueError for a NaN or infinite area, and `_checked_norms`' error
+    for a row of c with squared norm above 1.
     """
     area = np.asarray(area, dtype=float)
     if not np.all(np.isfinite(area)):
         raise ValueError(f"pulse area must be finite, got {area[~np.isfinite(area)][0]}")
+    c2 = np.abs(c)
+    c2 *= c2
+    _checked_norms(c2)
     n = np.arange(c.shape[-1])
-    means = (np.einsum("...n,...n,n->...", c.real, c.real, n)
-             + np.einsum("...n,...n,n->...", c.imag, c.imag, n))
-    norm2 = squared_norms(c)
-    over = norm2 > 1.0 + rounding_bound(float(np.max(means, initial=0.0)), n.size)
-    if np.any(over):
-        raise ValueError(f"squared norm {np.asarray(norm2)[over][0]} exceeds 1")
     ang = area[..., None] * np.sqrt(n + 1.0)
     a_e = c * np.cos(ang)
     # the sines overwrite ang and the products go straight into a_g, so a
@@ -136,45 +145,58 @@ def branch_states(alpha: complex, area: float,
     return branch_amplitudes(coherent_state(alpha, trunc), area)
 
 
-def _pi_half_areas(alphas: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, int, float]:
-    """The pi/2 areas of solve_pi_half_time for the rows c of a 1-d alphas.
+def _pi_half_areas(alphas: np.ndarray, c: np.ndarray
+                   ) -> tuple[np.ndarray, int, float, tuple[np.ndarray, np.ndarray]]:
+    """The pi/2 areas of solve_pi_half_time for the coherent rows c of a 1-d alphas.
 
     Returns the areas, the number of evaluations of
-    f(t) = <alpha_e|alpha_e> - 1/2 they took (summed over the rows) and the
-    largest |f| at an accepted area.
+    f(t) = <alpha_e|alpha_e> - 1/2 they took (summed over the rows), the
+    largest |f| at an accepted area, and the branches at the areas as real
+    rows: r_n cos(theta_n) and, one level up, r_n sin(theta_n), where r = |c|
+    and theta_n = t sqrt(n+1) is the pulse angle. For real alphas >= 0, r = c
+    and the rows are alpha_e and i alpha_g (`branch_amplitudes`).
 
-    With x = 2t sqrt(n+1), f = (sum c_n^2 cos x + sum c_n^2 - 1) / 2 and
-    f' = -sum c_n^2 sqrt(n+1) sin x share one angle array, and
-    M = 2 sum c_n^2 (n+1) >= |f''|. Each row starts at t = 0, where f > 0,
+    The solver steps in t on the real rows r. An evaluation takes one cosine
+    and one sine array of theta, and from them
+    f = sum (r cos theta)^2 - 1/2 and
+    f' = -2 sum sqrt(n+1) (r cos theta)(r sin theta), and
+    M = 2 sum r_n^2 (n+1) >= |f''|. Each row starts at t = 0, where f > 0,
     and steps to the first root of the lower bound f + f' h - M h^2 / 2 on
-    f(t + h), until |f| < PI_HALF_RESIDUAL_TOL. No step can pass a root of
-    f, so the area is its first root, the physical (shortest) pulse; near it
-    the step is Newton's. All rows step together and finished rows are
-    dropped, but each keeps its own arithmetic, so a row's area does not
-    depend on the other rows.
+    f(t + h), until |f| < PI_HALF_RESIDUAL_TOL; the evaluation that accepts
+    a row holds its branches. No step can pass a root of f, so the area is
+    its first root, the physical (shortest) pulse; near it the step is
+    Newton's. All rows step together and finished rows are dropped, but each
+    keeps its own arithmetic, so a row's area does not depend on the other
+    rows. Raises `_checked_norms`' error for a row of c with squared norm
+    above 1.
     """
-    n1 = np.arange(c.shape[-1]) + 1.0
-    sq = np.sqrt(n1)
-    c2 = np.abs(c)
-    c2 *= c2
-    norm2 = np.sum(c2, axis=1)
+    r = np.abs(c)
+    # a caller that passes its coherent rows inline frees them here
+    del c
+    c2 = r * r
+    norm2 = _checked_norms(c2)
     # <alpha_e|alpha_e> <= norm2, so a row with f(0) = norm2 - 1/2 < 0 has
     # no root, and its first step would take the square root of a negative
     short = norm2 - 0.5 < -PI_HALF_RESIDUAL_TOL
     if short.any():
         raise NoRootFound(f"no pi/2 crossing for alpha={alphas[np.argmax(short)]}: "
                           f"its truncated state holds {norm2[short][0]:.6g} < 1/2")
-    half_excess = 0.5 * norm2 - 0.5
+    n1 = np.arange(r.shape[-1]) + 1.0
     bound = 2.0 * np.sum(c2 * n1, axis=1)
+    sq = np.sqrt(n1)
     t_end = 4.0 * math.pi
     areas = np.empty(len(alphas))
+    branch_e = np.empty_like(r)
+    branch_g = np.zeros_like(r)
     rows = np.arange(len(alphas))
     t = np.zeros(len(alphas))
-    # at t = 0 every cosine is 1 and every sine 0, exactly, so f(0) is
-    # norm2 / 2 + half_excess to the bit and f'(0) = 0: the first evaluation
-    # needs no angle array x
-    f = 0.5 * norm2 + half_excess
-    x = None
+    # an evaluation writes the cosine rows, the sine rows and the sums'
+    # products into the leading rows of these, so it allocates no
+    # (rows, n_levels) array; at t = 0 every cosine is 1 and every sine 0,
+    # exactly, so the rows are r and 0, f(0) is norm2 - 1/2 to the bit and
+    # f'(0) = 0: the first evaluation takes no trigonometry
+    cos_rows, sin_rows, work = r.copy(), np.zeros_like(r), c2
+    f, df = norm2 - 0.5, np.zeros(len(alphas))
     evaluations = 0
     residual = 0.0
     for _ in range(100):
@@ -184,33 +206,46 @@ def _pi_half_areas(alphas: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, int, 
         done = np.abs(f) < PI_HALF_RESIDUAL_TOL
         if done.any():
             areas[rows[done]] = t[done]
+            branch_e[rows[done]] = cos_rows[:rows.size][done]
+            branch_g[rows[done], 1:] = sin_rows[:rows.size][done, :-1]
             residual = max(residual, float(np.abs(f[done]).max()))
             keep = ~done
-            rows, t, f, c2, half_excess, bound = (
-                a[keep] for a in (rows, t, f, c2, half_excess, bound))
-            x = None if x is None else x[keep]
-        df = 0.0
-        if x is not None:
-            np.sin(x, out=x)
-            x *= c2
-            x *= sq
-            df = -np.sum(x, axis=1)
+            rows, t, f, df, r, bound = (a[keep] for a in (rows, t, f, df, r, bound))
         t += 2.0 * f / (np.sqrt(df * df + 2.0 * bound * f) - df)
         # written so that a NaN area (from a NaN alpha) also stops the loop
         late = ~(t <= t_end)
         if late.any():
             alpha = alphas[rows[late][0]]
             raise NoRootFound(f"no pi/2 crossing before Omega*t = 4*pi for alpha={alpha}")
-        x = np.multiply.outer(2.0 * t, sq)
-        cos_x = np.cos(x)
-        cos_x *= c2
-        f = 0.5 * np.sum(cos_x, axis=1) + half_excess
-        # freed before x is copied or overwritten, so an evaluation never
-        # holds more than two (rows, n_levels) temporaries
-        del cos_x
+        a_e, a_s, w = cos_rows[:rows.size], sin_rows[:rows.size], work[:rows.size]
+        np.multiply.outer(t, sq, out=a_s)
+        np.cos(a_s, out=a_e)
+        a_e *= r
+        np.sin(a_s, out=a_s)
+        a_s *= r
+        f = np.sum(np.multiply(a_e, a_e, out=w), axis=1) - 0.5
+        np.multiply(a_e, a_s, out=w)
+        w *= sq
+        df = -2.0 * np.sum(w, axis=1)
     if rows.size:  # pragma: no cover
         raise NoRootFound(f"pi/2 area did not converge for alpha={alphas[rows[0]]}")
-    return areas, evaluations, residual
+    return areas, evaluations, residual, (branch_e, branch_g)
+
+
+def _pi_half_solve(alpha: complex | np.ndarray, trunc: TruncationConfig | None
+                   ) -> tuple[np.ndarray, int, float, tuple[np.ndarray, np.ndarray]]:
+    """`_pi_half_areas` on the coherent rows of a scalar or 1-d alpha.
+
+    Without `trunc`, the default truncation, widened for the largest
+    |alpha|, serves every entry.
+    """
+    alphas = np.asarray(alpha)
+    if alphas.ndim > 1:
+        raise ValueError("solve_pi_half_time takes a scalar or a 1-d array")
+    if trunc is None:
+        trunc = widened_truncation(np.abs(alphas).max(initial=0.0) ** 2, TruncationConfig())
+    flat = alphas.reshape(-1)
+    return _pi_half_areas(flat, coherent_amplitudes(flat, trunc))
 
 
 def solve_pi_half_time(alpha: complex | np.ndarray,
@@ -221,16 +256,11 @@ def solve_pi_half_time(alpha: complex | np.ndarray,
     an array of areas, one per entry, each equal to the scalar call's with
     the same `trunc`). Without `trunc`, the default truncation, widened for
     the largest |alpha|, serves every entry. The entries step together from
-    t = 0 by curvature-bounded steps that cannot pass the first root; see
-    `_pi_half_areas`, which also counts the work. Raises NoRootFound naming
-    the alpha that has no crossing.
+    t = 0, in the pulse angle on the real rows |c|, by curvature-bounded
+    steps that cannot pass the first root; see `_pi_half_areas`, which also
+    counts the work and gives the branches that `fringe_scan_setup1` and
+    `run_setup1` read. Raises NoRootFound naming the alpha that has no
+    crossing.
     """
-    alphas = np.asarray(alpha)
-    if alphas.ndim > 1:
-        raise ValueError("solve_pi_half_time takes a scalar or a 1-d array")
-    if trunc is None:
-        trunc = widened_truncation(np.abs(alphas).max(initial=0.0) ** 2, TruncationConfig())
-    flat = alphas.reshape(-1)
-    areas = _pi_half_areas(flat, coherent_amplitudes(flat, trunc))[0]
-    return float(areas[0]) if alphas.ndim == 0 else areas
-
+    areas = _pi_half_solve(alpha, trunc)[0]
+    return float(areas[0]) if np.ndim(alpha) == 0 else areas

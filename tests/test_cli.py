@@ -468,6 +468,7 @@ def test_layer_times_script():
         env=_package_env(), capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    assert len(lines) == 18
+    assert len(lines) == 19
     assert all(float(line.split()[0]) >= 0.0 for line in lines)
     assert any(line.endswith("to_json(1601 N)") for line in lines)
+    assert any(line.endswith("solve_pi_half_time(1601 N)") for line in lines)

@@ -56,7 +56,7 @@ def setup1_rows_one_n_at_a_time(n_values, cfg):
         t = solve_pi_half_time(alpha, trunc)
         a_e, a_g = branch_states(alpha, t, trunc)
         v = 2.0 * abs(branch_overlap(a_e, a_g))
-        n_plus, n_minus = plus_minus_decomposition(a_e, a_g)
+        n_plus, n_minus, _ = plus_minus_decomposition(a_e, a_g)
         rows.append((n_mean, t, v, apply_detection(min(v, 1.0), cfg.eta),
                      n_plus, n_minus))
     return rows

@@ -15,6 +15,7 @@ from cavity_ramsey.fock import (
     coherent_amplitudes,
     coherent_state,
     poisson_tail,
+    squared_norms,
     widened_truncation,
 )
 from dense_reference import (
@@ -182,6 +183,19 @@ class TestCoherentState:
     def test_rows_take_a_1d_array(self):
         with pytest.raises(ValueError):
             coherent_amplitudes(np.ones((2, 2)), TruncationConfig(n_max=8))
+
+    def test_squared_norms_of_real_rows_keep_the_complex_bits(self):
+        # real rows sum their squares alone: the sum of the zero imaginary
+        # parts that the complex form adds moves no bit, whether the rows
+        # are a real array or the real view of their complex cast
+        rows = np.random.default_rng(5).normal(size=(40, 61))
+        rows[3] = 0.0
+        for amps in (rows, rows[7], rows[:, ::2]):
+            cast = amps.astype(complex)
+            assert squared_norms(cast.real).tobytes() == squared_norms(cast).tobytes()
+            both = (np.einsum("...n,...n->...", amps.real, amps.real)
+                    + np.einsum("...n,...n->...", amps.imag, amps.imag))
+            assert squared_norms(amps).tobytes() == both.tobytes()
 
     @given(st.floats(min_value=0.0, max_value=20.0),
            st.integers(min_value=1, max_value=80))

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -54,8 +55,8 @@ class TestOverlapAndVisibility:
         v0 = 2.0 * abs(branch_overlap(a_e, a_g))
         v1 = 2.0 * abs(branch_overlap(a_e, shifted))
         assert abs(v0 - v1) < 1e-12
-        _, nm0 = plus_minus_decomposition(a_e, a_g)
-        _, nm1 = plus_minus_decomposition(a_e, shifted)
+        _, nm0, _ = plus_minus_decomposition(a_e, a_g)
+        _, nm1, _ = plus_minus_decomposition(a_e, shifted)
         assert abs(nm0 - nm1) < 1e-12
 
 
@@ -63,7 +64,7 @@ class TestPlusMinus:
     @pytest.mark.parametrize("n_mean", N_GRID)
     def test_weights_sum_to_half(self, n_mean):
         a_e, a_g = _branches(n_mean)
-        n_plus, n_minus = plus_minus_decomposition(a_e, a_g)
+        n_plus, n_minus, _ = plus_minus_decomposition(a_e, a_g)
         assert n_plus + n_minus == pytest.approx(0.5, abs=1e-12)
 
     def test_monotone_correspondence_with_visibility(self):
@@ -71,7 +72,7 @@ class TestPlusMinus:
         for n_mean in N_GRID:
             a_e, a_g = _branches(n_mean)
             v = 2.0 * abs(branch_overlap(a_e, a_g))
-            _, n_minus = plus_minus_decomposition(a_e, a_g)
+            _, n_minus, _ = plus_minus_decomposition(a_e, a_g)
             rows.append((v, n_minus))
         vs = [r[0] for r in rows]
         nms = [r[1] for r in rows]
@@ -81,7 +82,7 @@ class TestPlusMinus:
     def test_identical_branches_factorize(self):
         amps = np.zeros(5, dtype=complex)
         amps[0] = 1.0 / math.sqrt(2.0)
-        n_plus, n_minus = plus_minus_decomposition(amps, amps)
+        n_plus, n_minus, _ = plus_minus_decomposition(amps, amps)
         assert n_minus < 1e-15
         assert n_plus == pytest.approx(0.5, abs=1e-12)
 
@@ -120,6 +121,16 @@ class TestRecombination:
         ref = np.clip([recombined(a_e, a_g, phi)[G, G].real for phi in pattern.phis],
                       0.0, 1.0)
         assert pattern.phis.size == 65
+        assert np.max(np.abs(pattern.p_g - ref)) <= 1e-14
+
+    @pytest.mark.parametrize("alpha", [-2.0, 1.5j, 2.0 * cmath.exp(0.7j)])
+    def test_complex_alpha_moves_the_fringe_by_its_phase(self, alpha):
+        # the solver's rows are |c_n|; the fringe puts back the phase that
+        # c_n = |c_n| e^{i n arg(alpha)} gives the overlap
+        pattern = fringe_scan_setup1(alpha, TRUNC)
+        a_e, a_g = branch_states(alpha, solve_pi_half_time(alpha, TRUNC), TRUNC)
+        ref = np.clip([recombined(a_e, a_g, phi)[G, G].real for phi in pattern.phis],
+                      0.0, 1.0)
         assert np.max(np.abs(pattern.p_g - ref)) <= 1e-14
 
 

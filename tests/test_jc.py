@@ -2,6 +2,7 @@ import cmath
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -40,11 +41,11 @@ PI_HALF_AREAS_HEX = {
     0.01: "0x1.90943b3196ab2p-1",
     0.5: "0x1.51d038a791601p-1",
     1.0: "0x1.25dfddbadea1cp-1",
-    2.0: "0x1.de37150cca595p-2",
+    2.0: "0x1.de37150cca594p-2",
     5.0: "0x1.4e51cd9b048a1p-2",
     10.0: "0x1.ea23befa7d70dp-3",
-    20.0: "0x1.610658f15bb0ap-3",
-    200.0: "0x1.c61972481dd62p-5",
+    20.0: "0x1.610658f15bb09p-3",
+    200.0: "0x1.c61972481dd63p-5",
 }
 
 
@@ -53,22 +54,26 @@ def pi_half_area_one_alpha(alpha, trunc):
     over one alpha.
 
     The reference for the array solver `_pi_half_areas`: the same rule, written
-    one alpha and one float at a time.
+    one alpha and one float at a time. It steps in the pulse angle
+    theta_n = t sqrt(n+1) on the real row r = |c|:
+    f = sum (r cos theta)^2 - 1/2 and f' = -2 sum sqrt(n+1) (r cos theta)(r sin theta).
     """
-    c2 = np.abs(coherent_state(alpha, trunc)) ** 2
+    r = np.abs(coherent_state(alpha, trunc))
     n1 = np.arange(trunc.n_levels) + 1.0
     sq = np.sqrt(n1)
-    half_excess = 0.5 * float(np.sum(c2)) - 0.5
-    bound = 2.0 * float(np.sum(c2 * n1))
-    t = 0.0
+    norm2 = float(np.sum(r * r))
+    bound = 2.0 * float(np.sum(r * r * n1))
+    t, f, df = 0.0, norm2 - 0.5, 0.0
     for evaluations in range(1, 101):
-        assert t <= 4.0 * math.pi
-        x = 2.0 * t * sq
-        f = 0.5 * float(np.sum(c2 * np.cos(x))) + half_excess
         if abs(f) < PI_HALF_RESIDUAL_TOL:
             return t, evaluations, abs(f)
-        df = -float(np.sum(c2 * np.sin(x) * sq))
         t += 2.0 * f / (math.sqrt(df * df + 2.0 * bound * f) - df)
+        assert t <= 4.0 * math.pi
+        theta = t * sq
+        a_e = r * np.cos(theta)
+        a_s = r * np.sin(theta)
+        f = float(np.sum(a_e * a_e)) - 0.5
+        df = -2.0 * float(np.sum(a_e * a_s * sq))
     raise AssertionError("curvature steps did not converge")
 
 
@@ -191,6 +196,16 @@ class TestBranchStates:
         total = np.vdot(a_e, a_e).real + np.vdot(a_g, a_g).real
         assert total == pytest.approx(1.0, abs=1e-10)
 
+    def test_solver_refuses_an_overnormalized_row_in_a_block(self):
+        # the pulse solver applies branch_amplitudes' norm check to each row
+        alphas = np.sqrt([0.5, 3.0, 9.0])
+        c = coherent_amplitudes(alphas, TruncationConfig())
+        c[1] *= 1.01
+        with pytest.raises(ValueError, match="squared norm 1.0201.* exceeds 1"):
+            _pi_half_areas(alphas, c)
+        with pytest.raises(ValueError, match="squared norm .* exceeds 1"):
+            _pi_half_areas(alphas, c.real)
+
     def test_refuses_an_overnormalized_row(self):
         with pytest.raises(ValueError, match="squared norm 1.25 exceeds 1"):
             branch_amplitudes(np.array([1.0, 0.5]), 0.3)
@@ -252,7 +267,7 @@ class TestPiHalfTime:
         # same largest residual
         trunc = TruncationConfig()
         alphas = np.sqrt(n_values)
-        areas, evaluations, residual = _pi_half_areas(
+        areas, evaluations, residual, _ = _pi_half_areas(
             alphas, coherent_amplitudes(alphas, trunc))
         reference = [pi_half_area_one_alpha(math.sqrt(n), trunc) for n in n_values]
         assert areas.tolist() == [area for area, _, _ in reference]
@@ -296,7 +311,7 @@ class TestPiHalfTime:
     def test_at_most_eight_evaluations_per_n(self, n_values):
         trunc = widened_truncation(float(n_values[-1]), TruncationConfig())
         alphas = np.sqrt(n_values)
-        _, evaluations, _ = _pi_half_areas(alphas, coherent_amplitudes(alphas, trunc))
+        _, evaluations, _, _ = _pi_half_areas(alphas, coherent_amplitudes(alphas, trunc))
         assert evaluations <= 8 * len(n_values)
 
     def test_diagnostics_accumulate_across_calls(self):
@@ -306,7 +321,7 @@ class TestPiHalfTime:
         report = run_setup1(n_values)
         trunc = widened_truncation(20.0, TruncationConfig())
         alphas = np.sqrt(n_values)
-        _, evaluations, residual = _pi_half_areas(alphas, coherent_amplitudes(alphas, trunc))
+        _, evaluations, residual, _ = _pi_half_areas(alphas, coherent_amplitudes(alphas, trunc))
         diagnostics = report.meta["diagnostics"]
         assert diagnostics["pulse_solver_evaluations"] == evaluations
         assert diagnostics["max_pi_half_residual"] == residual
@@ -317,6 +332,28 @@ class TestPiHalfTime:
             warnings.simplefilter("ignore", UserWarning)  # N = 200 widens n_max
             area = solve_pi_half_time(math.sqrt(n_mean))
         assert area.hex() == PI_HALF_AREAS_HEX[n_mean]
+
+    def test_areas_match_a_40_digit_root(self):
+        # the pinned N and 50 seeded N in [0, 20]: each area is within 2e-15
+        # relative of the first root of the truncated condition
+        # sum c_n^2 cos^2(t sqrt(n+1)) = 1/2 on the same float rows, found
+        # with 40 digits from the area
+        n_values = sorted(PI_HALF_AREAS_HEX) + np.random.default_rng(27).uniform(
+            0.0, 20.0, 50).tolist()
+        with mpmath.workdps(40):
+            for n_mean in n_values:
+                trunc = widened_truncation(n_mean, TruncationConfig())
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)  # N = 200
+                    area = solve_pi_half_time(math.sqrt(n_mean), trunc)
+                c2 = [mpmath.mpf(x) ** 2
+                      for x in np.abs(coherent_state(math.sqrt(n_mean), trunc)).tolist()]
+                sq = [mpmath.sqrt(n + 1) for n in range(trunc.n_levels)]
+                root = mpmath.findroot(
+                    lambda t: mpmath.fsum(a * mpmath.cos(t * s) ** 2
+                                          for a, s in zip(c2, sq)) - 0.5,
+                    mpmath.mpf(area))
+                assert abs(area - root) <= 2e-15 * root, n_mean
 
     def test_default_scan_keeps_its_evaluation_count(self):
         # the first evaluation, at t = 0, is counted although it needs no
