@@ -343,9 +343,7 @@ class TestPiHalfTime:
         with mpmath.workdps(40):
             for n_mean in n_values:
                 trunc = widened_truncation(n_mean, TruncationConfig())
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", UserWarning)  # N = 200
-                    area = solve_pi_half_time(math.sqrt(n_mean), trunc)
+                area = solve_pi_half_time(math.sqrt(n_mean), trunc)
                 c2 = [mpmath.mpf(x) ** 2
                       for x in np.abs(coherent_state(math.sqrt(n_mean), trunc)).tolist()]
                 sq = [mpmath.sqrt(n + 1) for n in range(trunc.n_levels)]
