@@ -37,7 +37,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from cavity_ramsey.cli import main as cli_main  # noqa: E402
 
 CONFIGS = {"tau": {"tau_s": 8e-5}, "nbar": {"nbar": 0.95},
-           "omega": {"omega_chi_rad": 0.6}}
+           "omega": {"omega_chi_rad": 0.6}, "n_max": {"n_max": 5}}
 # (argv, config name or None): each subcommand at its defaults, the series'
 # variant B, an odd fringe grid, setup 1 at large, tiny and fractional N, and
 # every subcommand under each of CONFIGS

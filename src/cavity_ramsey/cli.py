@@ -108,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load(args) -> PhysicalConfig:
     cfg = load_config(args.config) if args.config else PhysicalConfig()
     if args.variant:
-        cfg = replace(cfg, variant=args.variant)
+        cfg = replace(cfg, series=replace(cfg.series, variant=args.variant))
     return cfg
 
 

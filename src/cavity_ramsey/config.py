@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .fock import TruncationConfig
 from .thermal import SeriesConfig
@@ -21,7 +21,7 @@ _POSITIVE = ("t_cav_s", "tau_s", "nbar", "eta", "v_ref_mps", "omega_chi_rad")
 # is the attribute name in its part
 _FIELDS = {**dict.fromkeys(_POSITIVE, (None, float)),
            "n_max": ("trunc", int), "tail_tol": ("trunc", float),
-           "term_tol": ("series", float), "variant": (None, str)}
+           "term_tol": ("series", float), "variant": ("series", str)}
 CONFIG_KEYS = tuple(_FIELDS)
 
 
@@ -29,8 +29,9 @@ CONFIG_KEYS = tuple(_FIELDS)
 class PhysicalConfig:
     """Experiment-scale parameters plus numerical policies.
 
-    `variant` is the thermal-series transcription, "A" (the default, the
-    reading the integrator oracle confirms) or "B" (see `thermal`).
+    `series.variant` is the thermal-series transcription, "A" (the default,
+    the reading the integrator oracle confirms) or "B" (see `thermal`); the
+    config key "variant" sets it.
     """
 
     t_cav_s: float = 1e-3
@@ -39,7 +40,6 @@ class PhysicalConfig:
     eta: float = 0.75
     v_ref_mps: float = 500.0
     omega_chi_rad: float = math.pi / 4.0
-    variant: str = "A"
     trunc: TruncationConfig = field(default_factory=TruncationConfig)
     series: SeriesConfig = field(default_factory=SeriesConfig)
 
@@ -53,11 +53,6 @@ class PhysicalConfig:
                              f"(tau_s={self.tau_s!r}, t_cav_s={self.t_cav_s!r})")
         if not self.eta <= 1.0:
             raise ValueError(f"eta must be <= 1, got {self.eta}")
-        if self.variant not in ("A", "B"):
-            raise ValueError(f"variant must be 'A' or 'B', got {self.variant!r}")
-        if self.series.variant not in (SeriesConfig().variant, self.variant):
-            raise ValueError(f"series.variant={self.series.variant!r} would be replaced "
-                             f"by variant={self.variant!r}; set variant instead")
 
     @property
     def T(self) -> float:
@@ -65,8 +60,8 @@ class PhysicalConfig:
         return self.tau_s / (2.0 * self.t_cav_s)
 
     def resolved_series(self) -> SeriesConfig:
-        """The series settings with this config's variant."""
-        return replace(self.series, variant=self.variant)
+        """The thermal-series settings, variant included (`series` itself)."""
+        return self.series
 
 
 def config_to_dict(cfg: PhysicalConfig) -> dict:

@@ -15,19 +15,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import PhysicalConfig, config_to_dict
-from .fock import (
-    TruncationConfig,
-    coherent_amplitudes,
-    poisson_tail,
-    squared_norms,
-    widened_truncation,
-)
+from .fock import TruncationConfig, poisson_tail, squared_norms, widened_truncation
 from .interferometry import (
     apply_detection,
     plus_minus_decomposition,
     sinusoid_fringe,
 )
-from .jc import _pi_half_areas, branch_states, solve_pi_half_time
+from .jc import _pi_half_solve, branch_states, solve_pi_half_time
 from .open_system import (
     _chain_spectrum,
     _wait_chain,
@@ -139,11 +133,11 @@ def _check_phi_points(phi_points: int) -> None:
         raise ValueError(f"phi_points must be in [16, {MAX_POINTS}], got {phi_points}")
 
 
-def _provenance(cfg: PhysicalConfig, series_variant: str) -> dict:
+def _provenance(cfg: PhysicalConfig) -> dict:
     return {
         "config": config_to_dict(cfg),
         "T": cfg.T,
-        "series_variant": series_variant,
+        "series_variant": cfg.series.variant,
         "term_tol": cfg.series.term_tol,
         "tail_tol": cfg.trunc.tail_tol,
     }
@@ -157,18 +151,18 @@ def _setup1_block(n_values: list, trunc: TruncationConfig, eta: float,
     checks it once per call (`apply_detection`), and PhysicalConfig bounds
     it.
 
-    The block's coherent matrix is built once, and its real part (the
-    alphas are real and >= 0) serves the pulse solver, whose accepting
-    evaluations give the branches as real rows alpha_e and i alpha_g. The
-    factor i is a fixed phase on alpha_g, the gauge
-    `plus_minus_decomposition` removes, so n_+/- and |overlap| are those of
-    the complex branches, and no trigonometry runs after the solver. A
-    block's matrices are freed when this returns, before the next block's
-    are built, so only one block is ever held.
+    The block's coherent magnitude rows are built once, inside the pulse
+    solver (`jc._pi_half_solve`): the alphas are real and >= 0, so these
+    are the coherent rows, and the solver's accepting evaluations give the
+    branches as real rows alpha_e and i alpha_g. The factor i is a fixed
+    phase on alpha_g, the gauge `plus_minus_decomposition` removes, so
+    n_+/- and |overlap| are those of the complex branches, and no
+    trigonometry runs after the solver. A block's rows are freed when this
+    returns, before the next block's are built, so only one block is ever
+    held.
     """
     alphas = np.sqrt(n_values)
-    areas, evaluations, residual, (a_e, a_g) = _pi_half_areas(
-        alphas, coherent_amplitudes(alphas, trunc).real)
+    areas, evaluations, residual, (a_e, a_g) = _pi_half_solve(alphas, trunc)
     diagnostics["pulse_solver_evaluations"] += evaluations
     diagnostics["max_pi_half_residual"] = max(diagnostics["max_pi_half_residual"],
                                               residual)
@@ -193,9 +187,9 @@ def run_setup1(n_values=None, config: PhysicalConfig | None = None,
     truncation serves every row: the configured one, widened until
     the largest N's Poisson tail is below tail_tol.
 
-    N is taken SETUP1_BLOCK values at a time: the real part of one
-    coherent matrix per block serves the array pulse solver
-    (`jc._pi_half_areas`), which checks its squared norms and returns the
+    N is taken SETUP1_BLOCK values at a time: one block of real coherent
+    magnitude rows serves the array pulse solver (`jc._pi_half_solve`),
+    which checks their squared norms and returns the
     branches as real rows from the evaluation that accepts each area. The
     overlaps and n_+/- are then taken row by row over those rows, each
     overlap once (`plus_minus_decomposition`). meta["diagnostics"] records the
@@ -221,7 +215,7 @@ def run_setup1(n_values=None, config: PhysicalConfig | None = None,
         rows += block_rows
         overlaps += block_overlaps.tolist()
     diagnostics["coherent_tail"] = poisson_tail(max_n, trunc.n_max)
-    meta = _provenance(cfg, cfg.variant)
+    meta = _provenance(cfg)
     meta["n_max"] = trunc.n_max
     meta["diagnostics"] = diagnostics
     if n_values:
@@ -266,7 +260,7 @@ def run_setup2(config: PhysicalConfig | None = None,
                                    omega_chi=cfg.omega_chi_rad)
     rows = tuple((float(phi), float(pg))
                  for phi, pg in zip(pattern.phis, pattern.p_g))
-    meta = _provenance(cfg, series.variant)
+    meta = _provenance(cfg)
     meta.update({
         "visibility_fringe": v_fringe,
         "visibility_fringe_eta": apply_detection(min(v_fringe, 1.0), cfg.eta),
@@ -303,7 +297,7 @@ def run_fig4(t_grid, config: PhysicalConfig | None = None) -> ScanReport:
     rows = [(T, zero_temp_visibility_closed_form(T),
              zero_temp_visibility_derived(T), v)
             for T, v in zip(t_grid, v_thermal)]
-    meta = _provenance(cfg, series.variant)
+    meta = _provenance(cfg)
     meta["eta"] = cfg.eta
     meta["note"] = ("columns are raw model visibilities; multiply by eta "
                     "for detected values")
@@ -355,7 +349,7 @@ def run_velocity_scan(velocities=None, config: PhysicalConfig | None = None
         else:
             v_pred = r * v_model
         rows.append((v, T, v_model, v_pred))
-    meta = _provenance(cfg, series.variant)
+    meta = _provenance(cfg)
     meta.update({
         "renormalization_r": r,
         "reference_visibility": OBSERVED_REFERENCE_VISIBILITY,
@@ -416,12 +410,13 @@ def run_selftest(config: PhysicalConfig | None = None) -> ScanReport:
           master_fringe(cfg.T, cfg.nbar, omega_chi=cfg.omega_chi_rad).visibility,
           0.01)
 
-    # pulse-area solver residual at N = 10
-    t10 = solve_pi_half_time(math.sqrt(10.0), cfg.trunc)
+    # pulse-area solver residual at N = 10, on n_max widened as setup 1 does
+    trunc10 = widened_truncation(10.0, cfg.trunc)
+    t10 = solve_pi_half_time(math.sqrt(10.0), trunc10)
     check("pi_half_residual",
-          squared_norms(branch_states(math.sqrt(10.0), t10, cfg.trunc)[0]), 0.5, 1e-9)
+          squared_norms(branch_states(math.sqrt(10.0), t10, trunc10)[0]), 0.5, 1e-9)
 
-    meta = _provenance(cfg, series.variant)
+    meta = _provenance(cfg)
     meta["all_pass"] = all(r[-1] == "pass" for r in rows)
     return ScanReport(
         scenario="selftest",

@@ -238,27 +238,37 @@ def poisson_tail(mean: float, n_max: int) -> float:
 
 # --- state constructors -------------------------------------------------------
 
-def coherent_amplitudes(alphas: np.ndarray, trunc: TruncationConfig) -> np.ndarray:
-    """Truncated coherent amplitudes exp(-|a|^2/2) a^n / sqrt(n!), one row per alpha.
+def _abs_square(alpha: complex) -> float:
+    """|alpha|^2 by Python's abs and **, or inf where either overflows."""
+    try:
+        return abs(alpha) ** 2
+    except OverflowError:
+        return math.inf
 
-    `alphas` is a 1-d array of K amplitudes; the result has shape
-    (K, n_levels). Factorials are evaluated in the log domain so the
-    construction stays stable well past n ~ 170. Raises TailTooLarge, naming
-    the first offending alpha, when any row would discard tail_tol or more,
-    and ValueError, naming it, for a non-finite alpha.
+
+def coherent_magnitudes(alphas: np.ndarray, trunc: TruncationConfig) -> np.ndarray:
+    """Truncated coherent magnitudes exp(-|a|^2/2) |a|^n / sqrt(n!), one row per alpha.
+
+    `alphas` is a 1-d array of K amplitudes; the result is a float array of
+    shape (K, n_levels), the |c_n| of |alpha>, whose photon-number
+    distribution does not depend on arg(alpha). Factorials are evaluated in
+    the log domain so the construction stays stable well past n ~ 170.
+    Raises TailTooLarge, naming the first offending alpha, when any row
+    would discard tail_tol or more, and ValueError, naming it, for an alpha
+    whose |alpha|^2 is not a finite float.
     """
     alphas = np.asarray(alphas)
     if alphas.ndim != 1:
-        raise ValueError("coherent_amplitudes takes a 1-d array of alphas")
+        raise ValueError("coherent_magnitudes takes a 1-d array of alphas")
     # Python's abs and ** one entry at a time: numpy's complex abs and x*x
     # differ from them in the last bit for some alpha, and every pulse area
     # is pinned to these bits
-    mags = [abs(a) for a in alphas.tolist()]
-    mean = np.array([m ** 2 for m in mags], dtype=float)
+    values = alphas.tolist()
+    mean = np.array([_abs_square(a) for a in values], dtype=float)
     top = float(mean.max(initial=0.0))
     if not math.isfinite(top):
         k = np.flatnonzero(~np.isfinite(mean))[0]
-        raise ValueError(f"coherent amplitudes need a finite alpha, got alpha={alphas[k]}")
+        raise ValueError(f"coherent magnitudes need a finite |alpha|^2, got alpha={alphas[k]}")
     # the tail rises with the mean, so the largest mean clears every row;
     # the rows are checked one by one only to name the first that fails
     if poisson_tail(top, trunc.n_max) >= trunc.tail_tol:
@@ -269,37 +279,29 @@ def coherent_amplitudes(alphas: np.ndarray, trunc: TruncationConfig) -> np.ndarr
                     f"coherent state |alpha|^2={m:.4g} discards {tail:.3e} >= "
                     f"tail_tol={trunc.tail_tol:.3e} at n_max={trunc.n_max}"
                 )
-    n = np.arange(trunc.n_levels)
     # math.log, like abs and ** above, keeps each row's last bits fixed; the
     # vacuum rows get a placeholder and are overwritten below
-    log_abs = np.array([math.log(m) if m else 0.0 for m in mags])
-    log_mag = -0.5 * mean[:, None] + n * log_abs[:, None] - 0.5 * np.array(
-        [math.lgamma(k + 1) for k in range(trunc.n_levels)]
-    )
-    phases = np.angle(alphas)
-    if phases.any():
-        # the phases, then the magnitudes multiplied in, both in place; the
-        # magnitudes stay the left operand, which fixes the sign of each
-        # zero that underflows
-        amps = 1j * n * phases[:, None]
-        np.exp(amps, out=amps)
-        np.multiply(np.exp(log_mag, out=log_mag), amps, out=amps)
-    else:
-        # every phase zero (setup 1's real alphas): the product above is the
-        # magnitude + 0j bit for bit, signed zeros included, so the complex
-        # exponential is skipped
-        amps = np.exp(log_mag, out=log_mag).astype(complex)
-    vacuum = np.array(mags) == 0
-    amps[vacuum] = 0.0
-    amps[vacuum, 0] = 1.0
-    return amps
+    log_abs = np.array([math.log(abs(a)) if a else 0.0 for a in values])
+    log_mag = (-0.5 * mean[:, None] + np.arange(trunc.n_levels) * log_abs[:, None]
+               - 0.5 * np.array([math.lgamma(k + 1) for k in range(trunc.n_levels)]))
+    rows = np.exp(log_mag, out=log_mag)
+    vacuum = alphas == 0
+    rows[vacuum] = 0.0
+    rows[vacuum, 0] = 1.0
+    return rows
 
 
 def coherent_state(alpha: complex, trunc: TruncationConfig | None = None) -> np.ndarray:
-    """Coherent state |alpha>, truncated: the one-row case of coherent_amplitudes."""
+    """Coherent state |alpha>, truncated: its `coherent_magnitudes` row times e^{i n arg(alpha)}.
+
+    The magnitudes are the left operand, which fixes the sign of each zero
+    that underflows; for a real alpha >= 0 the state is the row + 0j, and a
+    zero alpha of either sign is the vacuum, with no phase.
+    """
     if trunc is None:
-        trunc = widened_truncation(abs(alpha) ** 2, TruncationConfig())
-    return coherent_amplitudes(np.array([alpha]), trunc)[0]
+        trunc = widened_truncation(_abs_square(alpha), TruncationConfig())
+    row = coherent_magnitudes(np.array([alpha]), trunc)[0]
+    return row * np.exp(1j * np.arange(trunc.n_levels) * np.angle(alpha or 0.0))
 
 
 def squared_norms(amps: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from .errors import NoRootFound, TruncationLeak
 from .fock import (
     TruncationConfig,
     _joint_density,
-    coherent_amplitudes,
+    coherent_magnitudes,
     coherent_state,
     rounding_bound,
     widened_truncation,
@@ -145,18 +145,20 @@ def branch_states(alpha: complex, area: float,
     return branch_amplitudes(coherent_state(alpha, trunc), area)
 
 
-def _pi_half_areas(alphas: np.ndarray, c: np.ndarray
+def _pi_half_areas(alphas: np.ndarray, r: np.ndarray
                    ) -> tuple[np.ndarray, int, float, tuple[np.ndarray, np.ndarray]]:
-    """The pi/2 areas of solve_pi_half_time for the coherent rows c of a 1-d alphas.
+    """The pi/2 areas of solve_pi_half_time for the coherent magnitude rows
+    r = |c| of a 1-d alphas (`fock.coherent_magnitudes`).
 
     Returns the areas, the number of evaluations of
     f(t) = <alpha_e|alpha_e> - 1/2 they took (summed over the rows), the
     largest |f| at an accepted area, and the branches at the areas as real
-    rows: r_n cos(theta_n) and, one level up, r_n sin(theta_n), where r = |c|
-    and theta_n = t sqrt(n+1) is the pulse angle. For real alphas >= 0, r = c
+    rows: r_n cos(theta_n) and, one level up, r_n sin(theta_n), where
+    theta_n = t sqrt(n+1) is the pulse angle. For real alphas >= 0, r = c
     and the rows are alpha_e and i alpha_g (`branch_amplitudes`).
 
-    The solver steps in t on the real rows r. An evaluation takes one cosine
+    The solver steps in t on the real rows r, which do not depend on
+    arg(alpha), so neither do the areas. An evaluation takes one cosine
     and one sine array of theta, and from them
     f = sum (r cos theta)^2 - 1/2 and
     f' = -2 sum sqrt(n+1) (r cos theta)(r sin theta), and
@@ -167,12 +169,9 @@ def _pi_half_areas(alphas: np.ndarray, c: np.ndarray
     its first root, the physical (shortest) pulse; near it the step is
     Newton's. All rows step together and finished rows are dropped, but each
     keeps its own arithmetic, so a row's area does not depend on the other
-    rows. Raises `_checked_norms`' error for a row of c with squared norm
+    rows. Raises `_checked_norms`' error for a row of r with squared norm
     above 1.
     """
-    r = np.abs(c)
-    # a caller that passes its coherent rows inline frees them here
-    del c
     c2 = r * r
     norm2 = _checked_norms(c2)
     # <alpha_e|alpha_e> <= norm2, so a row with f(0) = norm2 - 1/2 < 0 has
@@ -234,7 +233,7 @@ def _pi_half_areas(alphas: np.ndarray, c: np.ndarray
 
 def _pi_half_solve(alpha: complex | np.ndarray, trunc: TruncationConfig | None
                    ) -> tuple[np.ndarray, int, float, tuple[np.ndarray, np.ndarray]]:
-    """`_pi_half_areas` on the coherent rows of a scalar or 1-d alpha.
+    """`_pi_half_areas` on the coherent magnitude rows of a scalar or 1-d alpha.
 
     Without `trunc`, the default truncation, widened for the largest
     |alpha|, serves every entry.
@@ -245,7 +244,7 @@ def _pi_half_solve(alpha: complex | np.ndarray, trunc: TruncationConfig | None
     if trunc is None:
         trunc = widened_truncation(np.abs(alphas).max(initial=0.0) ** 2, TruncationConfig())
     flat = alphas.reshape(-1)
-    return _pi_half_areas(flat, coherent_amplitudes(flat, trunc))
+    return _pi_half_areas(flat, coherent_magnitudes(flat, trunc))
 
 
 def solve_pi_half_time(alpha: complex | np.ndarray,
@@ -259,8 +258,8 @@ def solve_pi_half_time(alpha: complex | np.ndarray,
     t = 0, in the pulse angle on the real rows |c|, by curvature-bounded
     steps that cannot pass the first root; see `_pi_half_areas`, which also
     counts the work and gives the branches that `fringe_scan_setup1` and
-    `run_setup1` read. Raises NoRootFound naming the alpha that has no
-    crossing.
+    `run_setup1` read; an alpha and abs(alpha) give the same area, bit for
+    bit. Raises NoRootFound naming the alpha that has no crossing.
     """
     areas = _pi_half_solve(alpha, trunc)[0]
     return float(areas[0]) if np.ndim(alpha) == 0 else areas

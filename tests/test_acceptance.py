@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from cavity_ramsey.config import PhysicalConfig
+from cavity_ramsey.config import PhysicalConfig, config_from_dict
 from cavity_ramsey.experiments import (
     OBSERVED_REFERENCE_VISIBILITY,
     run_fig4,
@@ -82,7 +82,7 @@ def test_criterion_2_oracle_vs_analytic():
            "reach 0.983. The package reports the model-consistent value.",
 )
 def test_criterion_3_thermal_visibility():
-    v = thermal_visibility(0.008, 0.7, PhysicalConfig(variant="A").resolved_series())
+    v = thermal_visibility(0.008, 0.7, config_from_dict({"variant": "A"}).resolved_series())
     v_eta = apply_detection(v, ETA)
     r = OBSERVED_REFERENCE_VISIBILITY / v
     ok = (abs(v - 0.983) <= 0.004 and abs(v_eta - 0.737) <= 0.004
@@ -130,7 +130,7 @@ def test_criterion_4_velocity_scan():
 
 
 def test_criterion_5_series_vs_oracle():
-    series = PhysicalConfig(variant="A").resolved_series()
+    series = config_from_dict({"variant": "A"}).resolved_series()
     worst = 0.0
     for (T, nbar) in ORACLE_GRID:
         v_series = thermal_visibility(T, nbar, series)

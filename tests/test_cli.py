@@ -261,6 +261,16 @@ class TestSubcommands:
         assert "all checks passed" in err
         assert out.startswith("check,value,reference,tol,status\n")
 
+    def test_selftest_widens_a_small_n_max_as_setup1_does(self, capsys, tmp_path):
+        # n_max is a floor: the pi/2 row (N = 10) widens past n_max = 5, as
+        # setup1 does, rather than refusing its coherent tail
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n_max": 5}))
+        assert run_cli(capsys, "setup1", "--config", str(path))[0] == 0
+        code, out, err = run_cli(capsys, "selftest", "--config", str(path))
+        assert code == 0, err
+        assert "pi_half_residual," in out and ",FAIL" not in out
+
     def test_selftest_report_follows_format(self, capsys, tmp_path):
         # the report goes to stdout like every other subcommand's, the same
         # text --out writes; the verdict goes to stderr

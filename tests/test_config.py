@@ -4,6 +4,7 @@ import math
 import pytest
 
 from cavity_ramsey.config import (
+    CONFIG_KEYS,
     PhysicalConfig,
     config_from_dict,
     config_to_dict,
@@ -32,34 +33,40 @@ class TestPhysicalConfig:
         {"eta": 0.0},
         {"eta": 1.5},
         {"nbar": -0.1},
-        {"variant": "Z"},
+        {"v_ref_mps": math.inf},
         {"tau_s": 1e300, "t_cav_s": 1e-300},  # T = tau / (2 t_cav) overflows
-        {"variant": "auto"},
+        {"omega_chi_rad": math.nan},
     ])
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
             PhysicalConfig(**kwargs)
 
     def test_resolved_series_explicit_variant(self):
-        cfg = PhysicalConfig(variant="B")
+        cfg = PhysicalConfig(series=SeriesConfig(variant="B"))
+        assert cfg.resolved_series() is cfg.series
         assert cfg.resolved_series().variant == "B"
 
-    def test_series_variant_must_match_variant(self):
-        # resolved_series overwrites series.variant with variant, so a
-        # different one would be dropped without a word
-        with pytest.raises(ValueError, match=r"series\.variant='B'.*variant='A'"):
-            PhysicalConfig(series=SeriesConfig(variant="B"))
-        cfg = PhysicalConfig(variant="B", series=SeriesConfig(variant="B"))
-        assert cfg.resolved_series().variant == "B"
+    @pytest.mark.parametrize("variant", ["Z", "auto"])
+    def test_rejects_an_unknown_variant(self, variant):
+        with pytest.raises(ValueError, match="variant must be 'A' or 'B'"):
+            config_from_dict({"variant": variant})
 
 
 class TestRoundTrip:
     def test_parse_emit_identity(self):
-        cfg = PhysicalConfig(tau_s=3.2e-5, nbar=0.4, variant="B",
+        cfg = PhysicalConfig(tau_s=3.2e-5, nbar=0.4,
                              trunc=TruncationConfig(n_max=30, tail_tol=1e-9),
-                             series=SeriesConfig(term_tol=1e-10))
+                             series=SeriesConfig(term_tol=1e-10, variant="B"))
         again = config_from_dict(config_to_dict(cfg))
         assert again == cfg
+
+    def test_variant_key_sets_the_series_variant(self):
+        # one setting, in the series part; the keys keep their order
+        cfg = config_from_dict({"variant": "B"})
+        assert cfg.series.variant == "B" and config_to_dict(cfg)["variant"] == "B"
+        assert CONFIG_KEYS == ("t_cav_s", "tau_s", "nbar", "eta", "v_ref_mps",
+                               "omega_chi_rad", "n_max", "tail_tol", "term_tol",
+                               "variant")
 
     def test_dump_is_valid_json(self):
         data = json.loads(dump_config(PhysicalConfig()))

@@ -12,7 +12,7 @@ from cavity_ramsey.fock import (
     MAX_WIDENED_N_MAX,
     TruncationConfig,
     _joint_density,
-    coherent_amplitudes,
+    coherent_magnitudes,
     coherent_state,
     poisson_tail,
     squared_norms,
@@ -117,32 +117,38 @@ class TestCoherentState:
             coherent_state(3.0, TruncationConfig(n_max=8))
 
     def test_rows_equal_single_states(self):
+        # each row is the magnitude of its coherent state, to rounding (an
+        # absolute unit in the last place below the normal range), and
+        # the row its alpha gives alone, bit for bit
         trunc = TruncationConfig(n_max=40)
         alphas = np.array([0.0, 0.3, 1e-200, 2.0 + 1.5j, -3.0j, 0.0, -1.2])
-        rows = coherent_amplitudes(alphas, trunc)
-        assert rows.shape == (7, 41)
+        rows = coherent_magnitudes(alphas, trunc)
+        assert rows.dtype == np.float64 and rows.shape == (7, 41)
         for alpha, row in zip(alphas, rows):
-            assert np.array_equal(row, coherent_state(alpha, trunc))
+            assert row.tobytes() == coherent_magnitudes(np.array([alpha]), trunc)[0].tobytes()
+            assert np.allclose(np.abs(coherent_state(alpha, trunc)), row, rtol=1e-15,
+                               atol=sys.float_info.min)
         assert rows[0, 0] == 1.0 and np.all(rows[0, 1:] == 0.0)
 
     def test_zero_phase_rows_equal_the_phase_path(self):
-        # a block of real alphas skips the complex exponential; built beside
-        # a complex alpha the same rows take it, and must match bit for bit,
-        # signed zeros included (1e-100's high levels underflow to zero)
+        # for a real alpha >= 0 the coherent state is its magnitude row + 0j,
+        # bit for bit, signed zeros included (1e-100's high levels underflow
+        # to zero, and -0.0 is the vacuum), whether the row is built alone or
+        # beside a complex alpha
         trunc = TruncationConfig(n_max=60)
-        reals = [0.0, 1e-100, 0.3, 1.0, math.sqrt(2.0), math.sqrt(20.0), 4.0]
-        fast = coherent_amplitudes(np.array(reals), trunc)
-        slow = coherent_amplitudes(np.array([*reals, 0.5 + 0.5j]), trunc)[:len(reals)]
-        assert fast[1, 10] == 0.0
-        assert np.array_equal(fast, slow)
-        for part in ("real", "imag"):
-            assert np.array_equal(np.signbit(getattr(fast, part)),
-                                  np.signbit(getattr(slow, part)))
+        reals = [0.0, -0.0, 1e-100, 0.3, 1.0, math.sqrt(2.0), math.sqrt(20.0), 4.0]
+        rows = coherent_magnitudes(np.array([*reals, 0.5 + 0.5j]), trunc)[:len(reals)]
+        assert rows[2, 10] == 0.0
+        assert rows.tobytes() == coherent_magnitudes(np.array(reals), trunc).tobytes()
+        for alpha, row in zip(reals, rows):
+            state = coherent_state(alpha, trunc)
+            assert state.real.tobytes() == row.tobytes()
+            assert not np.any(state.imag) and not np.any(np.signbit(state.imag))
 
     def test_rows_refuse_a_large_tail(self):
         # only the third row's tail is too large at n_max = 8
         with pytest.raises(TailTooLarge, match="alpha\\|\\^2=9"):
-            coherent_amplitudes(np.array([0.0, 0.1, 3.0]), TruncationConfig(n_max=8))
+            coherent_magnitudes(np.array([0.0, 0.1, 3.0]), TruncationConfig(n_max=8))
 
     @pytest.mark.parametrize("alpha", [math.nan, complex(1.0, math.nan), math.inf])
     def test_refuses_a_non_finite_alpha(self, alpha):
@@ -152,29 +158,43 @@ class TestCoherentState:
         with pytest.raises(ValueError):
             widened_truncation(abs(alpha) ** 2, TruncationConfig())
 
+    @pytest.mark.parametrize("alpha", [1e200, complex(1e200, -1e200),
+                                       complex(-1.5e308, 1.5e308)])
+    def test_refuses_an_alpha_whose_square_overflows(self, alpha):
+        # |alpha|^2 (or |alpha| itself) overflows Python's float arithmetic:
+        # the documented ValueError, not a bare OverflowError
+        with pytest.raises(ValueError, match=r"finite \|alpha\|\^2, got alpha="):
+            coherent_state(alpha, TruncationConfig())
+        with pytest.raises(ValueError, match="finite"):
+            coherent_state(alpha)
+
     def test_rows_hold_few_temporaries(self):
-        # the phases are written into the result and the magnitudes into
-        # their log array, so the peak holds the result and one float block
+        # the magnitudes are exponentiated in their log array, so the peak
+        # holds the result and little more; the rows do not depend on the
+        # phases, and each is the magnitude of its coherent state
         trunc = TruncationConfig(n_max=4095)
-        alphas = np.sqrt(np.linspace(0.0, 1000.0, 16)) * np.exp(1j * np.linspace(0.0, 3.0, 16))
+        mags = np.sqrt(np.linspace(0.0, 1000.0, 16))
+        alphas = mags * np.exp(1j * np.linspace(0.0, 3.0, 16))
         tracemalloc.start()
         try:
-            rows = coherent_amplitudes(alphas, trunc)
+            rows = coherent_magnitudes(alphas, trunc)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 2.6 * rows.nbytes
         for alpha, row in zip(alphas, rows):
-            assert row.tobytes() == coherent_state(alpha, trunc).tobytes()
+            assert row.tobytes() == coherent_magnitudes(np.array([abs(complex(alpha))]),
+                                                      trunc)[0].tobytes()
+            assert np.allclose(np.abs(coherent_state(alpha, trunc)), row, rtol=1e-15,
+                               atol=sys.float_info.min)
 
     def test_real_rows_hold_few_temporaries(self):
-        # real alphas: the result is a complex copy of the magnitudes, so the
-        # peak holds the result and their float block
+        # real alphas: the same single float block as for complex ones
         trunc = TruncationConfig(n_max=4095)
         alphas = np.sqrt(np.linspace(0.0, 1000.0, 16))
         tracemalloc.start()
         try:
-            rows = coherent_amplitudes(alphas, trunc)
+            rows = coherent_magnitudes(alphas, trunc)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -182,7 +202,7 @@ class TestCoherentState:
 
     def test_rows_take_a_1d_array(self):
         with pytest.raises(ValueError):
-            coherent_amplitudes(np.ones((2, 2)), TruncationConfig(n_max=8))
+            coherent_magnitudes(np.ones((2, 2)), TruncationConfig(n_max=8))
 
     def test_squared_norms_of_real_rows_keep_the_complex_bits(self):
         # real rows sum their squares alone: the sum of the zero imaginary

@@ -12,7 +12,7 @@ from cavity_ramsey.errors import NoRootFound, TailTooLarge, TruncationLeak
 from cavity_ramsey.experiments import SETUP1_BLOCK, run_setup1
 from cavity_ramsey.fock import (
     TruncationConfig,
-    coherent_amplitudes,
+    coherent_magnitudes,
     coherent_state,
     squared_norms,
     widened_truncation,
@@ -199,12 +199,10 @@ class TestBranchStates:
     def test_solver_refuses_an_overnormalized_row_in_a_block(self):
         # the pulse solver applies branch_amplitudes' norm check to each row
         alphas = np.sqrt([0.5, 3.0, 9.0])
-        c = coherent_amplitudes(alphas, TruncationConfig())
-        c[1] *= 1.01
+        r = coherent_magnitudes(alphas, TruncationConfig())
+        r[1] *= 1.01
         with pytest.raises(ValueError, match="squared norm 1.0201.* exceeds 1"):
-            _pi_half_areas(alphas, c)
-        with pytest.raises(ValueError, match="squared norm .* exceeds 1"):
-            _pi_half_areas(alphas, c.real)
+            _pi_half_areas(alphas, r)
 
     def test_refuses_an_overnormalized_row(self):
         with pytest.raises(ValueError, match="squared norm 1.25 exceeds 1"):
@@ -219,7 +217,7 @@ def test_non_finite_area_is_refused(area):
     # refused before any cosine of it is taken, so with no RuntimeWarning
     amps = np.zeros((2, 4), dtype=complex)
     amps[E, 0] = 1.0
-    c = coherent_amplitudes(np.array([0.5, 1.0]), TruncationConfig(n_max=20))
+    c = coherent_magnitudes(np.array([0.5, 1.0]), TruncationConfig(n_max=20))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="pulse area must be finite"):
@@ -268,7 +266,7 @@ class TestPiHalfTime:
         trunc = TruncationConfig()
         alphas = np.sqrt(n_values)
         areas, evaluations, residual, _ = _pi_half_areas(
-            alphas, coherent_amplitudes(alphas, trunc))
+            alphas, coherent_magnitudes(alphas, trunc))
         reference = [pi_half_area_one_alpha(math.sqrt(n), trunc) for n in n_values]
         assert areas.tolist() == [area for area, _, _ in reference]
         assert evaluations == sum(e for _, e, _ in reference)
@@ -311,7 +309,7 @@ class TestPiHalfTime:
     def test_at_most_eight_evaluations_per_n(self, n_values):
         trunc = widened_truncation(float(n_values[-1]), TruncationConfig())
         alphas = np.sqrt(n_values)
-        _, evaluations, _, _ = _pi_half_areas(alphas, coherent_amplitudes(alphas, trunc))
+        _, evaluations, _, _ = _pi_half_areas(alphas, coherent_magnitudes(alphas, trunc))
         assert evaluations <= 8 * len(n_values)
 
     def test_diagnostics_accumulate_across_calls(self):
@@ -321,7 +319,7 @@ class TestPiHalfTime:
         report = run_setup1(n_values)
         trunc = widened_truncation(20.0, TruncationConfig())
         alphas = np.sqrt(n_values)
-        _, evaluations, residual, _ = _pi_half_areas(alphas, coherent_amplitudes(alphas, trunc))
+        _, evaluations, residual, _ = _pi_half_areas(alphas, coherent_magnitudes(alphas, trunc))
         diagnostics = report.meta["diagnostics"]
         assert diagnostics["pulse_solver_evaluations"] == evaluations
         assert diagnostics["max_pi_half_residual"] == residual
@@ -358,6 +356,26 @@ class TestPiHalfTime:
         # trigonometry, so the report's count does not move with that
         assert run_setup1().meta["diagnostics"]["pulse_solver_evaluations"] == 42
 
+    def test_areas_do_not_depend_on_the_phase(self):
+        # the solver sees only the magnitude rows, so alpha and abs(alpha)
+        # (Python's, as the rows take it) give the same area, bit for bit
+        rng = np.random.default_rng(28)
+        alphas = (np.sqrt(rng.uniform(0.0, 20.0, 200))
+                  * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 200))).tolist()
+        trunc = TruncationConfig()
+        mags = [abs(a) for a in alphas]
+        assert [solve_pi_half_time(a, trunc) for a in alphas[:50]] == [
+            solve_pi_half_time(m, trunc) for m in mags[:50]]
+        assert (solve_pi_half_time(np.array(alphas), trunc).tobytes()
+                == solve_pi_half_time(np.array(mags), trunc).tobytes())
+
+    def test_refuses_an_alpha_whose_square_overflows(self):
+        # a ValueError naming the alpha, not a bare OverflowError
+        with pytest.raises(ValueError, match=r"alpha=1e\+200"):
+            solve_pi_half_time(1e200, TruncationConfig())
+        with pytest.raises(ValueError, match=r"alpha=1e\+200"):
+            solve_pi_half_time(np.array([0.5, 1e200]), TruncationConfig())
+
     def test_scalar_returns_float_and_empty_array_empty(self):
         trunc = TruncationConfig(n_max=20)
         assert type(solve_pi_half_time(1.0, trunc)) is float
@@ -373,7 +391,7 @@ class TestPiHalfTime:
             solve_pi_half_time(np.array([0.0, 0.5, 3.0, 0.1]), trunc)
 
     def test_nan_has_no_crossing(self):
-        # a NaN alpha is refused with its coherent amplitudes, before the scan
+        # a NaN alpha is refused with its coherent magnitudes, before the scan
         with pytest.raises(ValueError, match="alpha=nan"):
             solve_pi_half_time(float("nan"), TruncationConfig())
 
@@ -384,7 +402,7 @@ class TestPiHalfTime:
     def test_scan_stops_on_a_nan_row(self):
         # the step loop's own guard: a NaN alpha makes f, and so the step
         # and the next area, NaN; the loop must stop, not run on
-        c = coherent_amplitudes(np.array([0.0, 1.0]), TruncationConfig(n_max=20))
+        c = coherent_magnitudes(np.array([0.0, 1.0]), TruncationConfig(n_max=20))
         c[1] = math.nan
         with pytest.raises(NoRootFound, match="alpha=nan"):
             _pi_half_areas(np.array([0.0, math.nan]), c)
