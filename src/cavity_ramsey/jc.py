@@ -18,6 +18,7 @@ import numpy as np
 from .errors import NoRootFound, TruncationLeak
 from .fock import (
     TruncationConfig,
+    _abs_square,
     _joint_density,
     coherent_magnitudes,
     coherent_state,
@@ -141,7 +142,7 @@ def branch_states(alpha: complex, area: float,
     unnormalized (their squared norms sum to one).
     """
     if trunc is None:
-        trunc = widened_truncation(abs(alpha) ** 2, TruncationConfig())
+        trunc = widened_truncation(_abs_square(alpha), TruncationConfig())
     return branch_amplitudes(coherent_state(alpha, trunc), area)
 
 
@@ -236,14 +237,16 @@ def _pi_half_solve(alpha: complex | np.ndarray, trunc: TruncationConfig | None
     """`_pi_half_areas` on the coherent magnitude rows of a scalar or 1-d alpha.
 
     Without `trunc`, the default truncation, widened for the largest
-    |alpha|, serves every entry.
+    |alpha|^2 (`fock._abs_square`, inf where it overflows), serves every
+    entry.
     """
     alphas = np.asarray(alpha)
     if alphas.ndim > 1:
         raise ValueError("solve_pi_half_time takes a scalar or a 1-d array")
-    if trunc is None:
-        trunc = widened_truncation(np.abs(alphas).max(initial=0.0) ** 2, TruncationConfig())
     flat = alphas.reshape(-1)
+    if trunc is None:
+        means = np.array([_abs_square(a) for a in flat.tolist()], dtype=float)
+        trunc = widened_truncation(float(means.max(initial=0.0)), TruncationConfig())
     return _pi_half_areas(flat, coherent_magnitudes(flat, trunc))
 
 

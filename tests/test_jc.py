@@ -12,6 +12,7 @@ from cavity_ramsey.errors import NoRootFound, TailTooLarge, TruncationLeak
 from cavity_ramsey.experiments import SETUP1_BLOCK, run_setup1
 from cavity_ramsey.fock import (
     TruncationConfig,
+    _abs_square,
     coherent_magnitudes,
     coherent_state,
     squared_norms,
@@ -189,6 +190,18 @@ class TestBranchStates:
         branches = pure_density(np.stack([a_g, a_e]))
         rho = jc_evolve(pure_density(state), t)
         assert np.max(np.abs(rho - branches)) < 1e-10
+
+    def test_default_truncation_squares_alpha_as_coherent_state(self):
+        # the default widening of coherent_state (`fock._abs_square`): 1e200
+        # is refused with a ValueError, not a bare OverflowError
+        with pytest.raises(ValueError, match="finite"):
+            branch_states(1e200, 0.5)
+        for alpha in (0.0, 2.5 + 0.5j, 7.0, -6.5j):
+            trunc = widened_truncation(_abs_square(alpha), TruncationConfig())
+            for default, explicit in zip(branch_states(alpha, 0.6),
+                                         branch_states(alpha, 0.6, trunc)):
+                assert default.shape == (trunc.n_levels,)
+                assert np.array_equal(default, explicit)
 
     def test_norms_sum_to_one(self):
         trunc = TruncationConfig(n_max=50)
@@ -375,6 +388,26 @@ class TestPiHalfTime:
             solve_pi_half_time(1e200, TruncationConfig())
         with pytest.raises(ValueError, match=r"alpha=1e\+200"):
             solve_pi_half_time(np.array([0.5, 1e200]), TruncationConfig())
+
+    def test_default_truncation_squares_alpha_as_coherent_state(self):
+        # |alpha|^2 as Python's abs and ** give it (`fock._abs_square`), as
+        # in coherent_state's default: 1e200 is refused with a ValueError,
+        # not an overflow warning, and every other alpha gets the widened
+        # truncation of that square
+        with pytest.raises(ValueError, match="finite"):
+            solve_pi_half_time(1e200)
+        with pytest.raises(ValueError, match="finite"):
+            solve_pi_half_time(np.array([0.5, 1e200]))
+        rng = np.random.default_rng(29)
+        alphas = rng.uniform(0.0, 8.0, 12) * np.exp(1j * rng.uniform(0.0, 2 * np.pi, 12))
+        for alpha in alphas.tolist():
+            trunc = widened_truncation(_abs_square(alpha), TruncationConfig())
+            assert solve_pi_half_time(alpha) == solve_pi_half_time(alpha, trunc)
+        top = max(_abs_square(a) for a in alphas.tolist())
+        trunc = widened_truncation(top, TruncationConfig())
+        assert trunc.n_max > TruncationConfig().n_max
+        assert (solve_pi_half_time(alphas).tobytes()
+                == solve_pi_half_time(alphas, trunc).tobytes())
 
     def test_scalar_returns_float_and_empty_array_empty(self):
         trunc = TruncationConfig(n_max=20)

@@ -22,11 +22,19 @@ from cavity_ramsey.fock import (
     MAX_WIDENED_N_MAX,
     poisson_cutoff,
     poisson_tail,
+    rounding_bound,
     tail_cutoff,
     upper_tail,
     widened_truncation,
 )
-from cavity_ramsey.thermal import SeriesConfig, _negbin_log_pmf, _support
+from cavity_ramsey.thermal import (
+    SeriesConfig,
+    _carry,
+    _first_rung,
+    _negbin_log_pmf,
+    _support,
+    _tail,
+)
 
 # tails in the normal float range; smaller ones lose relative accuracy as
 # their terms turn subnormal
@@ -216,6 +224,49 @@ def test_support_refuses_past_m_max(monkeypatch):
         _support(200, 1.9, 0.9, 0, SeriesConfig())
 
 
+@given(nbar=st.floats(min_value=0.01, max_value=0.95),
+       exponent=st.floats(min_value=-300.0, max_value=-6.0), squared=st.booleans())
+@example(nbar=0.95, exponent=-300.0, squared=False)
+@example(nbar=0.95, exponent=-300.0, squared=True)
+@example(nbar=0.01, exponent=-6.0, squared=False)
+@example(nbar=0.01, exponent=-6.0, squared=True)
+@settings(max_examples=30, deadline=None)
+def test_carried_tail_is_the_fresh_support(nbar, exponent, squared):
+    # 60 rungs from the geometric law: each carried support is the one the
+    # fresh walk finds from the last, and each carried tail bounds the exact
+    # one from above, as tightly as a fresh `upper_tail`; its parts hold
+    # their own bounds: p within rounding_bound(size, 0) of P[NB = K+1] / tol,
+    # and the ratio above P[NB > K+1] / P[NB = K+1]
+    mpmath = _mpmath()
+    cfg = SeriesConfig(term_tol=10.0 ** exponent)
+    scale = (1.0 + nbar) ** (2 if squared else 1)
+    q = mpmath.mpf(nbar) / (1 + mpmath.mpf(nbar))
+    tail = _first_rung(scale, nbar, cfg)
+    for successes in range(2, 62):
+        last = tail
+        tail = _carry(successes, nbar, last, cfg)
+        K, p, ratio, size = tail
+        assert K == _support(successes, scale, nbar, last[0], cfg), successes
+        bound = _tail(p, ratio, size) * (cfg.term_tol / scale)
+        exact = negbin_tail_exact(successes, nbar, K)
+        assert bound >= exact, successes
+        assert bound == pytest.approx(exact, rel=1e-11, abs=0.0), successes
+        pmf = mpmath.binomial(K + successes, K + 1) * (1 - q) ** successes * q ** (K + 1)
+        rest = mpmath.betainc(K + 2, successes, 0, q, regularized=True)
+        assert abs(p * mpmath.mpf(cfg.term_tol / scale) / pmf - 1) <= rounding_bound(size, 0)
+        assert ratio >= rest / pmf, successes
+
+
+def test_carried_support_refuses_past_m_max(monkeypatch):
+    # at nbar 0.9 both first rungs stop below 39 terms, and the ladders'
+    # later supports climb past 70, so the refusal comes from a carried rung
+    cfg = SeriesConfig()
+    assert max(_support(1, 1.9, 0.9, 0, cfg), _support(1, 1.9 ** 2, 0.9, 0, cfg)) < 40
+    monkeypatch.setattr(thermal, "M_MAX", 48)
+    with pytest.raises(ConvergenceFailure, match="M_MAX=48"):
+        thermal.thermal_visibility(0.1, 0.9, cfg)
+
+
 # --- the same cutoffs as scipy's tails on the benchmark's inputs -------------
 
 def _benchmark_inputs(workload):
@@ -264,13 +315,26 @@ def test_widened_cutoffs_match_pdtrc():
         assert special.pdtrc(n_max, mean) < trunc.tail_tol <= special.pdtrc(n_max - 1, mean)
 
 
+def _rungs(first, carried):
+    """(successes, scale, nbar, start, cfg, support) of every rung of the
+    recorded `_first_rung` and `_carry` calls: each carried tail takes its
+    scale from the tail it moved, and starts from that tail's support."""
+    scales = {id(tail): scale for (scale, _, _), tail in first}
+    rungs = [(1, scale, nbar, 0, cfg, tail[0]) for (scale, nbar, cfg), tail in first]
+    for (successes, nbar, last, cfg), tail in carried:
+        scales[id(tail)] = scale = scales[id(last)]
+        rungs.append((successes, scale, nbar, last[0], cfg, tail[0]))
+    return rungs
+
+
 @pytest.mark.parametrize("workload", ["fig4", "nbar-sweep"])
 def test_inner_supports_match_nbdtrc(workload, tmp_path, monkeypatch):
     special = pytest.importorskip("scipy.special")
-    calls = _record(monkeypatch, thermal, "_support")
+    first = _record(monkeypatch, thermal, "_first_rung")
+    carried = _record(monkeypatch, thermal, "_carry")
     _run(_benchmark_inputs(workload), tmp_path, monkeypatch)
-    assert calls
-    for (successes, scale, nbar, start, cfg), support in calls:
+    assert first and carried
+    for successes, scale, nbar, start, cfg, support in _rungs(first, carried):
         ks = np.arange(start, thermal.M_MAX)
         held = scale * special.nbdtrc(ks, successes, 1.0 / (1.0 + nbar)) <= cfg.term_tol
         assert support == ks[np.argmax(held)]
