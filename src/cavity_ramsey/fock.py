@@ -81,8 +81,7 @@ def poisson_cutoff(mean: float, tol: float, lo: int = 0) -> int:
     if mean == 0.0:
         return lo
     # the tail is below tol where it is at most the float just below tol
-    return tail_cutoff(lambda k: _poisson_log_pmf(k, mean), 0.0, mean, lo,
-                       math.nextafter(tol, 0.0), hi)
+    return tail_cutoff(mean, lo, math.nextafter(tol, 0.0), hi)
 
 
 # --- Poisson tails ------------------------------------------------------------
@@ -141,20 +140,17 @@ def rounding_bound(size: float, steps: int) -> float:
     return 8.0 * sys.float_info.epsilon * (size + steps)
 
 
-def upper_tail(log_pmf, x: int, a: float, b: float) -> tuple[float, float]:
-    """Upper bounds on sum_{i >= x} p_i and on p_x, for ln p_i = log_pmf(i)[0].
+def upper_tail(mean: float, x: int) -> tuple[float, float]:
+    """Upper bounds on P[Poisson(mean) >= x] and on P[Poisson(mean) = x], x > mean.
 
-    log_pmf(i) returns ln p_i and the size of its inputs for `rounding_bound`.
-    The terms follow p_{i+1} = p_i (a i + b) / (i + 1), whose ratio must be
-    below 1 at i = x and fall from there, as it does past the mode of a
-    Poisson (a = 0, b = mean) or a negative binomial (a = q, b = q *
-    successes). From p_x, in whatever saddle-point form log_pmf uses, the
-    terms are added until the geometric bound on the rest, which every later
-    ratio keeps, is at most TAIL_SUM_TOL of the sum; the bound is added too,
-    and both results are raised by their `rounding_bound`, so neither is
-    below the exact value. A tail whose first term underflows comes back as 0.
+    From p_x, in the saddle-point form of `bd0`, the terms p_{i+1} = p_i
+    mean / (i + 1) are added until the geometric bound on the rest, which
+    every later ratio keeps, is at most TAIL_SUM_TOL of the sum; the bound is
+    added too, and both results are raised by their `rounding_bound`, so
+    neither is below the exact value. A tail whose first term underflows
+    comes back as 0.
     """
-    y, size = log_pmf(x)
+    y, size = _poisson_log_pmf(x, mean)
     first = math.exp(y)
     if first == 0.0:  # the tail underflows
         return 0.0, 0.0
@@ -162,7 +158,7 @@ def upper_tail(log_pmf, x: int, a: float, b: float) -> tuple[float, float]:
     term, total, i = first, 0.0, float(x)
     while True:
         total += term
-        ratio = (a * i + b) / (i + 1.0)  # above every later ratio
+        ratio = mean / (i + 1.0)  # above every later ratio
         i += 1.0
         term *= ratio
         rest = term / (1.0 - ratio)
@@ -171,35 +167,33 @@ def upper_tail(log_pmf, x: int, a: float, b: float) -> tuple[float, float]:
             return (total + rest) * up, first * up
 
 
-def tail_cutoff(log_pmf, a: float, b: float, start: int, tol: float, cap: int) -> int:
-    """Smallest K >= start whose certified tail sum_{x > K} p_x is at most tol.
+def tail_cutoff(mean: float, start: int, tol: float, cap: int) -> int:
+    """Smallest K >= start whose certified tail P[Poisson(mean) > K] is at most tol.
 
-    p, log_pmf, a and b are as for `upper_tail`; a < 1, and the ratio
-    (a x + b) / (x + 1) is below 1 past the mode floor((b - a) / (1 - a)).
-    The search walks up from past the mode, term by term, to the first x
-    whose one-term geometric bound already holds the tail below tol / 2, or
-    to x = cap + 1; there `upper_tail` gives the tail itself, which then
-    grows by one term per step back down, tail(K - 1) = tail(K) + p_K, to
-    the smallest K that still holds it. Every tail compared is an upper
-    bound, so the cutoff is certified, except that a K >= cap left where
-    the walk stopped may not hold tol: callers refuse it or have checked
-    the tail at cap first.
+    mean > 0. The search walks up from past the mode floor(mean), term by
+    term, to the first x whose one-term geometric bound already holds the
+    tail below tol / 2, or to x = cap + 1; there `upper_tail` gives the tail
+    itself, which then grows by one term per step back down, tail(K - 1) =
+    tail(K) + p_K, to the smallest K that still holds it. Every tail
+    compared is an upper bound, so the cutoff is certified, except that a
+    K >= cap left where the walk stopped may not hold tol: callers refuse it
+    or have checked the tail at cap first.
     """
-    x = max(start, math.floor((b - a) / (1.0 - a))) + 1
-    term = math.exp(log_pmf(x)[0])
+    x = max(start, math.floor(mean)) + 1
+    term = math.exp(_poisson_log_pmf(x, mean)[0])
     # float counters, as in `upper_tail`; the cutoff goes back as an int
     x, start, cap = float(x), float(start), float(cap)
     while x <= cap:
-        ratio = (a * x + b) / (x + 1.0)
+        ratio = mean / (x + 1.0)
         if term / (1.0 - ratio) <= 0.5 * tol:  # bounds the tail above x - 1
             break
         term *= ratio
         x += 1.0
     K = x - 1.0
-    tail, term = upper_tail(log_pmf, int(x), a, b)
+    tail, term = upper_tail(mean, int(x))
     slack = 1.0 + rounding_bound(0.0, K - start)
     while K > start and term > 0.0:  # an underflowed p_{K+1} gives no p_K
-        term *= (K + 1.0) / (a * K + b)  # p_K from p_{K+1}
+        term *= (K + 1.0) / mean  # p_K from p_{K+1}
         if (tail + term) * slack > tol:
             break
         tail += term
@@ -233,7 +227,7 @@ def poisson_tail(mean: float, n_max: int) -> float:
             term *= k / mean
             k -= 1
         return 1.0 - head * (1.0 - rounding_bound(size, n_max - k))
-    return upper_tail(lambda k: _poisson_log_pmf(k, mean), n_max + 1, 0.0, mean)[0]
+    return upper_tail(mean, n_max + 1)[0]
 
 
 # --- state constructors -------------------------------------------------------

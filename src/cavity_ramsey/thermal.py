@@ -25,14 +25,13 @@ negative-binomial cdf ties each to the last:
 So each ladder carries its tail from rung to rung (`_carry`) in a few float
 steps, one per term its support moves, every step rounded up, so the carried
 tail is never below the exact one; over 60 rungs it stays within 1e-11 of it
-for nbar in [0.01, 0.95] and term_tol down to 1e-300. Only the first rung
-is walked afresh (`_support`, a direct sum of the discarded probabilities
-plus a geometric bound on the rest, raised by a bound on its own rounding;
-see `fock.tail_cutoff`), for the geometric law, whose tail it starts from in
-closed form (`_first_rung`). Each ladder stops after 3 consecutive
-coefficients below term_tol. Every sum is an exactly rounded `math.fsum` (or
-`summation.exact_sum`) of a plain list, so no sum makes a numpy scalar per
-term.
+for nbar in [0.01, 0.95] and term_tol down to 1e-300. The first rung is the
+geometric law, whose tail above K is q^{K+1}, q = nbar/(1+nbar), in closed
+form: `_first_rung` steps K up from 0 until that tail, as a carried tail,
+holds the certificate `_carry` checks, so one test finds every support.
+Each ladder stops after 3 consecutive coefficients below term_tol. Every sum
+is an exactly rounded `math.fsum` (or `summation.exact_sum`) of a plain list,
+so no sum makes a numpy scalar per term.
 
 Two transcription ambiguities in the oscillatory series are handled
 explicitly rather than guessed:
@@ -63,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceFailure
-from .fock import bd0, rounding_bound, stirlerr, tail_cutoff
+from .fock import rounding_bound
 from .jc import DEFAULT_OMEGA_CHI
 from .summation import exact_sum
 
@@ -133,54 +132,14 @@ def _binomial_weights(l: int, nbar: float, size: int) -> np.ndarray:
     return np.cumprod(np.concatenate(([(1.0 + nbar) ** -l], ratios)))
 
 
-def _negbin_log_pmf(x: int, successes: int, nbar: float) -> tuple[float, float]:
-    """ln P[NegBinom(successes, 1/(1+nbar)) = x], and the size of its inputs.
-
-    Written as successes/(x+successes) times a binomial probability in the
-    saddle-point form of `fock.bd0`, so no large terms cancel; the size is
-    what `fock.rounding_bound` needs.
-    """
-    if x == 0:
-        y = -successes * math.log1p(nbar)
-        return y, abs(y) + successes
-    n = x + successes
-    y = (stirlerr(n) - stirlerr(successes) - stirlerr(x)
-         - bd0(successes, n / (1.0 + nbar)) - bd0(x, n * nbar / (1.0 + nbar))
-         - 0.5 * math.log(2.0 * math.pi * successes * x / n) + math.log(successes / n))
-    return y, 2.0 * n + abs(y) + 16.0
-
-
-def _support(successes: int, scale: float, nbar: float, start: int,
-             cfg: SeriesConfig) -> int:
-    """Smallest K >= start with scale * P[NegBinom(successes, 1/(1+nbar)) > K] <= tol.
-
-    tol is cfg.term_tol. An inner sum whose terms at m = l + k are bounded by
-    scale times that mass at k discards at most tol when it stops at m = l + K.
-    K is `fock.tail_cutoff`'s certified cutoff, with the term ratio
-    q (x + successes) / (x + 1), q = nbar/(1+nbar); it is K < M_MAX or
-    ConvergenceFailure. Raises ValueError unless nbar is finite and > 0.
-
-    The series walks it only at its first rung, for the geometric law
-    (`_first_rung`). `_carry` finds every later support from there: by
-    P[NB(s+1) > K] = P[NB(s) > K] + nbar P[NB(s+1) = K] the tail moves to
-    the next rung in one term, and up to the next support in one term per
-    step, rounded up, so it stays an upper bound, within 1e-11 of the exact
-    tail over 60 rungs on nbar in [0.01, 0.95] and term_tol >= 1e-300.
-    """
-    if not 0.0 < nbar < math.inf:
-        raise ValueError(f"negative-binomial nbar must be finite and > 0, got {nbar}")
-    q = nbar / (1.0 + nbar)
-    K = tail_cutoff(lambda x: _negbin_log_pmf(x, successes, nbar), q, q * successes,
-                    start, cfg.term_tol / scale, M_MAX)
-    if K >= M_MAX:
-        raise ConvergenceFailure(f"inner sum needs more than M_MAX={M_MAX} terms "
-                                 f"to reach {cfg.term_tol:.1e}")
-    return K
+def _tail(p: float, ratio: float, size: float) -> float:
+    """Certified tail above K, over tol, of a carried tail (K, p, ratio, size)."""
+    return p * (1.0 + ratio) * (1.0 + rounding_bound(size, 1))
 
 
 def _first_rung(scale: float, nbar: float, cfg: SeriesConfig
                 ) -> tuple[int, float, float, float]:
-    """The carried tail of the geometric law NegBinom(1, 1/(1+nbar)) at its `_support`.
+    """The carried tail of the geometric law NegBinom(1, 1/(1+nbar)) at its support.
 
     A carried tail is (K, p, R, size), for the tolerance tol = cfg.term_tol /
     scale: K is the support, p is P[NegBinom = K+1] / tol, within
@@ -189,17 +148,23 @@ def _first_rung(scale: float, nbar: float, cfg: SeriesConfig
     Kept in units of tol, p stays in the normal range for every term_tol.
     The geometric law has R = nbar exactly and p = q^{K+1} / (1+nbar) / tol,
     q = nbar/(1+nbar), taken here in two halves so that no factor leaves the
-    normal range; q's rounding counts as one step per power.
+    normal range; q's rounding counts as one step per power. K is the
+    smallest support >= 0 whose certified tail holds tol, the certificate
+    `_carry` uses on every later rung; ConvergenceFailure once K reaches M_MAX,
+    and ValueError for an nbar that is not finite and > 0.
     """
-    K = _support(1, scale, nbar, 0, cfg)
-    q, half = nbar / (1.0 + nbar), (K + 1) // 2
-    p = q ** half / (cfg.term_tol / scale) * q ** (K + 1 - half) / (1.0 + nbar)
-    return K, p, nbar, K + 5.0
-
-
-def _tail(p: float, ratio: float, size: float) -> float:
-    """Certified tail above K, over tol, of a carried tail (K, p, ratio, size)."""
-    return p * (1.0 + ratio) * (1.0 + rounding_bound(size, 1))
+    if not 0.0 < nbar < math.inf:
+        raise ValueError(f"negative-binomial nbar must be finite and > 0, got {nbar}")
+    q, tol, K = nbar / (1.0 + nbar), cfg.term_tol / scale, 0
+    while True:
+        half = (K + 1) // 2
+        p = q ** half / tol * q ** (K + 1 - half) / (1.0 + nbar)
+        if _tail(p, nbar, K + 5.0) <= 1.0:
+            return K, p, nbar, K + 5.0
+        K += 1
+        if K >= M_MAX:
+            raise ConvergenceFailure(f"inner sum needs more than M_MAX={M_MAX} terms "
+                                     f"to reach {cfg.term_tol:.1e}")
 
 
 def _carry(successes: int, nbar: float, last: tuple[int, float, float, float],
@@ -220,8 +185,9 @@ def _carry(successes: int, nbar: float, last: tuple[int, float, float, float],
     enters the tail above K only through 1 + R, in which its share is about
     rho, so the tail keeps its accuracy; that is why the state is kept one
     term past K. Each new R is raised by _UP past its roundings, so it stays
-    an upper bound, and each product adds one step to p's bound. Returns the smallest K >= last's support whose certified tail
-    holds tol; ConvergenceFailure once K reaches M_MAX.
+    an upper bound, and each product adds one step to p's bound. Returns the
+    smallest K >= last's support whose certified tail holds tol;
+    ConvergenceFailure once K reaches M_MAX.
     """
     K, p, ratio, size = last
     K, s = float(K), successes - 1.0
@@ -248,38 +214,36 @@ def _over_waits(coefficients: np.ndarray, ts: np.ndarray) -> np.ndarray:
     return np.array([exact_sum(row) for row in (decay * coefficients).tolist()])
 
 
-def _ladders(nbar: float, omega_chi: float, cfg: SeriesConfig, constant: bool = True,
-             oscillatory: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """The coefficients a_j of P_c and b_j of P_o, built in one loop over j.
+def _ladders(nbar: float, omega_chi: float, cfg: SeriesConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The coefficients a_j of P_c and b_j of P_o, both built in one loop over j.
 
     They are the ladder terms at T = 0; e^{-2jT} <= 1 only shrinks them, so
     these are the longest ladders any wait needs. Each ladder runs until 3 of
-    its coefficients in a row fall below term_tol, and raises
-    ConvergenceFailure, naming itself, when J_MAX are not enough. At each j
-    every running ladder stops its inner sums over m at its own support,
-    the constant ladder's first: each carries its certified tail from the
-    last rung (`_carry`, by P[NB(s+1) > K] = P[NB(s) > K] + nbar
-    P[NB(s+1) = K]), from the geometric law's at j = 0 (`_first_rung`). One
-    weights array of the longer length serves both: a cumulative product's
-    prefix has the same bits at any length. sqrt(m+1) and its trigonometry
-    come from arrays built once per call, grown as j moves up. The ambiguous per-term factor of b_j follows
+    its coefficients in a row fall below term_tol, and ConvergenceFailure,
+    naming the constant ladder if both are still running, is raised when
+    J_MAX are not enough; a caller that wants one part still builds both, and
+    can meet the other's error. At each j every running ladder stops its
+    inner sums over m at its own support, the constant ladder's first: each
+    carries its certified tail from the last rung (`_carry`, by
+    P[NB(s+1) > K] = P[NB(s) > K] + nbar P[NB(s+1) = K]), from the geometric
+    law's at j = 0 (`_first_rung`). One weights array of the longer length
+    serves both: a cumulative product's prefix has the same bits at any
+    length. sqrt(m+1) and its trigonometry come from arrays built once per
+    call, grown as j moves up. The ambiguous per-term factor of b_j follows
     cfg.variant, and its alternating sum carries the constant parts' (-1)^l
-    (see the module docstring). A part turned off comes back empty, as a
-    ladder that has already stopped.
+    (see the module docstring).
     """
     a, b, c3, c4, inner = [], [], [], [], []
     # per i: (-(1+nbar))^{-i} and cos^2(omega_chi sqrt(i))
     mixer_powers, mixer_cos2 = [], []
-    below_a, below_b = (0 if constant else 3), (0 if oscillatory else 3)
+    below_a = below_b = 0
     binom, roots = [], np.empty(0)
     # the inner sums for l = j: each term of the constant ladder's is <=
     # (1+nbar) NegBinom(m-l; l+1), and as sqrt(m+1) <= m+1 and (m+1) C(m,l)
     # = (l+1) C(m+1,l+1), each of the oscillatory's is <= (1+nbar)^2
-    # NegBinom(m-l; l+2). Both tails start from the geometric law; a ladder
-    # turned off keeps support 0
-    tail_a = _first_rung(1.0 + nbar, nbar, cfg) if constant else (0,)
-    tail_b = (_carry(2, nbar, _first_rung((1.0 + nbar) ** 2, nbar, cfg), cfg)
-              if oscillatory else (0,))
+    # NegBinom(m-l; l+2). Both tails start from the geometric law
+    tail_a = _first_rung(1.0 + nbar, nbar, cfg)
+    tail_b = _carry(2, nbar, _first_rung((1.0 + nbar) ** 2, nbar, cfg), cfg)
     for j in range(J_MAX):
         if below_a == 3 and below_b == 3:
             break
@@ -333,12 +297,13 @@ def pg_constant(T, nbar: float, omega_chi: float = DEFAULT_OMEGA_CHI,
     """Constant (phi-independent) part of the detection probability.
 
     Sum of four nested series over the doublet ladder, built once as
-    coefficients a_j with P_c(T) = sum_j e^{-2jT} a_j (`_ladders`). T may
-    be a scalar or an array; the result has T's shape (a float for a
+    coefficients a_j with P_c(T) = sum_j e^{-2jT} a_j (`_ladders`, which
+    builds b_j alongside and can raise ConvergenceFailure for either). T
+    may be a scalar or an array; the result has T's shape (a float for a
     scalar).
     """
     ts = _waits(T, nbar, omega_chi)
-    a = _ladders(nbar, omega_chi, cfg or SeriesConfig(), oscillatory=False)[0]
+    a = _ladders(nbar, omega_chi, cfg or SeriesConfig())[0]
     return _shaped(_over_waits(a, ts), T)
 
 
@@ -347,10 +312,11 @@ def pg_oscillatory(T, nbar: float, omega_chi: float = DEFAULT_OMEGA_CHI,
     """Oscillatory amplitude of the detection probability.
 
     Built once as coefficients b_j with P_o(T) = e^{-T} sum_j e^{-2jT} b_j
-    (`_ladders`); T may be a scalar or an array, as for `pg_constant`.
+    (`_ladders`, alongside a_j, as for `pg_constant`); T may be a scalar or
+    an array.
     """
     ts = _waits(T, nbar, omega_chi)
-    b = _ladders(nbar, omega_chi, cfg or SeriesConfig(), constant=False)[1]
+    b = _ladders(nbar, omega_chi, cfg or SeriesConfig())[1]
     return _shaped(np.exp(-ts) * _over_waits(b, ts), T)
 
 

@@ -7,7 +7,9 @@ through `exact_sum` on a numpy array, and the tail walks counted with ints.
 the tests compare the two. `_negbin_log_pmf`, `_poisson_log_pmf`, `_support`,
 `_over_waits` and `_ladder_weight` are copied as well, so that no call below
 reaches the package's tail walks or a helper that has changed since; the
-helpers imported from the package are unchanged.
+helpers imported from the package are unchanged. `_support` and the generic
+`upper_tail` / `tail_cutoff` are also the fresh negative-binomial walk that
+the package's certified inner supports are checked against.
 
 The oscillatory part also keeps the printed reading of its inner sign,
 (-nbar)^{+l} (`printed=True`), which the package does not offer: the tests

@@ -2,7 +2,8 @@
 
 mpmath gives the exact tails; scipy's `pdtrc`/`nbdtrc`, which these tails
 replaced, must pick the same cutoffs on the benchmark's inputs. Both are
-optional: without them these tests skip.
+optional: without them these tests skip. The thermal inner supports are
+checked against a fresh negative-binomial walk, `series_reference._support`.
 """
 
 import importlib.util
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import series_reference as ref
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -23,18 +25,9 @@ from cavity_ramsey.fock import (
     poisson_cutoff,
     poisson_tail,
     rounding_bound,
-    tail_cutoff,
-    upper_tail,
     widened_truncation,
 )
-from cavity_ramsey.thermal import (
-    SeriesConfig,
-    _carry,
-    _first_rung,
-    _negbin_log_pmf,
-    _support,
-    _tail,
-)
+from cavity_ramsey.thermal import SeriesConfig, _carry, _first_rung, _tail
 
 # tails in the normal float range; smaller ones lose relative accuracy as
 # their terms turn subnormal
@@ -98,8 +91,8 @@ def test_negbin_tail_is_an_accurate_upper_bound(successes, nbar, spread):
     exact = negbin_tail_exact(successes, nbar, k)
     assume(SMALLEST_TAIL < exact < 0.5)
     q = nbar / (1 + nbar)
-    tail, _ = upper_tail(lambda x: _negbin_log_pmf(x, successes, nbar), k + 1,
-                         q, q * successes)
+    tail, _ = ref.upper_tail(lambda x: ref._negbin_log_pmf(x, successes, nbar), k + 1,
+                             q, q * successes)
     assert tail == pytest.approx(exact, rel=1e-11, abs=0.0)
     assert tail >= exact * (1.0 - 1e-14)
 
@@ -111,18 +104,12 @@ def test_negbin_tail_is_an_accurate_upper_bound(successes, nbar, spread):
 def test_support_is_the_smallest_certified_cutoff(successes, nbar, squared, start):
     cfg = SeriesConfig()
     scale = (1.0 + nbar) ** (2 if squared else 1)
-    K = _support(successes, scale, nbar, start, cfg)
+    K = ref._support(successes, scale, nbar, start, cfg)
     assert K >= start
     assert scale * negbin_tail_exact(successes, nbar, K) <= cfg.term_tol
     if K > start:
         below = scale * negbin_tail_exact(successes, nbar, K - 1)
         assert below > cfg.term_tol * (1 - 1e-11)
-
-
-@pytest.mark.parametrize("nbar", [math.nan, math.inf, -0.5, 0.0])
-def test_negbin_tail_refuses_bad_nbar(nbar):
-    with pytest.raises(ValueError):
-        _support(5, 1.5, nbar, 0, SeriesConfig())
 
 
 @given(mean=st.floats(min_value=0.0, max_value=400.0),
@@ -211,17 +198,50 @@ def test_support_grows_as_the_tolerance_falls():
     # SeriesConfig refuses a subnormal term_tol, so this is `_support(5, 1.5,
     # 0.5, 0, cfg)`'s own walk, called with the same arguments
     q, scale = 0.5 / 1.5, 1.5
-    supports = [tail_cutoff(lambda x: _negbin_log_pmf(x, 5, 0.5), q, q * 5, 0,
-                            tol / scale, thermal.M_MAX)
+    supports = [ref.tail_cutoff(lambda x: ref._negbin_log_pmf(x, 5, 0.5), q, q * 5, 0,
+                                tol / scale, thermal.M_MAX)
                 for tol in (1e-300, 1e-310, 1e-320, 5e-324)]
     assert supports == sorted(supports) and supports[0] > 0
 
 
-def test_support_refuses_past_m_max(monkeypatch):
-    # the mode of 200 successes at nbar 0.9 lies far past 16 terms
+def _first_rung_cases(count, seed=30):
+    """(scale, nbar, cfg) of seeded first rungs: nbar uniform in [1e-4, 0.999]
+    or log-uniform down to 1e-4, term_tol log-uniform from the smallest normal
+    float to 1e-6 with a twentieth of the cases at that smallest float, and the
+    scale of either ladder."""
+    rng = np.random.default_rng(seed)
+    nbars = np.where(rng.random(count) < 0.7, rng.uniform(1e-4, 0.999, count),
+                     10.0 ** rng.uniform(-4.0, math.log10(0.999), count))
+    # 10 ** log10(x) can round below x
+    tols = np.maximum(10.0 ** rng.uniform(math.log10(sys.float_info.min), -6.0, count),
+                      sys.float_info.min)
+    tols[-count // 20:] = sys.float_info.min
+    powers = rng.integers(1, 3, count)
+    return [((1.0 + nbar) ** power, nbar, SeriesConfig(term_tol=tol))
+            for nbar, tol, power in zip(nbars.tolist(), tols.tolist(), powers.tolist())]
+
+
+def test_first_rung_is_the_walked_support():
+    # the carried tail's certificate picks the support the negative-binomial
+    # walk certifies, and the state is the closed form at that support
+    for scale, nbar, cfg in _first_rung_cases(2000):
+        K = ref._support(1, scale, nbar, 0, cfg)
+        q, half = nbar / (1.0 + nbar), (K + 1) // 2
+        p = q ** half / (cfg.term_tol / scale) * q ** (K + 1 - half) / (1.0 + nbar)
+        assert _first_rung(scale, nbar, cfg) == (K, p, nbar, K + 5.0), (scale, nbar, cfg)
+
+
+@pytest.mark.parametrize("nbar", [math.nan, math.inf, -0.5, 0.0])
+def test_negbin_tail_refuses_bad_nbar(nbar):
+    with pytest.raises(ValueError, match="negative-binomial nbar"):
+        _first_rung(1.5, nbar, SeriesConfig())
+
+
+def test_first_rung_refuses_past_m_max(monkeypatch):
+    # at nbar 0.9 the geometric law needs about 36 terms to reach 1e-12
     monkeypatch.setattr(thermal, "M_MAX", 16)
-    with pytest.raises(ConvergenceFailure):
-        _support(200, 1.9, 0.9, 0, SeriesConfig())
+    with pytest.raises(ConvergenceFailure, match="M_MAX=16"):
+        _first_rung(1.9, 0.9, SeriesConfig())
 
 
 @given(nbar=st.floats(min_value=0.01, max_value=0.95),
@@ -246,7 +266,7 @@ def test_carried_tail_is_the_fresh_support(nbar, exponent, squared):
         last = tail
         tail = _carry(successes, nbar, last, cfg)
         K, p, ratio, size = tail
-        assert K == _support(successes, scale, nbar, last[0], cfg), successes
+        assert K == ref._support(successes, scale, nbar, last[0], cfg), successes
         bound = _tail(p, ratio, size) * (cfg.term_tol / scale)
         exact = negbin_tail_exact(successes, nbar, K)
         assert bound >= exact, successes
@@ -261,7 +281,7 @@ def test_carried_support_refuses_past_m_max(monkeypatch):
     # at nbar 0.9 both first rungs stop below 39 terms, and the ladders'
     # later supports climb past 70, so the refusal comes from a carried rung
     cfg = SeriesConfig()
-    assert max(_support(1, 1.9, 0.9, 0, cfg), _support(1, 1.9 ** 2, 0.9, 0, cfg)) < 40
+    assert max(_first_rung(1.9, 0.9, cfg)[0], _first_rung(1.9 ** 2, 0.9, cfg)[0]) < 40
     monkeypatch.setattr(thermal, "M_MAX", 48)
     with pytest.raises(ConvergenceFailure, match="M_MAX=48"):
         thermal.thermal_visibility(0.1, 0.9, cfg)

@@ -15,7 +15,6 @@ from cavity_ramsey.open_system import master_visibility, zero_temp_visibility_de
 from cavity_ramsey.thermal import (
     SeriesConfig,
     _binomial_weights,
-    _support,
     pg_constant,
     pg_oscillatory,
     thermal_visibility,
@@ -58,7 +57,7 @@ class TestSeriesConfig:
 
 
 class TestDomain:
-    @pytest.mark.parametrize("nbar", [0.0, 1.0, 1.5, -0.2])
+    @pytest.mark.parametrize("nbar", [0.0, 1.0, 1.5, -0.2, math.nan, math.inf, -math.inf])
     def test_nbar_outside_convergence_region(self, nbar):
         with pytest.raises(ValueError, match="nbar must lie"):
             pg_constant(0.1, nbar)
@@ -101,6 +100,16 @@ class TestDomain:
         monkeypatch.setattr(thermal, "M_MAX", 16)
         with pytest.raises(ConvergenceFailure, match="M_MAX=16"):
             pg_constant(0.1, 0.9)
+
+    def test_a_part_raises_for_the_other_ladder(self, monkeypatch):
+        # at nbar 0.3 the constant ladder needs 13 coefficients and the
+        # oscillatory 12; each part comes from one build of both ladders, so
+        # the oscillatory part meets the constant ladder's cap
+        for module in (thermal, series_reference):
+            monkeypatch.setattr(module, "J_MAX", 12)
+        assert 0.0 < series_reference.pg_oscillatory(0.1, 0.3) < 1.0
+        with pytest.raises(ConvergenceFailure, match="constant ladder hit its cap"):
+            pg_oscillatory(0.1, 0.3)
 
     @pytest.mark.parametrize("part", [pg_constant, pg_oscillatory])
     def test_ladder_past_its_cap_raises(self, part, monkeypatch):
@@ -164,7 +173,7 @@ class TestWaitGrids:
         # total mass; a stop after 3 small terms fired before the peak here
         # and returned 3.4e-14
         nbar, l = 0.7, 70
-        k = _support(l + 1, 1.0 + nbar, nbar, 0, SeriesConfig())
+        k = series_reference._support(l + 1, 1.0 + nbar, nbar, 0, SeriesConfig())
         total = math.fsum(_binomial_weights(l, nbar, k + 1))
         assert total == pytest.approx(1.0 + nbar, abs=1e-12)
 
